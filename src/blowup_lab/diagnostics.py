@@ -142,25 +142,39 @@ def _zoom_argmax(f, lo, hi, levels=12, pts_per_axis=7):
     return best_x, best_v
 
 
-def _golden_polish(f, x, step, iters=60):
-    """Coordinate-wise golden-section refinement of a local maximum."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x = np.asarray(x, dtype=float).copy()
-    for _ in range(3):
-        for i in range(len(x)):
-            a, b = x[i] - step, x[i] + step
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            for _ in range(iters):
-                xc, xd = x.copy(), x.copy()
-                xc[i], xd[i] = c, d
-                if f(xc[None])[0] > f(xd[None])[0]:
-                    b = d
-                else:
-                    a = c
-                c = b - phi * (b - a)
-                d = a + phi * (b - a)
-            x[i] = 0.5 * (a + b)
+_POLISH_POINTS = 17   # samples per coordinate bracket; each zoom shrinks it 8x
+_POLISH_LEVELS = 11   # zooms per round: bracket half-width step * 8^-11
+_POLISH_ROUNDS = 8    # Jacobi rounds, step shrinking 10x per round
+
+
+def _bracket_polish(f, x, step):
+    """Batched coordinate-bracket refinement of a local maximum.
+
+    Each round gives every coordinate i the bracket x[i] +- step.  Each
+    zoom level evaluates f once on an (n*m, n) batch: for every coordinate,
+    m copies of x with that coordinate swept over m equispaced points of
+    its bracket.  Each bracket then shrinks to +-1 cell around its own
+    argmax, which keeps the 1-d maximum inside it when the slice is
+    unimodal.  After the last level all coordinates move to their bracket
+    midpoints at once (a Jacobi update) and step shrinks 10x.  The cost is
+    a fixed rounds * levels = 88 calls of about 100 points each.
+    """
+    x = np.asarray(x, dtype=float)
+    n, m = len(x), _POLISH_POINTS
+    rows = np.arange(n)
+    sweep = np.linspace(-1.0, 1.0, m)
+    for _ in range(_POLISH_ROUNDS):
+        center = x
+        half = np.full(n, float(step))
+        for _ in range(_POLISH_LEVELS):
+            probe = center[:, None] + half[:, None] * sweep     # (n, m)
+            batch = np.broadcast_to(x, (n, m, n)).copy()
+            batch[rows, :, rows] = probe
+            vals = np.asarray(f(batch.reshape(n * m, n)), dtype=float)
+            best = np.argmax(vals.reshape(n, m), axis=1)
+            center = probe[rows, best]
+            half = half * (2.0 / (m - 1))
+        x = center
         step *= 0.1
     return x
 
@@ -175,6 +189,12 @@ def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
     when the remaining sup falls below ``prominence`` times the first
     height.  Returns a PeakReport; irrecoverable situations (flat field,
     too many peaks) are reported as failures, not raised.
+
+    The polish is a batched coordinate-bracket search (``_bracket_polish``):
+    one field call of about 100 points per zoom level, 88 calls per
+    candidate.  With a search grid a case of k peaks costs 90 (k + 1) + 1
+    field calls, about 90 per peak, since the candidate that falls below
+    the prominence threshold is polished too.
 
     ``search_grid`` (tangent coordinates, shape (N, n)) supplies candidate
     locations.  Callers must provide one fine enough to resolve the smallest
@@ -228,7 +248,7 @@ def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
                               message="field has no positive maximum")
         # a grid sample can sit well below the true height, so polish
         # before judging prominence
-        y = _golden_polish(remaining, y, step=step)
+        y = _bracket_polish(remaining, y, step)
         v = float(remaining(y[None])[0])
         if first_height is None:
             if v <= 0.0 or not np.isfinite(v):

@@ -195,11 +195,12 @@ def energy_split(model, h, cfg, cutoff, rule):
 
     vals = [f(pts) for f in fields]
     grads = [f.grad(pts) for f in fields]
+    # u_+^(2*) as in ``energy``: a negative base gives NaN for non-integer 2*
+    powers = [np.maximum(v, 0.0) ** twostar for v in vals]
 
     per_bubble = []
-    for v, g in zip(vals, grads):
-        dens = 0.5 * (np.sum(g * g, axis=-1) + hv * v**2) \
-            - np.maximum(v, 0.0) ** twostar / twostar
+    for v, g, vp in zip(vals, grads, powers):
+        dens = 0.5 * (np.sum(g * g, axis=-1) + hv * v**2) - vp / twostar
         per_bubble.append(float(np.sum(w * dens)))
 
     cross = 0.0
@@ -210,13 +211,13 @@ def energy_split(model, h, cfg, cutoff, rule):
             cross += float(np.sum(w * dens))
 
     total_vals = sum(vals)
-    excess_dens = total_vals ** twostar - sum(v ** twostar for v in vals)
+    total_power = np.maximum(total_vals, 0.0) ** twostar
+    excess_dens = total_power - sum(powers)
     excess = float(np.sum(w * excess_dens))
 
     total_grads = sum(grads)
     total_dens = 0.5 * (np.sum(total_grads * total_grads, axis=-1)
-                        + hv * total_vals**2) \
-        - np.maximum(total_vals, 0.0) ** twostar / twostar
+                        + hv * total_vals**2) - total_power / twostar
     total = float(np.sum(w * total_dens))
 
     prediction = 0.0

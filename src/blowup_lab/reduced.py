@@ -164,8 +164,11 @@ def F_n_critical(params, i=0):
     c1, d_n = reduced_constants(params.n)
     t_star = math.sqrt(c1 * h_val / (2.0 * d_n * params.weyl_sq))
     value = c1**2 * h_val**2 / (4.0 * d_n * params.weyl_sq)
-    # second derivative in t at the critical point must be negative
-    assert 2.0 * c1 * h_val - 12.0 * d_n * params.weyl_sq * t_star**2 < 0.0
+    # second derivative in t at the critical point must be negative; written
+    # as "not < 0" so that a NaN (e.g. from an infinite weyl_sq) raises too
+    if not 2.0 * c1 * h_val - 12.0 * d_n * params.weyl_sq * t_star**2 < 0.0:
+        raise DegenerateError("no interior maximum: critical point is not "
+                              "a strict maximum in t")
     return t_star, p_star, value
 
 
@@ -202,7 +205,9 @@ def delta_eps(n, eps):
         if (hi - lo) < 1e-17 * hi:
             break
     d = 0.5 * (lo + hi)
-    assert abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps
+    if not abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps:
+        raise ValueError(f"delta_eps: bisection missed relative residual "
+                         f"1e-14 at eps={eps:g}")
     return d
 
 

@@ -113,7 +113,60 @@ class TestIsolation:
         assert math.isinf(rep.min_separation)
 
 
+def _planted_with_grid(model, xi0, delta, seed):
+    """One planted bubble and a criterion-11 style search grid: 50 coarse
+    tangent points plus one within 1.5 delta of the bubble."""
+    rng = np.random.default_rng(seed)
+    frame = model.tangent_frame(xi0)
+    y = rng.uniform(-0.6, 0.6, size=6)
+    center = model.exp(xi0, y @ frame)
+    u = multi_bubble_field(
+        model, Configuration(bubbles=(BubbleParams(delta, center),)),
+        CutoffSpec.for_model(model))
+    grid = np.vstack([rng.uniform(-0.8, 0.8, size=(50, 6)),
+                      y + rng.uniform(-1.5, 1.5, size=(1, 6)) * delta])
+    return u, center, grid
+
+
 class TestExtractPeaks:
+    def test_field_call_budget(self):
+        # the polish batches its probes: a k=1 case costs a few hundred
+        # field calls, not thousands of one-point calls
+        m = _pp()
+        xi0 = _base(m)
+        delta = 5e-3
+        u, center, grid = _planted_with_grid(m, xi0, delta, seed=3)
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return u(pts)
+
+        rep = extract_peaks(m, counted, xi0, k_max=3, search_grid=grid)
+        assert len(calls) <= 400
+        assert not rep.failed
+        assert rep.k == 1
+        assert m.distance(rep.centers[0], center) < 0.1 * delta
+        assert abs(rep.scales[0] - delta) < 0.01 * delta
+
+    def test_polish_accuracy(self):
+        m = _pp()
+        xi0 = _base(m)
+        delta = 5e-3
+        u, center, grid = _planted_with_grid(m, xi0, delta, seed=4)
+        rep = extract_peaks(m, u, xi0, k_max=3, search_grid=grid)
+        assert not rep.failed
+        assert rep.k == 1
+        assert m.distance(rep.centers[0], center) < 1e-3 * delta
+        assert abs(rep.scales[0] - delta) < 1e-4 * delta
+
+        def flat(pts):
+            return np.zeros(np.shape(pts)[:-1])
+
+        rep = extract_peaks(m, flat, xi0, search_grid=grid)
+        assert rep.failed
+        assert rep.k == 0
+
     def test_single_synthetic_peak(self):
         m = _pp()
         xi0 = _base(m)

@@ -188,6 +188,22 @@ class TestSplit:
         assert split.deviation > 0.0
         assert split.interaction_prediction > 0.0
 
+    def test_negative_field_excess_is_finite(self):
+        # 2* = 2.8 for n = 7: the excess must use u_+, as the energy does,
+        # or a negative value raised to 2* gives NaN
+        m = ManifoldModel.flat_ball(7, 10.0)
+        c = np.zeros(7)
+
+        def minus_one(pts):
+            return -np.ones(np.shape(pts)[:-1])
+
+        cfg = Configuration(bubbles=(BubbleParams(0.1, c, minus_one),))
+        rule = build_quadrature(m, c, finest_scale=0.1, angular=[1] * 6)
+        split = energy_split(m, PotentialField.constant(m, 0.0), cfg,
+                             CutoffSpec.none(), rule)
+        assert math.isfinite(split.nonlinear_excess)
+        assert math.isfinite(split.total)
+
 
 class TestRayleigh:
     def test_upper_bound_on_round_sphere(self):

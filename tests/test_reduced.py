@@ -90,6 +90,9 @@ class TestReducedEnergy:
         # amplitude 1 gives peak value a - 1 = 0: no interior maximum
         with pytest.raises(DegenerateError):
             F_n_critical(ReducedEnergyParams(n=6, weyl_sq=14.4, H=flat))
+        # an infinite quartic coefficient makes the curvature check NaN
+        with pytest.raises(DegenerateError):
+            F_n_critical(ReducedEnergyParams(n=6, weyl_sq=math.inf, H=Hb))
 
     def test_expansion_predict(self):
         p = ReducedEnergyParams(n=6, weyl_sq=14.4, H=None)
@@ -120,6 +123,12 @@ class TestSchedules:
         # d^2 ln(1/d) cannot exceed 1/(2e) on the valid branch
         with pytest.raises(ValueError):
             delta_eps(6, 1.0 / (2.0 * math.e) + 1e-3)
+
+    def test_delta_eps_unreachable_residual_raises(self):
+        # for subnormal eps the tolerance 1e-14 * eps underflows to 0, so
+        # the back-substitution check fails; it must raise, also under -O
+        with pytest.raises(ValueError):
+            delta_eps(6, 1e-310)
 
     def test_mu_n6_log_power(self):
         # mu = |ln eps|^(-1/8); eps = e^-16 gives 16^(-1/8) = 2^(-1/2)

@@ -4,33 +4,32 @@ A bubble of scale ``delta`` at ``center`` is the standard extremal profile
 
     (sqrt(n(n-2)) * delta / (delta^2 + d^2))^((n-2)/2),
 
-transplanted to the model through the geodesic distance d to the center,
-multiplied by a smooth cutoff in d and an optional conformal factor.  The
-module also enforces the admissibility cone on collections of bubbles
-(comparable scales, mutual separation large against the scales).
+transplanted to the model through the geodesic distance d to the center
+and multiplied by a smooth cutoff in d.  Every field exposes one sampling
+method, ``jet``, that returns the value together with the gradient or the
+Laplacian from a single distance evaluation.  The module also enforces
+the admissibility cone on collections of bubbles (comparable scales,
+mutual separation large against the scales).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _smoothstep
-from .geometry import GeometryError, ManifoldModel
 
 __all__ = [
     "CutoffSpec",
     "BubbleParams",
     "Configuration",
-    "ScalarField",
     "BubbleField",
     "SumField",
     "bubble_eval",
     "multi_bubble_eval",
-    "bubble_gradient",
     "is_admissible",
 ]
 
@@ -71,11 +70,10 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Scale, center, and optional conformal factor of one bubble."""
+    """Scale and center of one bubble."""
 
     delta: float
     center: np.ndarray
-    conformal_factor: object = None  # callable Point batch -> positive values
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -127,27 +125,6 @@ class Configuration:
                    delta_bar=data["delta_bar"])
 
 
-class ScalarField:
-    """A scalar field on a model: a values callable plus optional gradient."""
-
-    def __init__(self, model, fn, grad=None):
-        self.model = model
-        self._fn = fn
-        self._grad = grad
-
-    def __call__(self, pts):
-        return self._fn(np.asarray(pts, dtype=float))
-
-    @property
-    def has_gradient(self):
-        return self._grad is not None
-
-    def grad(self, pts):
-        if self._grad is None:
-            raise ValueError("field has no gradient callable")
-        return self._grad(np.asarray(pts, dtype=float))
-
-
 def _profile(n, delta, d):
     """Flat extremal profile and its first two radial derivatives."""
     m = (n - 2) / 2.0
@@ -159,8 +136,10 @@ def _profile(n, delta, d):
     return B, B1, B2
 
 
-class BubbleField(ScalarField):
+class BubbleField:
     """One cutoff bubble, with analytic gradient and radial Laplacian."""
+
+    has_gradient = True
 
     def __init__(self, model, params, cutoff):
         if math.isfinite(cutoff.r0) and cutoff.r0 >= model.injectivity_radius:
@@ -169,92 +148,74 @@ class BubbleField(ScalarField):
         self.params = params
         self.cutoff = cutoff
 
-    def _radial(self, pts, derivatives=0):
-        d = self.model.distance(pts, self.params.center)
+    def jet(self, pts, order=0):
+        """(value, derivative) at ``pts`` from one distance evaluation.
+
+        The derivative is None for order 0, the ambient gradient for order 1
+        and the geometer's Laplacian -div grad for order 2; the Laplacian
+        needs only radial derivatives, never the distance gradient.
+        """
+        pts = np.asarray(pts, dtype=float)
+        center = self.params.center
+        d = self.model.distance(pts, center)
         chi = self.cutoff.value(d)
         B, B1, B2 = _profile(self.model.n, self.params.delta, d)
         w = chi * B
-        if derivatives == 0:
-            return d, w, None, None
+        if order == 0:
+            return w, None
         c1 = self.cutoff.d1(d)
         w1 = c1 * B + chi * B1
-        if derivatives == 1:
-            return d, w, w1, None
-        c2 = self.cutoff.d2(d)
-        w2 = c2 * B + 2.0 * c1 * B1 + chi * B2
-        return d, w, w1, w2
-
-    def _lam(self, pts):
-        lam = self.params.conformal_factor
-        return 1.0 if lam is None else lam(pts)
-
-    def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        _, w, _, _ = self._radial(pts)
-        return self._lam(pts) * w
-
-    @property
-    def has_gradient(self):
-        return True
-
-    def grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        _, _, w1, _ = self._radial(pts, derivatives=1)
-        direction = self.model.distance_gradient(self.params.center, pts)
-        g = w1[..., None] * direction
-        if self.params.conformal_factor is not None:
-            g = g * np.asarray(self._lam(pts))[..., None]
-        return g
-
-    def laplace_beltrami(self, pts):
-        """Geometer's Laplacian (-div grad) of the bubble field.
-
-        Only exact for the default conformal factor; a user-supplied factor
-        would contribute extra terms that are not modeled here.
-        """
-        pts = np.asarray(pts, dtype=float)
-        d, w, w1, w2 = self._radial(pts, derivatives=2)
-        coeff = self.model.radial_laplacian_coeff(self.params.center, pts, d=d)
+        if order == 1:
+            return w, w1[..., None] * self.model.distance_gradient(center, pts)
+        w2 = self.cutoff.d2(d) * B + 2.0 * c1 * B1 + chi * B2
+        coeff = self.model.radial_laplacian_coeff(center, pts, d=d)
         # at the center the slope vanishes like w''(0) d; the limit of the
         # full expression is n * w''(0)
         near = d < 1e-12
         lap = w2 + coeff * w1
         if np.any(near):
             lap = np.where(near, self.model.n * w2, lap)
-        return -lap
+        return w, -lap
+
+    def __call__(self, pts):
+        return self.jet(pts)[0]
+
+    def grad(self, pts):
+        return self.jet(pts, 1)[1]
+
+    def laplace_beltrami(self, pts):
+        return self.jet(pts, 2)[1]
 
 
-class SumField(ScalarField):
+class SumField:
     """Pointwise sum of fields sharing a model."""
+
+    has_gradient = True
 
     def __init__(self, fields):
         fields = list(fields)
         self.model = fields[0].model
         self.fields = fields
 
-    def __call__(self, pts):
+    def jet(self, pts, order=0):
+        """Sum of the fields' jets, added in field order."""
         pts = np.asarray(pts, dtype=float)
-        out = self.fields[0](pts)
+        value, deriv = self.fields[0].jet(pts, order)
         for f in self.fields[1:]:
-            out = out + f(pts)
-        return out
+            v, g = f.jet(pts, order)
+            value = value + v
+            if order:
+                deriv = deriv + g
+        return value, deriv
 
-    @property
-    def has_gradient(self):
-        return all(f.has_gradient for f in self.fields)
+    def __call__(self, pts):
+        return self.jet(pts)[0]
 
     def grad(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        out = self.fields[0].grad(pts)
-        for f in self.fields[1:]:
-            out = out + f.grad(pts)
-        return out
+        return self.jet(pts, 1)[1]
 
     def laplace_beltrami(self, pts):
-        out = self.fields[0].laplace_beltrami(pts)
-        for f in self.fields[1:]:
-            out = out + f.laplace_beltrami(pts)
-        return out
+        return self.jet(pts, 2)[1]
 
 
 def multi_bubble_field(model, cfg, cutoff):
@@ -269,11 +230,6 @@ def bubble_eval(model, params, cutoff, x):
 def multi_bubble_eval(model, cfg, cutoff, x):
     """Value of the bubble-sum ansatz at x."""
     return multi_bubble_field(model, cfg, cutoff)(x)
-
-
-def bubble_gradient(model, params, cutoff, x):
-    """Ambient-embedded gradient of a single bubble at x."""
-    return BubbleField(model, params, cutoff).grad(x)
 
 
 def is_admissible(cfg, model=None):

@@ -29,9 +29,11 @@ from .bubble import (BubbleParams, Configuration, CutoffSpec,
 from .diagnostics import isolation_ratios, order_fit
 from .functional import (PotentialField, energy, energy_split, residual_norm,
                          single_bubble_energy_constant)
-from .geometry import CapacityError, ManifoldModel, build_quadrature
-from .reduced import (BumpFunction, ScheduleParams, build_H, reduced_constants,
-                      reduced_limit_ratio, mu_eps)
+from .geometry import (CapacityError, ManifoldModel,
+                       build_multicenter_quadrature, build_quadrature)
+from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
+                      reduced_constants, reduced_limit_ratio,
+                      schedule_configuration)
 
 EXPERIMENTS = (
     "flat-energy",
@@ -113,7 +115,7 @@ def _geomspace(rng_spec, default_lo, default_hi, default_count):
 # ---------------------------------------------------------------------------
 # experiment implementations; each returns (rows, columns, lines, passed)
 
-def _exp_flat_energy(cfg, outdir):
+def _exp_flat_energy(cfg):
     dims = cfg.get("dims", [6])
     radius = float(cfg.get("radius", 100.0))
     budget = int(cfg.get("budget", 2_000_000))
@@ -143,7 +145,7 @@ def _exp_flat_energy(cfg, outdir):
     return rows, ("n", "J_quadrature", "E1_oracle", "rel_deviation"), lines, ok
 
 
-def _exp_expansion_sweep(cfg, outdir):
+def _exp_expansion_sweep(cfg):
     model = _model_from_spec(cfg.get("model", {}))
     sigma = float(cfg.get("sigma", 1e-3))
     deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 7)
@@ -154,7 +156,6 @@ def _exp_expansion_sweep(cfg, outdir):
     center = model.random_point(np.random.default_rng(0))
     cutoff = CutoffSpec.for_model(model)
     h0 = PotentialField.conformal_scalar(model)
-    h1 = h0.shifted(sigma)
     rows = []
     for d in deltas:
         rule = build_quadrature(model, center, finest_scale=d, budget=budget,
@@ -162,9 +163,9 @@ def _exp_expansion_sweep(cfg, outdir):
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
-        j1 = energy(model, h1, u, rule)
-        coef = (j1 - j0) / (e1 * sigma * d * d)
-        rows.append((d, j0, j1, coef))
+        # J is affine in h: the constant shift adds sigma/2 int u^2 exactly
+        half_l2 = 0.5 * float(np.sum(rule.weights * u(rule.nodes) ** 2))
+        rows.append((d, j0, j0 + sigma * half_l2, half_l2 / (e1 * d * d)))
     coefs = np.array([r[3] for r in rows])
     fitted = float(np.median(coefs))
     dev = abs(fitted - c1) / c1
@@ -174,14 +175,13 @@ def _exp_expansion_sweep(cfg, outdir):
     return rows, ("delta", "J_base", "J_shifted", "c1_estimate"), lines, ok
 
 
-def _exp_interaction_sweep(cfg, outdir):
+def _exp_interaction_sweep(cfg):
     n = int(cfg.get("n", 6))
     delta = float(cfg.get("delta", 1e-3))
     dists = _geomspace(cfg.get("dist_range", {}), 0.02, 0.2, 6)
     budget = int(cfg.get("budget", 4_000_000))
     tol = float(cfg.get("threshold", 0.05))
     model = ManifoldModel.flat_ball(n, float(cfg.get("radius", 100.0)))
-    from .geometry import build_multicenter_quadrature
     rows = []
     for d in dists:
         c1 = np.zeros(n)
@@ -205,7 +205,7 @@ def _exp_interaction_sweep(cfg, outdir):
                    "interaction_prediction"), lines, ok)
 
 
-def _exp_residual_sweep(cfg, outdir):
+def _exp_residual_sweep(cfg):
     model = _model_from_spec(cfg.get("model", {"kind": "product_spheres"}))
     deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 6)
     budget = int(cfg.get("budget", 2_000_000))
@@ -234,7 +234,7 @@ def _exp_residual_sweep(cfg, outdir):
     return rows, ("delta", "residual_norm"), lines, ok
 
 
-def _exp_reduced_limit(cfg, outdir):
+def _exp_reduced_limit(cfg):
     model = _model_from_spec(cfg.get("model", {}))
     eps_list = sorted(_geomspace(cfg.get("eps_range", {}), 1e-4, 1e-2, 5),
                       reverse=True)
@@ -263,7 +263,7 @@ def _exp_reduced_limit(cfg, outdir):
                    "rel_deviation"), lines, ok)
 
 
-def _exp_schedule_table(cfg, outdir):
+def _exp_schedule_table(cfg):
     n = int(cfg.get("n", 7))
     r = int(cfg.get("r", 1))
     eps_list = _geomspace(cfg.get("eps_range", {}), 1e-10, 1e-4, 7)
@@ -285,7 +285,7 @@ def _exp_schedule_table(cfg, outdir):
                    "margin_eps_over_mu_r", "margin_mu", "residual"), lines, ok)
 
 
-def _exp_isolation_sweep(cfg, outdir):
+def _exp_isolation_sweep(cfg):
     model = _model_from_spec(cfg.get("model", {}))
     eps_list = sorted(_geomspace(cfg.get("eps_range", {}), 1e-6, 1e-3, 7),
                       reverse=True)
@@ -293,7 +293,6 @@ def _exp_isolation_sweep(cfg, outdir):
     seed = cfg.get("seed", None)
     Hb = build_H(int(cfg.get("k", 2)), model.n, seed=seed)
     xi0 = model.random_point(np.random.default_rng(0))
-    from .reduced import schedule_configuration
     ts = [1.0] * Hb.k
     ps = list(Hb.maxima)
     rows = []
@@ -317,14 +316,13 @@ def _exp_isolation_sweep(cfg, outdir):
             lines, ok)
 
 
-def _exp_bump_audit(cfg, outdir):
+def _exp_bump_audit(cfg):
     ks = cfg.get("ks", [1, 2, 3, 5])
     dim = int(cfg.get("dim", 6))
     seed = cfg.get("seed", None)
     rows, ok = [], True
     for k in ks:
         Hb = build_H(k, dim, seed=seed)
-        from .reduced import audit_bumps
         rep = audit_bumps(Hb)
         good = rep["passed"]
         ok = ok and good
@@ -372,7 +370,7 @@ def run(config_path, out=None, quiet=False):
     os.makedirs(outdir, exist_ok=True)
     t0 = time.time()
     try:
-        rows, columns, lines, passed = _RUNNERS[kind](cfg, outdir)
+        rows, columns, lines, passed = _RUNNERS[kind](cfg)
     except CapacityError as e:
         print(f"error: capacity exceeded: {e}\nhint: raise 'budget' in the "
               f"config or coarsen the sweep", file=sys.stderr)

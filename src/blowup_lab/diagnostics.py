@@ -9,11 +9,9 @@ the schedule that generated the field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import GeometryError
 
 __all__ = [
     "SlopeFit",

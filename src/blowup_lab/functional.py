@@ -9,7 +9,9 @@ equation in the L^(2n/(n+2)) norm, pairwise bubble interaction scales, and
 the multi-bubble energy splitting.  All integrals are straightforward
 weighted sums over a :class:`~blowup_lab.geometry.QuadratureRule`; integrands
 are evaluated analytically (radial derivatives of the profile and cutoff),
-never by discrete differentiation.
+never by discrete differentiation.  J is affine in h, so an h-difference is
+integrated in closed form, J_h(u) - J_h0(u) = 1/2 int (h - h0) u^2, rather
+than as the difference of two energies that agree in most of their digits.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bubble import BubbleField, SumField, multi_bubble_field
+from .bubble import BubbleField, SumField
 from .geometry import CapacityError
 
 __all__ = [
@@ -95,17 +97,24 @@ class PotentialField:
         return vals
 
 
+def _density(vals, grads, hv, twostar):
+    """Energy density of J_h and the u_+^(2*) term inside it.
+
+    u_+ keeps negative values finite: a negative base raised to a
+    non-integer 2* is NaN.
+    """
+    power = np.maximum(vals, 0.0) ** twostar
+    quadratic = np.sum(grads * grads, axis=-1) + hv * vals**2
+    return 0.5 * quadratic - power / twostar, power
+
+
 def energy(model, h, u, rule):
-    """Quadrature value of J_h(u); u must expose a gradient callable."""
+    """Quadrature value of J_h(u); u must expose a gradient via ``jet``."""
     if not u.has_gradient:
-        raise ValueError("energy requires a field with a gradient callable")
+        raise ValueError("energy requires a field with a gradient")
     pts = rule.nodes
-    vals = u(pts)
-    grads = u.grad(pts)
-    hv = h(pts)
-    twostar = critical_exponent(model.n)
-    dens = (0.5 * (np.sum(grads * grads, axis=-1) + hv * vals**2)
-            - np.maximum(vals, 0.0) ** twostar / twostar)
+    vals, grads = u.jet(pts, 1)
+    dens, _ = _density(vals, grads, h(pts), critical_exponent(model.n))
     return float(np.sum(rule.weights * dens))
 
 
@@ -124,14 +133,12 @@ def residual_field(model, h, cfg, cutoff):
     Returns a callable evaluating (Delta_g + h)(sum W) - (sum W)^(2*-1)
     with the geometer's Laplacian Delta_g = -div grad.
     """
-    fields = [BubbleField(model, b, cutoff) for b in cfg.bubbles]
-    total = SumField(fields)
+    total = SumField([BubbleField(model, b, cutoff) for b in cfg.bubbles])
     twostar = critical_exponent(model.n)
 
     def res(pts):
         pts = np.asarray(pts, dtype=float)
-        vals = total(pts)
-        lap = total.laplace_beltrami(pts)
+        vals, lap = total.jet(pts, 2)
         return lap + h(pts) * vals - np.maximum(vals, 0.0) ** (twostar - 1.0)
 
     return res
@@ -193,32 +200,22 @@ def energy_split(model, h, cfg, cutoff, rule):
     hv = h(pts)
     twostar = critical_exponent(model.n)
 
-    vals = [f(pts) for f in fields]
-    grads = [f.grad(pts) for f in fields]
-    # u_+^(2*) as in ``energy``: a negative base gives NaN for non-integer 2*
-    powers = [np.maximum(v, 0.0) ** twostar for v in vals]
-
-    per_bubble = []
-    for v, g, vp in zip(vals, grads, powers):
-        dens = 0.5 * (np.sum(g * g, axis=-1) + hv * v**2) - vp / twostar
-        per_bubble.append(float(np.sum(w * dens)))
+    vals, grads = zip(*(f.jet(pts, 1) for f in fields))
+    dens, powers = zip(*(_density(v, g, hv, twostar)
+                         for v, g in zip(vals, grads)))
+    per_bubble = [float(np.sum(w * d)) for d in dens]
 
     cross = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             # the 1/2 in the energy cancels the (i, j)/(j, i) symmetry factor
-            dens = np.sum(grads[i] * grads[j], axis=-1) + hv * vals[i] * vals[j]
-            cross += float(np.sum(w * dens))
+            coupling = (np.sum(grads[i] * grads[j], axis=-1)
+                        + hv * vals[i] * vals[j])
+            cross += float(np.sum(w * coupling))
 
-    total_vals = sum(vals)
-    total_power = np.maximum(total_vals, 0.0) ** twostar
-    excess_dens = total_power - sum(powers)
-    excess = float(np.sum(w * excess_dens))
-
-    total_grads = sum(grads)
-    total_dens = 0.5 * (np.sum(total_grads * total_grads, axis=-1)
-                        + hv * total_vals**2) - total_power / twostar
+    total_dens, total_power = _density(sum(vals), sum(grads), hv, twostar)
     total = float(np.sum(w * total_dens))
+    excess = float(np.sum(w * (total_power - sum(powers))))
 
     prediction = 0.0
     for i in range(len(fields)):

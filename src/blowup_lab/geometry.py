@@ -16,11 +16,9 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,11 +31,6 @@ __all__ = [
     "QuadratureRule",
     "build_quadrature",
     "build_multicenter_quadrature",
-    "distance",
-    "exp_map",
-    "log_map",
-    "scalar_curvature",
-    "weyl_norm_sq",
     "sphere_volume",
     "unit_sphere_rule",
 ]
@@ -377,29 +370,6 @@ class ManifoldModel:
         return rng.standard_normal(self.n) @ frame
 
 
-# module-level functional aliases ------------------------------------------
-
-
-def distance(model, a, b):
-    return model.distance(a, b)
-
-
-def exp_map(model, base, v):
-    return model.exp(base, v)
-
-
-def log_map(model, base, target):
-    return model.log(base, target)
-
-
-def scalar_curvature(model, x=None):
-    return model.scalar_curvature(x)
-
-
-def weyl_norm_sq(model, x=None):
-    return model.weyl_norm_sq(x)
-
-
 # ---------------------------------------------------------------------------
 # curvature tensor oracle for products of unit spheres
 
@@ -432,15 +402,10 @@ def weyl_tensor_from_riemann(riem):
             - rs / (2.0 * n * (n - 1)) * _kulkarni_nomizu(g, g))
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _product_weyl_norm_sq(p, q):
     w = weyl_tensor_from_riemann(riemann_product_spheres(p, q))
     return float(np.einsum("ijkl,ijkl->", w, w))
-
-
-# Offline tensor-oracle value for the standard S^3 x S^3 model; the oracle
-# above regenerates it (see tests) so transcription errors cannot hide.
-WEYL_NORM_SQ_S3xS3 = 14.4
 
 
 # ---------------------------------------------------------------------------
@@ -469,15 +434,6 @@ class QuadratureRule:
         """Integrate a field (callable on point batches) or a value array."""
         vals = f(self.nodes) if callable(f) else np.asarray(f, dtype=float)
         return float(np.sum(self.weights * vals))
-
-    def to_csv(self, path):
-        """Dump nodes and weights (one row per node) for debugging."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            d = self.nodes.shape[1]
-            writer.writerow([f"x{i}" for i in range(d)] + ["weight"])
-            for node, w in zip(self.nodes, self.weights):
-                writer.writerow([f"{v:.17g}" for v in node] + [f"{w:.17g}"])
 
 
 @functools.lru_cache(maxsize=64)
@@ -589,22 +545,6 @@ def _radial_grid(finest_scale, r_patch, r_outer, inner_order=8,
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _radial_count(finest_scale, r_patch, r_outer, inner_order=8,
-                  annulus_order=16, outer_order=24):
-    x, _ = _radial_grid(finest_scale, r_patch, r_outer, inner_order,
-                        annulus_order, outer_order)
-    return len(x)
-
-
-def _axis_tangent_components(model, center, axis):
-    """Normalize an ambient tangent direction; product: per-factor pieces."""
-    axis = np.asarray(axis, dtype=float)
-    nrm = np.linalg.norm(axis)
-    if nrm == 0:
-        return None
-    return axis / nrm
-
-
 def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
                      patch_radius=None, axis=None, angular=None,
                      annulus_order=16, outer_order=24, transition="auto"):
@@ -618,8 +558,9 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     this matters only for integrands that are not radial about the center.
 
     ``angular`` selects the angular resolution: a profile name ("minimal",
-    "default", "axial") or, for products, a dict with keys ``n_psi``,
-    ``orders_a``, ``orders_b``; for the other models a list of polar orders.
+    "axial"; products also "biradial") or, for products, a dict with keys
+    ``n_psi``, ``orders_a``, ``orders_b``; for the other models a list of
+    polar orders.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -663,15 +604,17 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
     default_profile = "default" if axis is None else "axial"
     orders = _resolve_orders(n - 1, angular, default_profile)
     dirs, wdir = unit_sphere_rule(n - 1, orders)
+    if axis is not None:
+        nrm = np.linalg.norm(axis)
+        if nrm == 0:
+            raise GeometryError("axis must be a nonzero tangent vector")
+        axis = np.asarray(axis, dtype=float) / nrm
     if model.kind == "flat_ball":
         if axis is not None:
-            u = _axis_tangent_components(model, center, axis)
-            dirs = dirs @ _rotation_with_first_axis(u).T
+            dirs = dirs @ _rotation_with_first_axis(axis).T
         # outer radius depends on the direction for off-center rules
         cdotw = dirs @ center
         rmax = -cdotw + np.sqrt(cdotw**2 + model.radius**2 - center @ center)
-        min_cnt = len(dirs) * _radial_count(finest_scale, patch_radius,
-                                            float(np.min(rmax)))
         planned = 0
         blocks = []
         for j in range(len(dirs)):
@@ -682,7 +625,9 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
             planned += len(r)
             pts = center + r[:, None] * dirs[j]
             blocks.append((pts, wdir[j] * wr * r ** (n - 1)))
-        _check_budget(planned, min_cnt, budget, finest_scale)
+        # every direction needs at least the shortest direction's radii
+        minimal = len(dirs) * min(len(w) for _, w in blocks)
+        _check_budget(planned, minimal, budget, finest_scale)
         nodes = np.concatenate([b[0] for b in blocks])
         weights = np.concatenate([b[1] for b in blocks])
         return nodes, weights
@@ -690,8 +635,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
     # round sphere: map directions through the tangent frame
     frame = model.tangent_frame(center)
     if axis is not None:
-        u = _axis_tangent_components(model, center, axis)
-        coeff = frame @ u  # coordinates of the axis in the frame
+        coeff = frame @ axis  # coordinates of the axis in the frame
         coeff /= np.linalg.norm(coeff)
         dirs = dirs @ _rotation_with_first_axis(coeff).T
     amb = dirs @ frame
@@ -710,9 +654,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
 _PRODUCT_PROFILES = {
     "minimal": dict(n_psi=16, orders_a="minimal", orders_b="minimal"),
     "biradial": dict(n_psi=24, orders_a="minimal", orders_b="minimal"),
-    "default": dict(n_psi=24, orders_a="default", orders_b="default"),
     "axial": dict(n_psi=24, orders_a="axial", orders_b="minimal"),
-    "fine": dict(n_psi=32, orders_a="default", orders_b="default"),
 }
 
 
@@ -723,6 +665,10 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
     if angular is None:
         prof = _PRODUCT_PROFILES["biradial" if axis is None else "axial"]
     elif isinstance(angular, str):
+        if angular not in _PRODUCT_PROFILES:
+            raise GeometryError(
+                f"unknown angular profile {angular!r} for a product; choose "
+                f"from {', '.join(_PRODUCT_PROFILES)}")
         prof = _PRODUCT_PROFILES[angular]
     else:
         prof = angular

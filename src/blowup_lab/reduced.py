@@ -14,12 +14,13 @@ sweep experiments verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._smoothstep import radial_bump
 from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
+# energy is unused here; perfbench/tracing.py patches reduced.energy by name
 from .functional import PotentialField, energy, single_bubble_energy_constant
 from .geometry import CapacityError
 
@@ -442,18 +443,16 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
     """Normalized energy ratio whose eps -> 0 limit is sum_i F_n(t_i, p_i).
 
     Builds the schedule configuration and the perturbed potential at this
-    eps, evaluates the energy of the bubble sum on ``rule``, and returns
+    eps and returns
 
         (J_{h_eps} - J_{c_n R_g}) / (E_1 * eps * delta_eps^2)  +  Q,
 
-    i.e. the potential-induced energy deviation per unit of the leading
-    single-bubble constant, normalized relative to E_1 (the quadratic and
-    quartic coefficients of the limiting reduced energy are stated relative
-    to E_1).  The baseline J_{c_n R_g} is measured at the same scales: this
-    cancels every h-independent term, including the quartic remainder the
-    unit-conformal-factor ansatz carries, which would otherwise dominate at
-    any reachable eps.  Since the baseline also removes the Weyl fourth-order
-    branch that belongs to the limit, the closed-form term Q puts it back:
+    the potential-induced energy deviation of the bubble sum u per unit of
+    the leading single-bubble constant E_1.  J is affine in h, so the
+    difference is integrated on ``rule`` in closed form as
+    1/2 int (h_eps - c_n R_g) u^2; it holds no h-independent term, such as
+    the quartic remainder of the ansatz.  It also lacks the Weyl
+    fourth-order branch that belongs to the limit, and Q puts it back:
     Q = -d_n |Weyl|^2 sum_i delta_i^4 ln(1/delta_i) / (eps delta_eps^2) in
     dimension 6 (no log for n >= 7), which converges to the quartic part of
     sum_i F_n(t_i, p_i).
@@ -461,12 +460,12 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
     cfg, sch = schedule_configuration(model, xi0, ts, ps, eps, r=r)
     mu = sch.mu_eps
     h = h_eps_field(model, xi0, eps, mu, Hb, r=r)
-    h0 = PotentialField.conformal_scalar(model)
     if cutoff is None:
         cutoff = CutoffSpec.for_model(model)
-    u = multi_bubble_field(model, cfg, cutoff)
-    j = energy(model, h, u, rule)
-    j0 = energy(model, h0, u, rule)
+    vals = multi_bubble_field(model, cfg, cutoff)(rule.nodes)
+    # h_eps and c_n R_g share their base, so h - h0 is the perturbation
+    j_diff = 0.5 * float(np.sum(rule.weights * h.perturbation(rule.nodes)
+                                * vals**2))
     e1 = single_bubble_energy_constant(model.n)
     _, d_n = reduced_constants(model.n)
     weyl = model.weyl_norm_sq()
@@ -475,7 +474,7 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
         branch = (b.delta**4 * math.log(1.0 / b.delta) if model.n == 6
                   else b.delta**4)
         quartic -= d_n * weyl * branch / (eps * sch.delta_eps**2)
-    ratio = (j - j0) / (e1 * eps * sch.delta_eps**2) + quartic
+    ratio = j_diff / (e1 * eps * sch.delta_eps**2) + quartic
     params = ReducedEnergyParams(n=model.n, weyl_sq=weyl, H=Hb)
     predicted = float(sum(
         F_n_eval(params, t, H_value=float(Hb(np.asarray(p, dtype=float))))

@@ -11,7 +11,6 @@ from blowup_lab.bubble import (
     Configuration,
     CutoffSpec,
     bubble_eval,
-    bubble_gradient,
     is_admissible,
     multi_bubble_eval,
     multi_bubble_field,

@@ -24,8 +24,10 @@ from blowup_lab.functional import (
     residual_field,
     residual_norm,
     single_bubble_energy_constant,
+    _density,
 )
 from blowup_lab.geometry import ManifoldModel, build_quadrature
+from blowup_lab.reduced import build_H, h_eps_field
 
 RNG = np.random.default_rng(11)
 
@@ -104,6 +106,50 @@ class TestEnergy:
         with pytest.raises(CapacityError):
             energy_split(m, PotentialField.conformal_scalar(m), cfg,
                          CutoffSpec.for_model(m), rule)
+
+
+# one angular node per factor sphere: the identity holds on any rule
+_COARSE = dict(n_psi=8, orders_a=[1, 1], orders_b=[1, 1])
+
+
+class TestClosedFormDifference:
+    """J_h - J_h0 = 1/2 int (h - h0) u^2, the form used for h-differences."""
+
+    @staticmethod
+    def _check(h, h0):
+        m = _pp()
+        xi = _base(m)
+        rule = build_quadrature(m, xi, finest_scale=0.05, angular=_COARSE)
+        cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
+        u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
+        pts, w = rule.nodes, rule.weights
+        vals, grads = u.jet(pts, 1)
+        closed = 0.5 * float(np.sum(w * (h(pts) - h0(pts)) * vals**2))
+        diff = energy(m, h, u, rule) - energy(m, h0, u, rule)
+        # The identity is exact node by node, so only rounding separates the
+        # two sides, and nearly all of it is in the difference of energies
+        # that agree in most digits.  Each energy is a float64 sum of terms
+        # of both signs; its rounding error scales with eps times the sum
+        # of the terms' absolute values.  The measured gap is below 0.1 eps
+        # of that sum; 16 eps leaves a wide margin and is still far below
+        # the difference itself.
+        h_abs = np.maximum(np.abs(h(pts)), np.abs(h0(pts)))
+        twostar = critical_exponent(m.n)
+        abs_sum = float(np.sum(w * (np.sum(grads * grads, axis=-1)
+                                    + h_abs * vals**2
+                                    + np.maximum(vals, 0.0) ** twostar)))
+        tol = 16.0 * np.finfo(float).eps * abs_sum
+        assert abs(closed) > 1e3 * tol  # the difference is well resolved
+        assert abs(diff - closed) <= tol
+
+    def test_constant_shift(self):
+        h0 = PotentialField.conformal_scalar(_pp())
+        self._check(h0.shifted(1e-3), h0)
+
+    def test_perturbed_potential(self):
+        m = _pp()
+        h = h_eps_field(m, _base(m), 1e-2, 0.3, build_H(1, 6, seed=3))
+        self._check(h, PotentialField.conformal_scalar(m))
 
 
 class TestResidual:
@@ -189,20 +235,17 @@ class TestSplit:
         assert split.interaction_prediction > 0.0
 
     def test_negative_field_excess_is_finite(self):
-        # 2* = 2.8 for n = 7: the excess must use u_+, as the energy does,
-        # or a negative value raised to 2* gives NaN
-        m = ManifoldModel.flat_ball(7, 10.0)
-        c = np.zeros(7)
-
-        def minus_one(pts):
-            return -np.ones(np.shape(pts)[:-1])
-
-        cfg = Configuration(bubbles=(BubbleParams(0.1, c, minus_one),))
-        rule = build_quadrature(m, c, finest_scale=0.1, angular=[1] * 6)
-        split = energy_split(m, PotentialField.constant(m, 0.0), cfg,
-                             CutoffSpec.none(), rule)
-        assert math.isfinite(split.nonlinear_excess)
-        assert math.isfinite(split.total)
+        # 2* = 2.8 for n = 7: the density that energy and energy_split share
+        # must use u_+, or a negative value raised to 2* gives NaN in both
+        # the energy and the nonlinear excess
+        twostar = critical_exponent(7)
+        vals = np.array([-1.0, -0.5, 0.0, 0.5])
+        grads = np.ones((4, 7))
+        dens, power = _density(vals, grads, np.full(4, 2.0), twostar)
+        assert np.all(np.isfinite(dens)) and np.all(np.isfinite(power))
+        np.testing.assert_array_equal(power, [0.0, 0.0, 0.0, 0.5**twostar])
+        np.testing.assert_allclose(
+            dens, 0.5 * (7.0 + 2.0 * vals**2) - power / twostar, rtol=1e-15)
 
 
 class TestRayleigh:

@@ -204,6 +204,19 @@ class TestQuadrature:
         with pytest.raises(CapacityError):
             build_quadrature(m, _base(m), finest_scale=1e-4, budget=1000)
 
+    def test_unknown_product_profile_names_valid_ones(self):
+        m = _pp()
+        for name in ("fine", "default"):
+            with pytest.raises(GeometryError,
+                               match="choose from minimal, biradial, axial"):
+                build_quadrature(m, _base(m), finest_scale=0.1, angular=name)
+
+    def test_zero_axis_rejected(self):
+        m = ManifoldModel.flat_ball(6, 2.0)
+        with pytest.raises(GeometryError, match="nonzero"):
+            build_quadrature(m, np.zeros(6), finest_scale=0.1,
+                             axis=np.zeros(6), angular="minimal")
+
     def test_finest_scale_domain(self):
         m = _pp()
         with pytest.raises(GeometryError):

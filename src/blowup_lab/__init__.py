@@ -15,8 +15,7 @@ from .geometry import (CapacityError, GeometryError, ManifoldModel,
                        build_quadrature, sphere_volume, unit_sphere_rule,
                        weyl_tensor_from_riemann, riemann_product_spheres)
 from .bubble import (BubbleField, BubbleParams, Configuration, CutoffSpec,
-                     SumField, bubble_eval, is_admissible, multi_bubble_eval,
-                     multi_bubble_field)
+                     SumField, is_admissible, multi_bubble_field)
 from .functional import (EnergyBreakdown, PotentialField, conformal_coupling,
                          critical_exponent, energy, energy_split,
                          interaction_term, lebesgue_norm,

@@ -28,8 +28,7 @@ __all__ = [
     "Configuration",
     "BubbleField",
     "SumField",
-    "bubble_eval",
-    "multi_bubble_eval",
+    "multi_bubble_field",
     "is_admissible",
 ]
 
@@ -219,17 +218,8 @@ class SumField:
 
 
 def multi_bubble_field(model, cfg, cutoff):
+    """The bubble-sum ansatz: one cutoff bubble field per bubble of cfg."""
     return SumField([BubbleField(model, b, cutoff) for b in cfg.bubbles])
-
-
-def bubble_eval(model, params, cutoff, x):
-    """Value of a single cutoff bubble at x (scalar or batch)."""
-    return BubbleField(model, params, cutoff)(x)
-
-
-def multi_bubble_eval(model, cfg, cutoff, x):
-    """Value of the bubble-sum ansatz at x."""
-    return multi_bubble_field(model, cfg, cutoff)(x)
 
 
 def is_admissible(cfg, model=None):

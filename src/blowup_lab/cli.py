@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,26 +70,6 @@ def emit_csv(path, columns, rows):
     return path
 
 
-def _threads():
-    raw = os.environ.get("BLOWUP_LAB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return cap
-
-
-def parallel_map(fn, items):
-    """Map with worker count capped by BLOWUP_LAB_THREADS (0 = auto)."""
-    cap = min(_threads(), max(1, len(items)))
-    if cap == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
-
-
 def _model_from_spec(spec):
     kind = spec.get("kind", "product_spheres")
     if kind == "product_spheres":
@@ -121,8 +100,7 @@ def _exp_flat_energy(cfg):
     budget = int(cfg.get("budget", 2_000_000))
     tol = float(cfg.get("threshold", 1e-6))
     rows, lines, ok = [], [], True
-
-    def one(n):
+    for n in dims:
         model = ManifoldModel.flat_ball(n, radius)
         center = np.zeros(n)
         rule = build_quadrature(model, center, finest_scale=1.0,
@@ -131,10 +109,7 @@ def _exp_flat_energy(cfg):
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(1.0, center),)),
             CutoffSpec.none())
-        return energy(model, h, u, rule)
-
-    vals = parallel_map(one, dims)
-    for n, j in zip(dims, vals):
+        j = energy(model, h, u, rule)
         e1 = single_bubble_energy_constant(n)
         dev = abs(j - e1) / e1
         good = dev < tol
@@ -158,8 +133,7 @@ def _exp_expansion_sweep(cfg):
     h0 = PotentialField.conformal_scalar(model)
     rows = []
     for d in deltas:
-        rule = build_quadrature(model, center, finest_scale=d, budget=budget,
-                                angular="biradial")
+        rule = build_quadrature(model, center, finest_scale=d, budget=budget)
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
@@ -249,7 +223,7 @@ def _exp_reduced_limit(cfg):
     for eps in eps_list:
         sch = ScheduleParams(n=model.n, eps=eps, r=int(cfg.get("r", 0)))
         rule = build_quadrature(model, xi0, finest_scale=t * sch.delta_eps,
-                                budget=budget, angular="biradial")
+                                budget=budget)
         ratio, pred, _, _ = reduced_limit_ratio(model, xi0, [t], [p], eps, Hb,
                                                 rule, r=int(cfg.get("r", 0)))
         dev = abs(ratio - pred) / abs(pred)

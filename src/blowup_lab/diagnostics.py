@@ -106,7 +106,7 @@ def rescale_peak(model, u, center, scale, radii=None, directions=4):
 
 @dataclass(frozen=True)
 class PeakReport:
-    """Outcome of blind peak extraction on a sampled field."""
+    """Outcome of peak extraction on a sampled field."""
 
     centers: tuple          # extracted peak locations (ambient coordinates)
     scales: tuple           # inferred concentration scales
@@ -118,26 +118,6 @@ class PeakReport:
     @property
     def k(self):
         return len(self.scales)
-
-
-def _zoom_argmax(f, lo, hi, levels=12, pts_per_axis=7):
-    """Global max of f over an axis-aligned box by iterative grid zoom."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    dim = len(lo)
-    best_x, best_v = None, -np.inf
-    for _ in range(levels):
-        axes = [np.linspace(lo[i], hi[i], pts_per_axis) for i in range(dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([g.ravel() for g in grids], axis=-1)
-        vals = f(X)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_x = float(vals[i]), X[i].copy()
-        span = (hi - lo) / (pts_per_axis - 1)
-        lo = best_x - span
-        hi = best_x + span
-    return best_x, best_v
 
 
 _POLISH_POINTS = 17   # samples per coordinate bracket; each zoom shrinks it 8x
@@ -177,37 +157,40 @@ def _bracket_polish(f, x, step):
     return x
 
 
-def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
-                  search_grid=None):
+_PROMINENCE = 0.05    # stop below this share of the first peak's height
+
+
+def extract_peaks(model, u, xi0, search_grid, k_max=8):
     """Locate concentration peaks of a nonnegative field.
 
-    Works in tangent coordinates at xi0: finds the global maximum, polishes
-    it, infers the scale from the height via the extremal profile
-    normalization, subtracts the matching standard peak, repeats.  Stops
-    when the remaining sup falls below ``prominence`` times the first
+    Works in tangent coordinates at xi0: takes the best point of
+    ``search_grid``, polishes it, infers the scale from the height via the
+    extremal profile normalization, subtracts the matching standard peak,
+    repeats.  Stops when the remaining sup falls below 5% of the first
     height.  Returns a PeakReport; irrecoverable situations (flat field,
-    too many peaks) are reported as failures, not raised.
+    more than ``k_max`` peaks) are reported as failures, not raised.
 
-    The polish is a batched coordinate-bracket search (``_bracket_polish``):
-    one field call of about 100 points per zoom level, 88 calls per
-    candidate.  With a search grid a case of k peaks costs 90 (k + 1) + 1
-    field calls, about 90 per peak, since the candidate that falls below
-    the prominence threshold is polished too.
+    ``search_grid`` (tangent coordinates at xi0, shape (N, n)) supplies the
+    candidate locations and is required.  It must be fine enough to resolve
+    the smallest concentration scale: an exhaustive grid with spacing below
+    the scale is hopeless in 6 dimensions, so in practice the grid comes
+    from where the upstream solver refined its mesh.  ``residual_sup`` is
+    the largest remaining value over the grid.
 
-    ``search_grid`` (tangent coordinates, shape (N, n)) supplies candidate
-    locations.  Callers must provide one fine enough to resolve the smallest
-    concentration scale: an exhaustive grid with spacing below the scale is
-    hopeless in 6 dimensions, so in practice the grid comes from where the
-    upstream solver refined its mesh.  Without it a coarse grid-zoom over
-    the whole box is used, which finds only peaks wide enough to be seen at
-    spacing box_radius/3.
+    The polish is a batched coordinate-bracket search (``_bracket_polish``)
+    whose initial step is the distance to the nearest other grid point,
+    capped at 0.15 min(inj, pi).  It makes one field call of about 100
+    points per zoom level, 88 calls per candidate, so a case of k peaks
+    costs 90 (k + 1) + 1 field calls: the candidate that falls below the
+    prominence threshold is polished too.
     """
     n = model.n
     frame = model.tangent_frame(xi0)
-    if box_radius is None:
-        box_radius = 0.9 * min(model.injectivity_radius, math.pi)
-    if search_grid is not None:
-        search_grid = np.atleast_2d(np.asarray(search_grid, dtype=float))
+    max_step = 0.9 * min(model.injectivity_radius, math.pi) / 6.0
+    search_grid = np.atleast_2d(np.asarray(search_grid, dtype=float))
+    if search_grid.ndim != 2 or search_grid.shape[1] != n:
+        raise ValueError(f"search_grid must have shape (N, {n}), "
+                         f"got {search_grid.shape}")
 
     def to_point(y):
         return model.exp(xi0, y @ frame)
@@ -223,24 +206,14 @@ def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
             vals = vals - (math.sqrt(n * (n - 2.0)) * s / (s**2 + d**2)) ** m
         return vals
 
-    lo = -box_radius * np.ones(n)
-    hi = box_radius * np.ones(n)
     centers, scales, heights = [], [], []
     first_height = None
     for _ in range(k_max + 1):
-        if search_grid is not None:
-            vals = remaining(search_grid)
-            j = int(np.argmax(vals))
-            y, v = search_grid[j].copy(), float(vals[j])
-            others = np.delete(search_grid, j, axis=0)
-            if len(others):
-                gap = float(np.min(np.linalg.norm(others - y, axis=-1)))
-            else:
-                gap = box_radius / 6.0
-            step = min(gap, box_radius / 6.0)
-        else:
-            y, v = _zoom_argmax(remaining, lo, hi)
-            step = box_radius / 6.0
+        vals = remaining(search_grid)
+        j = int(np.argmax(vals))
+        y, v = search_grid[j].copy(), float(vals[j])
+        gaps = np.linalg.norm(np.delete(search_grid, j, axis=0) - y, axis=-1)
+        step = float(np.min(gaps, initial=max_step))
         if first_height is None and (v <= 0.0 or not np.isfinite(v)):
             return PeakReport((), (), (), float(v), failed=True,
                               message="field has no positive maximum")
@@ -253,7 +226,7 @@ def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
                 return PeakReport((), (), (), float(v), failed=True,
                                   message="field has no positive maximum")
             first_height = v
-        if v < prominence * first_height:
+        if v < _PROMINENCE * first_height:
             break
         if len(centers) == k_max:
             return PeakReport(tuple(centers), tuple(scales), tuple(heights),
@@ -266,11 +239,7 @@ def extract_peaks(model, u, xi0, k_max=8, box_radius=None, prominence=0.05,
         scales.append(scale)
         heights.append(v)
         residual_terms.append((c, scale))
-    # residual sup over a coarse global probe
-    if search_grid is not None:
-        v = float(np.max(remaining(search_grid)))
-    else:
-        _, v = _zoom_argmax(remaining, lo, hi, levels=6)
+    v = float(np.max(remaining(search_grid)))
     return PeakReport(tuple(centers), tuple(scales), tuple(heights),
                       float(max(v, 0.0)))
 

@@ -147,9 +147,8 @@ def residual_field(model, h, cfg, cutoff):
 def residual_norm(model, h, cfg, cutoff, rule):
     """L^(2n/(n+2)) norm of the strong-form residual."""
     _check_resolution(rule, cfg)
-    s = 2.0 * model.n / (model.n + 2.0)
-    res = residual_field(model, h, cfg, cutoff)(rule.nodes)
-    return float(np.sum(rule.weights * np.abs(res) ** s)) ** (1.0 / s)
+    return lebesgue_norm(model, rule,
+                         residual_field(model, h, cfg, cutoff)(rule.nodes))
 
 
 def lebesgue_norm(model, rule, values, exponent=None):

@@ -480,46 +480,59 @@ def unit_sphere_rule(m, orders):
     return nodes, weights
 
 
-def _default_sphere_orders(m, profile):
-    if profile == "minimal":
-        return [2] * (m - 1) + [4] if m > 1 else [4]
-    if profile == "axial":
-        return [20] + [2] * (m - 2) + [4] if m > 1 else [24]
-    # "default"
-    return [8] + [4] * (m - 2) + [8] if m > 1 else [12]
+# polar orders on S^m by profile name: the directions of flat-ball and
+# round-sphere rules, and the factor spheres of product rules
+_SPHERE_PROFILES = {
+    "default": lambda m: [8] + [4] * (m - 2) + [8] if m > 1 else [12],
+    "minimal": lambda m: [2] * (m - 1) + [4] if m > 1 else [4],
+    "axial": lambda m: [20] + [2] * (m - 2) + [4] if m > 1 else [24],
+}
+
+
+def _lookup_profile(table, name, what):
+    if name not in table:
+        raise GeometryError(
+            f"unknown angular profile {name!r} for {what}; choose from "
+            f"{', '.join(table)}")
+    return table[name]
 
 
 def _resolve_orders(m, spec, default_profile):
     if spec is None:
-        return _default_sphere_orders(m, default_profile)
+        spec = default_profile
     if isinstance(spec, str):
-        return _default_sphere_orders(m, spec)
+        return _lookup_profile(_SPHERE_PROFILES, spec, f"orders on S^{m}")(m)
     return list(spec)
 
 
-def _radial_grid(finest_scale, r_patch, r_outer, inner_order=8,
-                 annulus_order=16, outer_order=24, transition=None):
+# Gauss orders of the radial panels: innermost segment, annuli inside the
+# patch, panels outside it
+_INNER_ORDER, _ANNULUS_ORDER, _OUTER_ORDER = 8, 16, 24
+
+
+def _radial_grid(finest_scale, r_patch, r_outer, transition):
     """Radial nodes graded geometrically (ratio 2) near the center.
 
     Covers [0, r_outer]: an innermost segment [0, finest/10], geometric
     annuli out to ``r_patch``, then geometric panels to ``r_outer``.
-    ``transition`` = (a, b) marks a band where the integrand is smooth but
-    not analytic (the e^(-1/t) cutoff profile); panels there are subdivided,
-    since Gauss rules converge only root-exponentially on such functions.
+    ``transition`` is None or a band (a, b) where the integrand is smooth
+    but not analytic (the e^(-1/t) cutoff profile); panels there are
+    subdivided, since Gauss rules converge only root-exponentially on such
+    functions.
     """
     s0 = finest_scale / 10.0
     segs = []
     lo = 0.0
     hi = min(s0, r_outer)
-    segs.append((lo, hi, inner_order))
+    segs.append((lo, hi, _INNER_ORDER))
     r = hi
     while r < min(r_patch, r_outer) * (1 - 1e-14):
         nxt = min(2.0 * r, r_patch, r_outer)
-        segs.append((r, nxt, annulus_order))
+        segs.append((r, nxt, _ANNULUS_ORDER))
         r = nxt
     while r < r_outer * (1 - 1e-14):
         nxt = min(2.0 * r, r_outer)
-        segs.append((r, nxt, outer_order))
+        segs.append((r, nxt, _OUTER_ORDER))
         r = nxt
     if transition is not None:
         ta, tb = transition
@@ -546,44 +559,41 @@ def _radial_grid(finest_scale, r_patch, r_outer, inner_order=8,
 
 
 def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
-                     patch_radius=None, axis=None, angular=None,
-                     annulus_order=16, outer_order=24, transition="auto"):
+                     patch_radius=None, axis=None, angular=None):
     """Concentration-aware quadrature rule centered at ``center``.
 
     The rule combines a geodesic-polar patch around the center with radial
     nodes graded geometrically (ratio 2 per annulus) from ``finest_scale/10``
     out to ``patch_radius`` (default: a quarter of the injectivity radius),
-    and coarser Gauss panels over the rest of the model.  ``axis``, when
-    given, directs the angular resolution toward that tangent direction;
-    this matters only for integrands that are not radial about the center.
+    and coarser Gauss panels over the rest of the model.  On compact
+    models the panels inside the default cutoff's transition band
+    [inj/8, inj/4] are subdivided.  ``axis``, when given, directs the
+    angular resolution toward that tangent direction; this matters only for
+    integrands that are not radial about the center.
 
-    ``angular`` selects the angular resolution: a profile name ("minimal",
-    "axial"; products also "biradial") or, for products, a dict with keys
-    ``n_psi``, ``orders_a``, ``orders_b``; for the other models a list of
-    polar orders.
+    ``angular`` selects the angular resolution: for products a profile name
+    ("minimal", "biradial", "axial") or a dict with keys ``n_psi``,
+    ``orders_a``, ``orders_b`` (each a list of polar orders or a sphere
+    profile name); for the other models a sphere profile name ("default",
+    "minimal", "axial") or a list of polar orders.  An unknown name raises
+    GeometryError.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
     center = model.validate_point(np.asarray(center, dtype=float))
     if patch_radius is None:
         patch_radius = model.injectivity_radius / 4.0
-    if transition == "auto":
-        if model.is_compact:
-            # the default cutoff transition band [r0/2, r0] with r0 = inj/4
-            r0 = model.injectivity_radius / 4.0
-            transition = (r0 / 2.0, r0)
-        else:
-            # flat balls carry no cutoff, so there is no band to refine
-            transition = None
+    transition = None
+    if model.is_compact:
+        # the default cutoff transition band [r0/2, r0] with r0 = inj/4;
+        # flat balls carry no cutoff, so there is no band to refine
+        r0 = model.injectivity_radius / 4.0
+        transition = (r0 / 2.0, r0)
 
-    if model.kind == "product_spheres":
-        nodes, weights = _build_product_nodes(
-            model, center, finest_scale, budget, patch_radius, axis, angular,
-            annulus_order, outer_order, transition)
-    else:
-        nodes, weights = _build_polar_nodes(
-            model, center, finest_scale, budget, patch_radius, axis, angular,
-            annulus_order, outer_order, transition)
+    build = (_build_product_nodes if model.kind == "product_spheres"
+             else _build_polar_nodes)
+    nodes, weights = build(model, center, finest_scale, budget, patch_radius,
+                           axis, angular, transition)
     keep = weights > 0.0
     return QuadratureRule(model=model, nodes=nodes[keep], weights=weights[keep],
                           center=center, finest_scale=finest_scale)
@@ -597,8 +607,7 @@ def _check_budget(planned, minimal, budget, finest_scale):
 
 
 def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
-                       axis, angular, annulus_order, outer_order,
-                       transition=None):
+                       axis, angular, transition):
     """Polar rule for flat balls and round spheres."""
     n = model.n
     default_profile = "default" if axis is None else "axial"
@@ -619,9 +628,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
         blocks = []
         for j in range(len(dirs)):
             r, wr = _radial_grid(finest_scale, patch_radius, float(rmax[j]),
-                                 annulus_order=annulus_order,
-                                 outer_order=outer_order,
-                                 transition=transition)
+                                 transition)
             planned += len(r)
             pts = center + r[:, None] * dirs[j]
             blocks.append((pts, wdir[j] * wr * r ** (n - 1)))
@@ -639,9 +646,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
         coeff /= np.linalg.norm(coeff)
         dirs = dirs @ _rotation_with_first_axis(coeff).T
     amb = dirs @ frame
-    r, wr = _radial_grid(finest_scale, patch_radius, math.pi,
-                         annulus_order=annulus_order, outer_order=outer_order,
-                         transition=transition)
+    r, wr = _radial_grid(finest_scale, patch_radius, math.pi, transition)
     planned = len(dirs) * len(r)
     _check_budget(planned, planned, budget, finest_scale)
     ct, st = np.cos(r), np.sin(r)
@@ -659,17 +664,12 @@ _PRODUCT_PROFILES = {
 
 
 def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
-                         axis, angular, annulus_order, outer_order,
-                         transition=None):
+                         axis, angular, transition):
     p, q, n = model.p, model.q, model.n
     if angular is None:
-        prof = _PRODUCT_PROFILES["biradial" if axis is None else "axial"]
-    elif isinstance(angular, str):
-        if angular not in _PRODUCT_PROFILES:
-            raise GeometryError(
-                f"unknown angular profile {angular!r} for a product; choose "
-                f"from {', '.join(_PRODUCT_PROFILES)}")
-        prof = _PRODUCT_PROFILES[angular]
+        angular = "biradial" if axis is None else "axial"
+    if isinstance(angular, str):
+        prof = _lookup_profile(_PRODUCT_PROFILES, angular, "a product")
     else:
         prof = angular
     n_psi = int(prof.get("n_psi", 24))
@@ -708,10 +708,7 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
     for j, ps in enumerate(psi):
         rmax = min(math.pi / max(math.cos(ps), 1e-15),
                    math.pi / max(math.sin(ps), 1e-15))
-        r, wr = _radial_grid(finest_scale, patch_radius, rmax,
-                             annulus_order=annulus_order,
-                             outer_order=outer_order,
-                             transition=transition)
+        r, wr = _radial_grid(finest_scale, patch_radius, rmax, transition)
         radial.append((r, wr))
         planned += len(r) * A1 * A2
     minimal = sum(len(r) for r, _ in radial) * 2 * 2
@@ -742,8 +739,7 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
 
 def build_multicenter_quadrature(model, centers, finest_scale,
                                  budget=4_000_000, *, patch_radius=None,
-                                 background_center=None, angular=None,
-                                 patch_angular=None):
+                                 angular=None, patch_angular=None):
     """Composite rule resolving concentration at several centers at once.
 
     A smooth partition of unity splits the integral into one well-resolved
@@ -770,10 +766,8 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     sub_budget = budget // (len(centers) + 1)
     all_nodes, all_weights = [], []
     for idx, c in enumerate(centers):
-        ax = None
-        other = centers[1 - idx] if len(centers) == 2 else centers[(idx + 1) % len(centers)]
         try:
-            ax = model.log(c, other)
+            ax = model.log(c, centers[(idx + 1) % len(centers)])
         except GeometryError:
             ax = None
         rule = build_quadrature(model, c, finest_scale, sub_budget,
@@ -786,17 +780,15 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         all_nodes.append(rule.nodes[keep])
         all_weights.append(w)
 
-    bg_center = centers[0] if background_center is None else background_center
     bg_finest = max(r_i / 2.0, finest_scale)
     try:
         # the background integrand keeps the inter-center axis symmetry
-        bg_axis = model.log(bg_center, centers[1] if len(centers) > 1
-                            else centers[0])
+        bg_axis = model.log(centers[0], centers[1])
         if np.linalg.norm(bg_axis) < 1e-12:
             bg_axis = None
     except GeometryError:
         bg_axis = None
-    bg = build_quadrature(model, bg_center, min(bg_finest, 1.0), sub_budget,
+    bg = build_quadrature(model, centers[0], min(bg_finest, 1.0), sub_budget,
                           patch_radius=patch_radius, axis=bg_axis,
                           angular=angular or "axial")
     rho = np.zeros(len(bg.nodes))

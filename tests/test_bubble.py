@@ -10,9 +10,7 @@ from blowup_lab.bubble import (
     BubbleParams,
     Configuration,
     CutoffSpec,
-    bubble_eval,
     is_admissible,
-    multi_bubble_eval,
     multi_bubble_field,
 )
 from blowup_lab.geometry import ManifoldModel
@@ -63,8 +61,8 @@ class TestProfile:
         # U(center) = (sqrt(n(n-2)) / delta)^((n-2)/2), n = 6
         m = _pp()
         delta = 1e-2
-        v = bubble_eval(m, BubbleParams(delta, _base(m)),
-                        CutoffSpec.for_model(m), _base(m))
+        v = BubbleField(m, BubbleParams(delta, _base(m)),
+                        CutoffSpec.for_model(m))(_base(m))
         assert float(v) == pytest.approx((math.sqrt(24.0) / delta) ** 2,
                                          rel=1e-12)
 
@@ -74,7 +72,7 @@ class TestProfile:
         xi = _base(m)
         v = m.random_tangent(RNG, xi)
         x = m.exp(xi, s * v / np.linalg.norm(v))
-        got = bubble_eval(m, BubbleParams(delta, xi), CutoffSpec.none(), x)
+        got = BubbleField(m, BubbleParams(delta, xi), CutoffSpec.none())(x)
         want = (math.sqrt(24.0) * delta / (delta**2 + s**2)) ** 2
         assert float(got) == pytest.approx(want, rel=1e-12)
 
@@ -87,7 +85,7 @@ class TestProfile:
         vals = []
         for delta in (1e-3, 1e-2):
             x = m.exp(xi, 2.0 * delta * v)
-            u = bubble_eval(m, BubbleParams(delta, xi), CutoffSpec.none(), x)
+            u = BubbleField(m, BubbleParams(delta, xi), CutoffSpec.none())(x)
             vals.append(delta**2 * float(u))
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
@@ -96,7 +94,7 @@ class TestProfile:
         xi = _base(m)
         far = m.exp(xi, 0.9 * math.pi * m.random_tangent(RNG, xi)
                     / np.linalg.norm(m.random_tangent(RNG, xi)))
-        u = bubble_eval(m, BubbleParams(0.1, xi), CutoffSpec.for_model(m), far)
+        u = BubbleField(m, BubbleParams(0.1, xi), CutoffSpec.for_model(m))(far)
         assert float(u) == 0.0
 
     def test_isometry_invariance(self):
@@ -105,10 +103,8 @@ class TestProfile:
         xi = _base(m)
         x = m.random_point(RNG)
         swap = np.concatenate([x[4:], x[:4]])
-        u1 = bubble_eval(m, BubbleParams(0.05, xi), CutoffSpec.for_model(m), x)
-        u2 = bubble_eval(m, BubbleParams(0.05, xi), CutoffSpec.for_model(m),
-                         swap)
-        assert float(u1) == pytest.approx(float(u2), rel=1e-12)
+        u = BubbleField(m, BubbleParams(0.05, xi), CutoffSpec.for_model(m))
+        assert float(u(x)) == pytest.approx(float(u(swap)), rel=1e-12)
 
     def test_positive_delta_required(self):
         with pytest.raises(ValueError):
@@ -161,8 +157,8 @@ class TestConfiguration:
                                      BubbleParams(1e-3, other)), K=10.0)
         cut = CutoffSpec.for_model(m)
         x = m.random_point(RNG)[None, :]
-        total = multi_bubble_eval(m, cfg, cut, x)
-        parts = sum(bubble_eval(m, b, cut, x) for b in cfg.bubbles)
+        total = multi_bubble_field(m, cfg, cut)(x)
+        parts = sum(BubbleField(m, b, cut)(x) for b in cfg.bubbles)
         np.testing.assert_allclose(total, parts, rtol=1e-14)
 
     def test_admissibility_cone(self):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from blowup_lab.cli import EXPERIMENTS, emit_csv, main, parallel_map, run
+from blowup_lab.cli import EXPERIMENTS, emit_csv, main, run
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -104,6 +104,15 @@ class TestArtifacts:
         assert "[FAIL]" in (outdir / "summary.txt").read_text()
 
 
+    @pytest.mark.parametrize("spec", [{"kind": "round_sphere", "n": 6},
+                                      {"kind": "flat_ball", "n": 6}])
+    def test_expansion_sweep_on_polar_models(self, tmp_path, spec):
+        cfg = _write(tmp_path, {
+            "experiment": "expansion-sweep", "model": spec,
+            "delta_range": {"min": 5e-3, "max": 1e-2, "count": 2}})
+        assert run(cfg, out=str(tmp_path / "o"), quiet=True) == 0
+
+
 class TestHelpers:
     def test_emit_csv_rejects_duplicate_columns(self, tmp_path):
         with pytest.raises(ValueError):
@@ -115,9 +124,3 @@ class TestHelpers:
         with open(path) as f:
             text = f.read()
         assert "0.33333333333333331" in text
-
-    def test_parallel_map_respects_env(self, monkeypatch):
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "2")
-        assert parallel_map(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-        monkeypatch.setenv("BLOWUP_LAB_THREADS", "1")
-        assert parallel_map(lambda x: -x, [4, 5]) == [-4, -5]

@@ -1,4 +1,4 @@
-"""Diagnostics: slope fits, profile rescaling, blind peak extraction."""
+"""Diagnostics: slope fits, profile rescaling, peak extraction."""
 
 import math
 
@@ -167,45 +167,30 @@ class TestExtractPeaks:
         assert rep.failed
         assert rep.k == 0
 
-    def test_single_synthetic_peak(self):
+    def test_search_grid_shape_checked(self):
+        # a k_max passed in the old fourth positional slot fails loudly
         m = _pp()
-        xi0 = _base(m)
-        delta = 5e-3
-        v = m.random_tangent(RNG, xi0)
-        center = m.exp(xi0, 0.3 * v / np.linalg.norm(v))
-        u = multi_bubble_field(
-            m, Configuration(bubbles=(BubbleParams(delta, center),)),
-            CutoffSpec.for_model(m))
-        rep = extract_peaks(m, u, xi0, k_max=3)
-        assert not rep.failed
-        assert rep.k == 1
-        assert m.distance(rep.centers[0], center) < 0.1 * delta
-        assert abs(rep.scales[0] - delta) < 0.01 * delta
+        with pytest.raises(ValueError, match="search_grid"):
+            extract_peaks(m, lambda pts: np.ones(len(pts)), _base(m), 3)
 
     def test_two_peaks(self):
         m = _pp()
         xi0 = _base(m)
         frame = m.tangent_frame(xi0)
-        c1 = m.exp(xi0, 0.4 * frame[0])
-        c2 = m.exp(xi0, -0.5 * frame[1])
+        ys = (0.4 * np.eye(6)[0], -0.5 * np.eye(6)[1])
+        c1, c2 = (m.exp(xi0, y @ frame) for y in ys)
         cfg = Configuration(bubbles=(BubbleParams(4e-3, c1),
                                      BubbleParams(6e-3, c2)), K=10.0)
         u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
-        rep = extract_peaks(m, u, xi0, k_max=4)
+        # coarse background plus one sample within ~delta of each peak
+        rng = np.random.default_rng(5)
+        grid = np.vstack([rng.uniform(-0.8, 0.8, size=(50, 6))]
+                         + [y + rng.uniform(-1.5, 1.5, size=(1, 6)) * b.delta
+                            for y, b in zip(ys, cfg.bubbles)])
+        rep = extract_peaks(m, u, xi0, k_max=4, search_grid=grid)
         assert not rep.failed
         assert rep.k == 2
         got = sorted(zip(rep.scales, rep.centers))
         for (s, c), b in zip(got, cfg.bubbles):
             assert m.distance(c, b.center) < 0.1 * b.delta
             assert abs(s - b.delta) < 0.01 * b.delta
-
-    def test_flat_field_reports_failure(self):
-        m = _pp()
-
-        class Flat:
-            def __call__(self, pts):
-                return np.zeros(np.asarray(pts).shape[:-1])
-
-        rep = extract_peaks(m, Flat(), _base(m))
-        assert rep.failed
-        assert rep.k == 0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup_lab.geometry import (
     CapacityError,
@@ -129,6 +130,75 @@ class TestDistance:
             assert fd == pytest.approx(float(g @ v), abs=1e-6)
 
 
+_EPS = np.finfo(float).eps
+_MAX_ANGLE = 0.999 * math.pi
+# fixed example sequence, so a failure reproduces on every run
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
+# (p, q): q = 0 draws the round sphere S^p, otherwise S^p x S^q
+_DIMS = st.tuples(st.integers(3, 7), st.sampled_from([0, 3, 4]))
+_SEEDS = st.integers(0, 2**32 - 1)
+_SPLIT = st.floats(0.0, math.pi / 2.0)
+
+
+def _factors(model, x):
+    return model.split(x) if model.kind == "product_spheres" else (x,)
+
+
+def _draw(dims, seed, theta, psi):
+    """A model, a base point and a tangent vector of length theta there.
+
+    On a product, psi splits theta between the factors as
+    (theta cos psi, theta sin psi); returns the factor angles as well.
+    """
+    p, q = dims
+    m = (ManifoldModel.round_sphere(p) if q == 0
+         else ManifoldModel.product_spheres(p, q))
+    rng = np.random.default_rng(seed)
+    base = m.random_point(rng)
+    frame = m.tangent_frame(base)
+    if q == 0:
+        blocks, angles = [frame], [theta]
+    else:
+        blocks = [frame[:p], frame[p:]]
+        angles = [theta * math.cos(psi), theta * math.sin(psi)]
+    v = np.zeros(m.ambient_dim)
+    for rows, s in zip(blocks, angles):
+        u = rng.standard_normal(len(rows))
+        v += s * (u / np.linalg.norm(u)) @ rows
+    return m, base, v, angles
+
+
+class TestDistanceProperties:
+    @_PROPERTY
+    @given(dims=_DIMS, seed=_SEEDS, theta=st.floats(0.0, _MAX_ANGLE),
+           psi=_SPLIT)
+    def test_exp_log_round_trip(self, dims, seed, theta, psi):
+        # rounding in exp is amplified by s / sin(s) on a factor circle of
+        # angle s, which reaches about 1000 at 0.999 pi
+        m, base, v, angles = _draw(dims, seed, theta, psi)
+        w = m.log(base, m.exp(base, v))
+        cond = max([1.0] + [s / math.sin(s) for s in angles if s > 0.0])
+        assert np.linalg.norm(w - v) <= 16.0 * _EPS * cond
+
+    @_PROPERTY
+    @given(dims=_DIMS, seed=_SEEDS,
+           log_theta=st.floats(-12.0, math.log10(_MAX_ANGLE)), psi=_SPLIT)
+    def test_distance_matches_chord_formula(self, dims, seed, log_theta,
+                                            psi):
+        # reference: per-factor chord angles 2 arcsin(|a - b| / 2) of the
+        # stored points, well conditioned up to a right angle; arccos of
+        # the dot product would return 0 at 1e-12
+        theta = 10.0 ** log_theta
+        m, base, v, _ = _draw(dims, seed, theta, psi)
+        x = m.exp(base, v)
+        d = float(m.distance(base, x))
+        chords = [2.0 * math.asin(np.linalg.norm(a - b) / 2.0)
+                  for a, b in zip(_factors(m, base), _factors(m, x))]
+        if max(chords) <= math.pi / 2.0:
+            assert d == pytest.approx(math.hypot(*chords), rel=1e-14)
+        assert abs(d - theta) <= 16.0 * _EPS
+
+
 class TestCurvature:
     def test_scalar_curvature_product(self):
         # R(S^3 x S^3) = 6 + 6
@@ -210,6 +280,18 @@ class TestQuadrature:
             with pytest.raises(GeometryError,
                                match="choose from minimal, biradial, axial"):
                 build_quadrature(m, _base(m), finest_scale=0.1, angular=name)
+        # polar models and the factor orders of a product dict resolve
+        # names through the sphere profiles
+        sphere_names = "choose from default, minimal, axial"
+        for polar in (ManifoldModel.flat_ball(6, 2.0),
+                      ManifoldModel.round_sphere(6)):
+            for name in ("biradial", "no-such-profile"):
+                with pytest.raises(GeometryError, match=sphere_names):
+                    build_quadrature(polar, _base(polar), finest_scale=0.1,
+                                     angular=name)
+        with pytest.raises(GeometryError, match=sphere_names):
+            build_quadrature(m, _base(m), finest_scale=0.1,
+                             angular=dict(n_psi=8, orders_a="minmal"))
 
     def test_zero_axis_rejected(self):
         m = ManifoldModel.flat_ball(6, 2.0)

@@ -91,6 +91,17 @@ def _geomspace(rng_spec, default_lo, default_hi, default_count):
     return np.geomspace(lo, hi, count)
 
 
+def _rule_center(model):
+    """Seeded random point on compact models, the origin on flat balls.
+
+    A flat ball is symmetric only about its origin; there a radial rule is
+    exact and the default cutoff (r0 = radius/4) stays inside the ball.
+    """
+    if model.kind == "flat_ball":
+        return np.zeros(model.n)
+    return model.random_point(np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # experiment implementations; each returns (rows, columns, lines, passed)
 
@@ -104,7 +115,7 @@ def _exp_flat_energy(cfg):
         model = ManifoldModel.flat_ball(n, radius)
         center = np.zeros(n)
         rule = build_quadrature(model, center, finest_scale=1.0,
-                                budget=budget, angular="minimal")
+                                budget=budget, angular="radial")
         h = PotentialField.constant(model, 0.0)
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(1.0, center),)),
@@ -128,12 +139,13 @@ def _exp_expansion_sweep(cfg):
     tol = float(cfg.get("threshold", 0.05))
     c1 = reduced_constants(model.n)[0]
     e1 = single_bubble_energy_constant(model.n)
-    center = model.random_point(np.random.default_rng(0))
+    center = _rule_center(model)
     cutoff = CutoffSpec.for_model(model)
     h0 = PotentialField.conformal_scalar(model)
     rows = []
     for d in deltas:
-        rule = build_quadrature(model, center, finest_scale=d, budget=budget)
+        rule = build_quadrature(model, center, finest_scale=d, budget=budget,
+                                angular="radial")
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
@@ -186,16 +198,14 @@ def _exp_residual_sweep(cfg):
     log_b = float(cfg.get("log_correction", 2.0 / 3.0 if model.n == 6 else 0.0))
     lo, hi = cfg.get("slope_window", [1.8, 2.4] if model.n == 6 else [1.9, 2.2])
     shift = float(cfg.get("shift", 0.0))
-    center = (model.random_point(np.random.default_rng(0))
-              if model.kind != "flat_ball" else np.zeros(model.n))
+    center = _rule_center(model)
     cutoff = (CutoffSpec.for_model(model) if model.is_compact
               else CutoffSpec(r0=float(cfg.get("r0", 1.0))))
     h = PotentialField.conformal_scalar(model).shifted(shift)
     rows = []
     for d in deltas:
         rule = build_quadrature(model, center, finest_scale=d, budget=budget,
-                                angular="biradial" if model.kind ==
-                                "product_spheres" else "minimal")
+                                angular="radial")
         cfg_b = Configuration(bubbles=(BubbleParams(d, center),))
         r = residual_norm(model, h, cfg_b, cutoff, rule)
         rows.append((d, r))
@@ -216,19 +226,25 @@ def _exp_reduced_limit(cfg):
     tol = float(cfg.get("threshold", 0.10))
     t = float(cfg.get("t", 1.0))
     seed = cfg.get("seed", None)
+    r = int(cfg.get("r", 0))
     Hb = build_H(int(cfg.get("k", 1)), model.n, seed=seed)
-    xi0 = model.random_point(np.random.default_rng(0))
+    xi0 = _rule_center(model)
     p = Hb.maxima[0]
+    # a single bump peaks at xi0, under the bubble: the integrand is radial
+    angular = "radial" if Hb.k == 1 else None
     rows = []
     for eps in eps_list:
-        sch = ScheduleParams(n=model.n, eps=eps, r=int(cfg.get("r", 0)))
-        rule = build_quadrature(model, xi0, finest_scale=t * sch.delta_eps,
-                                budget=budget)
+        # centre the rule on the bubble at exp_xi0(mu p), which is xi0 itself
+        # for k = 1 (p = 0) and about 0.6 away from it for k > 1
+        cfg_b, sch = schedule_configuration(model, xi0, [t], [p], eps, r=r)
+        rule = build_quadrature(model, cfg_b.bubbles[0].center,
+                                finest_scale=t * sch.delta_eps, budget=budget,
+                                angular=angular)
         ratio, pred, _, _ = reduced_limit_ratio(model, xi0, [t], [p], eps, Hb,
-                                                rule, r=int(cfg.get("r", 0)))
+                                                rule, r=r)
         dev = abs(ratio - pred) / abs(pred)
         rows.append((eps, sch.delta_eps, sch.mu_eps, ratio, pred, dev))
-    devs = [r[5] for r in rows]
+    devs = [row[5] for row in rows]
     decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)
     ok = devs[-1] < tol and decreasing >= min(3, len(devs) - 1)
     lines = [f"[{'PASS' if ok else 'FAIL'}] reduced-limit: final rel_dev "

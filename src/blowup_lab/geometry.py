@@ -486,6 +486,7 @@ _SPHERE_PROFILES = {
     "default": lambda m: [8] + [4] * (m - 2) + [8] if m > 1 else [12],
     "minimal": lambda m: [2] * (m - 1) + [4] if m > 1 else [4],
     "axial": lambda m: [20] + [2] * (m - 2) + [4] if m > 1 else [24],
+    "radial": lambda m: [1] * m,
 }
 
 
@@ -571,12 +572,22 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     angular resolution toward that tangent direction; this matters only for
     integrands that are not radial about the center.
 
-    ``angular`` selects the angular resolution: for products a profile name
-    ("minimal", "biradial", "axial") or a dict with keys ``n_psi``,
-    ``orders_a``, ``orders_b`` (each a list of polar orders or a sphere
-    profile name); for the other models a sphere profile name ("default",
-    "minimal", "axial") or a list of polar orders.  An unknown name raises
-    GeometryError.
+    ``angular`` selects the angular resolution.  On products it is a
+    profile name ("radial", "biradial", "axial") or a dict with keys
+    ``n_psi``, ``orders_a``, ``orders_b`` (each a list of polar orders or a
+    sphere profile name); None means "biradial", or "axial" when ``axis``
+    is given.  On flat balls and round spheres it is a sphere profile name
+    ("default", "minimal", "axial", "radial") or a list of polar orders;
+    None means "default", or "axial" when ``axis`` is given.  An unknown
+    name raises GeometryError.
+
+    "radial" keeps one angular node per sphere of directions (per factor
+    sphere on products), so it is exact only for an integrand that depends
+    on the distance to ``center`` alone, or on products on the two factor
+    distances alone: one bubble at ``center`` under a constant potential or
+    a one-bump potential peaked there.  The caller declares that symmetry;
+    nothing checks the integrand.  The domain must share it, so on a flat
+    ball ``center`` must be the origin, or GeometryError is raised.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -619,6 +630,10 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
             raise GeometryError("axis must be a nonzero tangent vector")
         axis = np.asarray(axis, dtype=float) / nrm
     if model.kind == "flat_ball":
+        if angular == "radial" and np.any(center):
+            raise GeometryError(
+                "the radial profile needs a flat ball centred at the origin; "
+                "the ball is not symmetric about an off-origin centre")
         if axis is not None:
             dirs = dirs @ _rotation_with_first_axis(axis).T
         # outer radius depends on the direction for off-center rules
@@ -657,7 +672,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
 
 
 _PRODUCT_PROFILES = {
-    "minimal": dict(n_psi=16, orders_a="minimal", orders_b="minimal"),
+    "radial": dict(n_psi=24, orders_a="radial", orders_b="radial"),
     "biradial": dict(n_psi=24, orders_a="minimal", orders_b="minimal"),
     "axial": dict(n_psi=24, orders_a="axial", orders_b="minimal"),
 }
@@ -746,8 +761,12 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     polar patch per center plus a coarse background piece; each piece is
     integrated by a rule centered where its integrand lives, so the combined
     node set integrates fields with spikes at every center.  Weights stay
-    positive because the partition functions are.
+    positive because the partition functions are.  No piece is radial about
+    its centre, so the "radial" profile raises GeometryError.
     """
+    if "radial" in (angular, patch_angular):
+        raise GeometryError(
+            "the radial profile does not apply to multicentre rules")
     centers = [model.validate_point(np.asarray(c, dtype=float)) for c in centers]
     if len(centers) < 2:
         return build_quadrature(model, centers[0], finest_scale, budget,

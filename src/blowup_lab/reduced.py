@@ -21,7 +21,8 @@ import numpy as np
 from ._smoothstep import radial_bump
 from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
-from .functional import PotentialField, energy, single_bubble_energy_constant
+from .functional import (PotentialField, _check_resolution, energy,
+                         single_bubble_energy_constant)
 from .geometry import CapacityError
 
 __all__ = [
@@ -455,9 +456,11 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
     fourth-order branch that belongs to the limit, and Q puts it back:
     Q = -d_n |Weyl|^2 sum_i delta_i^4 ln(1/delta_i) / (eps delta_eps^2) in
     dimension 6 (no log for n >= 7), which converges to the quartic part of
-    sum_i F_n(t_i, p_i).
+    sum_i F_n(t_i, p_i).  A ``rule`` coarser than the smallest delta_i
+    raises CapacityError.
     """
     cfg, sch = schedule_configuration(model, xi0, ts, ps, eps, r=r)
+    _check_resolution(rule, cfg)
     mu = sch.mu_eps
     h = h_eps_field(model, xi0, eps, mu, Hb, r=r)
     if cutoff is None:

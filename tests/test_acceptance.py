@@ -35,7 +35,9 @@ def _report(num, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared product-sphere delta sweep (criteria 3, 4 and the n = 6 half of 6)
+# shared product-sphere delta sweep (criteria 3, 4 and the n = 6 half of 6);
+# one bubble at the rule centre under a constant potential is radial, so the
+# rules carry one angular node per factor sphere
 
 @pytest.fixture(scope="module")
 def product_sweep():
@@ -47,7 +49,7 @@ def product_sweep():
     rows = []
     for d in deltas:
         rule = build_quadrature(model, center, finest_scale=d,
-                                budget=2_000_000, angular="biradial")
+                                budget=2_000_000, angular="radial")
         cfg = Configuration(bubbles=(BubbleParams(d, center),))
         u = multi_bubble_field(model, cfg, cutoff)
         j0 = energy(model, h0, u, rule)
@@ -68,7 +70,7 @@ def test_criterion_1_flat_energy_constant():
         center = np.zeros(n)
         t0 = time.time()
         rule = build_quadrature(model, center, finest_scale=1.0,
-                                budget=2_000_000, angular="minimal")
+                                budget=2_000_000, angular="radial")
         h = PotentialField.constant(model, 0.0)
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(1.0, center),)),
@@ -89,7 +91,7 @@ def test_criterion_2_exact_solution_residual():
     model = ManifoldModel.flat_ball(6, 100.0)
     center = np.zeros(6)
     rule = build_quadrature(model, center, finest_scale=1.0,
-                            budget=2_000_000, angular="minimal")
+                            budget=2_000_000, angular="radial")
     h = PotentialField.constant(model, 0.0)
     cfg = Configuration(bubbles=(BubbleParams(1.0, center),))
     cutoff = CutoffSpec.none()
@@ -183,7 +185,7 @@ def test_criterion_6_residual_decay(product_sweep):
     xs7, ys7 = [], []
     for d in np.geomspace(1e-3, 1e-2, 6):
         rule = build_quadrature(model, center, finest_scale=d,
-                                budget=2_000_000, angular="minimal")
+                                budget=2_000_000, angular="radial")
         cfg = Configuration(bubbles=(BubbleParams(d, center),))
         xs7.append(d)
         ys7.append(residual_norm(model, h, cfg, cutoff, rule))
@@ -281,10 +283,11 @@ def test_criterion_10_reduced_energy_limit():
     xi0 = model.random_point(np.random.default_rng(0))
     p = Hb.maxima[0]
     devs = []
+    # k = 1: the bump peaks at xi0 under the bubble, so the integrand is radial
     for eps in np.geomspace(1e-2, 1e-4, 5):
         sch = ScheduleParams(n=model.n, eps=float(eps))
         rule = build_quadrature(model, xi0, finest_scale=sch.delta_eps,
-                                budget=4_000_000, angular="biradial")
+                                budget=4_000_000, angular="radial")
         ratio, pred, _, _ = reduced_limit_ratio(model, xi0, [1.0], [p],
                                                 float(eps), Hb, rule)
         devs.append(abs(ratio - pred) / abs(pred))

@@ -104,6 +104,14 @@ class TestArtifacts:
         assert "[FAIL]" in (outdir / "summary.txt").read_text()
 
 
+    def test_reduced_limit_centres_rule_on_the_bubble(self, tmp_path):
+        # k = 2: the bubble sits about 0.6 from xi0, where a rule centred on
+        # xi0 does not resolve it
+        cfg = _write(tmp_path, {
+            "experiment": "reduced-limit", "k": 2, "seed": 3,
+            "eps_range": {"min": 1e-4, "max": 1e-2, "count": 3}})
+        assert run(cfg, out=str(tmp_path / "o"), quiet=True) == 0
+
     @pytest.mark.parametrize("spec", [{"kind": "round_sphere", "n": 6},
                                       {"kind": "flat_ball", "n": 6}])
     def test_expansion_sweep_on_polar_models(self, tmp_path, spec):

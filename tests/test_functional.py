@@ -27,7 +27,8 @@ from blowup_lab.functional import (
     _density,
 )
 from blowup_lab.geometry import ManifoldModel, build_quadrature
-from blowup_lab.reduced import build_H, h_eps_field
+from blowup_lab.reduced import (ScheduleParams, build_H, h_eps_field,
+                                schedule_configuration)
 
 RNG = np.random.default_rng(11)
 
@@ -38,8 +39,11 @@ def _pp():
 
 def _base(model):
     x = np.zeros(model.ambient_dim)
-    x[0] = 1.0
-    x[model.p + 1] = 1.0
+    if model.kind == "product_spheres":
+        x[0] = 1.0
+        x[model.p + 1] = 1.0
+    elif model.kind == "round_sphere":
+        x[0] = 1.0
     return x
 
 
@@ -79,7 +83,7 @@ class TestEnergy:
         m = ManifoldModel.flat_ball(6, 100.0)
         u = BubbleField(m, BubbleParams(1.0, np.zeros(6)), CutoffSpec.none())
         rule = build_quadrature(m, np.zeros(6), finest_scale=1.0,
-                                angular="minimal")
+                                angular="radial")
         j = energy(m, PotentialField.constant(m, 0.0), u, rule)
         assert j == pytest.approx(single_bubble_energy_constant(6), rel=1e-6)
 
@@ -108,10 +112,6 @@ class TestEnergy:
                          CutoffSpec.for_model(m), rule)
 
 
-# one angular node per factor sphere: the identity holds on any rule
-_COARSE = dict(n_psi=8, orders_a=[1, 1], orders_b=[1, 1])
-
-
 class TestClosedFormDifference:
     """J_h - J_h0 = 1/2 int (h - h0) u^2, the form used for h-differences."""
 
@@ -119,7 +119,8 @@ class TestClosedFormDifference:
     def _check(h, h0):
         m = _pp()
         xi = _base(m)
-        rule = build_quadrature(m, xi, finest_scale=0.05, angular=_COARSE)
+        # the identity holds on any rule; the radial one is the cheapest
+        rule = build_quadrature(m, xi, finest_scale=0.05, angular="radial")
         cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
         u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
         pts, w = rule.nodes, rule.weights
@@ -157,7 +158,7 @@ class TestResidual:
         # the flat bubble solves the equation exactly; residual ~ roundoff
         m = ManifoldModel.flat_ball(6, 100.0)
         rule = build_quadrature(m, np.zeros(6), finest_scale=1.0,
-                                angular="minimal")
+                                angular="radial")
         cfg = Configuration(bubbles=(BubbleParams(1.0, np.zeros(6)),))
         h = PotentialField.constant(m, 0.0)
         res = residual_norm(m, h, cfg, CutoffSpec.none(), rule)
@@ -183,6 +184,77 @@ class TestResidual:
         h = PotentialField.conformal_scalar(m)
         res = residual_norm(m, h, cfg, CutoffSpec.for_model(m), rule)
         assert 0.0 < res < 1.0
+
+
+# each model with a profile that keeps a full angular grid
+_FULL = {
+    "S3xS3": (ManifoldModel.product_spheres(3, 3), "biradial"),
+    "S6": (ManifoldModel.round_sphere(6), "minimal"),
+    "B7": (ManifoldModel.flat_ball(7, 100.0), "minimal"),
+}
+
+
+class TestRadialProfile:
+    """The "radial" rule is exact where callers declare the integrand radial.
+
+    That is one bubble at the rule centre under a constant potential or a
+    one-bump potential peaked there.  Scale and bump width are those of the
+    eps = 1e-2 schedule.
+    """
+
+    EPS = 1e-2
+
+    @pytest.mark.parametrize("name", sorted(_FULL))
+    def test_declared_integrands_match_full_rule(self, name):
+        m, full = _FULL[name]
+        c = _base(m)
+        sch = ScheduleParams(n=m.n, eps=self.EPS)
+        cfg = Configuration(bubbles=(BubbleParams(sch.delta_eps, c),))
+        cutoff = CutoffSpec.for_model(m)
+        u = multi_bubble_field(m, cfg, cutoff)
+        h0 = PotentialField.conformal_scalar(m)
+        bump = h_eps_field(m, c, self.EPS, sch.mu_eps, build_H(1, m.n, seed=7))
+
+        def integrals(angular):
+            rule = build_quadrature(m, c, finest_scale=sch.delta_eps,
+                                    angular=angular)
+            w, vals = rule.weights, u(rule.nodes)
+            return (np.array([
+                energy(m, h0, u, rule),
+                0.5 * np.sum(w * vals**2),
+                0.5 * np.sum(w * bump.perturbation(rule.nodes) * vals**2)]),
+                residual_norm(m, h0, cfg, cutoff, rule))
+
+        (want, res_want), (got, res_got) = integrals(full), integrals("radial")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # on the flat ball the residual is a near-cancellation inside the
+        # plateau: at delta = 1e-3 two full profiles ("minimal", "default")
+        # already differ there by up to 8e-10
+        rtol = 1e-8 if m.kind == "flat_ball" else 1e-12
+        assert res_got == pytest.approx(res_want, rel=rtol)
+
+    @pytest.mark.parametrize("name", ["S3xS3", "S6"])
+    def test_off_center_bump_is_not_radial(self, name):
+        # the k = 2 reduced-limit layout: the rule and the bubble sit at
+        # exp_xi0(mu p_1), the bumps are laid out in tangent coordinates at
+        # xi0, so curvature makes even the bump under the bubble non-radial
+        # about it (on a flat ball it would stay radial)
+        m, full = _FULL[name]
+        xi0 = _base(m)
+        Hb = build_H(2, m.n, seed=3)
+        cfg, sch = schedule_configuration(m, xi0, [1.0], [Hb.maxima[0]],
+                                          self.EPS)
+        u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
+        h = h_eps_field(m, xi0, self.EPS, sch.mu_eps, Hb)
+        vals = []
+        for angular in (full, "radial"):
+            rule = build_quadrature(m, cfg.bubbles[0].center,
+                                    finest_scale=sch.delta_eps,
+                                    angular=angular)
+            vals.append(0.5 * float(np.sum(
+                rule.weights * h.perturbation(rule.nodes)
+                * u(rule.nodes) ** 2)))
+        assert abs(vals[1] - vals[0]) > 1e-5 * abs(vals[0])
 
 
 class TestLebesgueNorm:

@@ -278,11 +278,11 @@ class TestQuadrature:
         m = _pp()
         for name in ("fine", "default"):
             with pytest.raises(GeometryError,
-                               match="choose from minimal, biradial, axial"):
+                               match="choose from radial, biradial, axial"):
                 build_quadrature(m, _base(m), finest_scale=0.1, angular=name)
         # polar models and the factor orders of a product dict resolve
         # names through the sphere profiles
-        sphere_names = "choose from default, minimal, axial"
+        sphere_names = "choose from default, minimal, axial, radial"
         for polar in (ManifoldModel.flat_ball(6, 2.0),
                       ManifoldModel.round_sphere(6)):
             for name in ("biradial", "no-such-profile"):
@@ -292,6 +292,21 @@ class TestQuadrature:
         with pytest.raises(GeometryError, match=sphere_names):
             build_quadrature(m, _base(m), finest_scale=0.1,
                              angular=dict(n_psi=8, orders_a="minmal"))
+
+    def test_radial_profile_needs_a_symmetric_domain(self):
+        # a flat ball is symmetric only about its origin
+        m = ManifoldModel.flat_ball(6, 2.0)
+        build_quadrature(m, np.zeros(6), finest_scale=0.1, angular="radial")
+        off = np.zeros(6)
+        off[0] = 0.5
+        with pytest.raises(GeometryError, match="origin"):
+            build_quadrature(m, off, finest_scale=0.1, angular="radial")
+        # no piece of a multicentre rule is radial about its centre
+        for kw in ("angular", "patch_angular"):
+            with pytest.raises(GeometryError, match="multicentre"):
+                build_multicenter_quadrature(m, [np.zeros(6), off],
+                                             finest_scale=0.1,
+                                             **{kw: "radial"})
 
     def test_zero_axis_rejected(self):
         m = ManifoldModel.flat_ball(6, 2.0)

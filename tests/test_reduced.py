@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab.geometry import CapacityError, ManifoldModel
+from blowup_lab.geometry import CapacityError, ManifoldModel, build_quadrature
 from blowup_lab.reduced import (
     BumpFunction,
     DegenerateError,
@@ -20,6 +20,7 @@ from blowup_lab.reduced import (
     h_eps_field,
     mu_eps,
     reduced_constants,
+    reduced_limit_ratio,
     schedule_configuration,
 )
 
@@ -218,6 +219,15 @@ class TestPerturbedPotential:
         far = m.exp(xi0, 2.0 * v / np.linalg.norm(v))
         assert h(far[None, :])[0] == pytest.approx(0.2 * 12.0 - eps,
                                                    rel=1e-12)
+
+    def test_ratio_rejects_unresolving_rule(self):
+        # delta(1e-4) is about 4e-3, far below the rule's finest scale
+        m = self._model()
+        xi0 = self._xi0(m)
+        Hb = build_H(1, 6, seed=7)
+        rule = build_quadrature(m, xi0, finest_scale=0.1, angular="radial")
+        with pytest.raises(CapacityError, match="does not resolve"):
+            reduced_limit_ratio(m, xi0, [1.0], [Hb.maxima[0]], 1e-4, Hb, rule)
 
     def test_sup_norm_meta(self):
         m = self._model()

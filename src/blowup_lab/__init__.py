@@ -18,8 +18,7 @@ from .bubble import (BubbleField, BubbleParams, Configuration, CutoffSpec,
                      SumField, is_admissible, multi_bubble_field)
 from .functional import (EnergyBreakdown, PotentialField, conformal_coupling,
                          critical_exponent, energy, energy_split,
-                         interaction_term, lebesgue_norm,
-                         rayleigh_lambda1_estimate, residual_field,
+                         interaction_term, lebesgue_norm, residual_field,
                          residual_norm, single_bubble_energy_constant)
 from .reduced import (BumpFunction, DegenerateError, F_n_critical, F_n_eval,
                       ReducedEnergyParams, ScheduleParams, audit_bumps,
@@ -28,4 +27,4 @@ from .reduced import (BumpFunction, DegenerateError, F_n_critical, F_n_eval,
                       schedule_configuration)
 from .diagnostics import (IsolationReport, PeakReport, SlopeFit,
                           extract_peaks, flat_profile, isolation_ratios,
-                          order_fit, rescale_peak, weighted_peak_bound)
+                          order_fit, rescale_peak)

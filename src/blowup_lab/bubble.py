@@ -14,7 +14,6 @@ mutual separation large against the scales).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,9 +39,9 @@ class CutoffSpec:
     r0: float
 
     @classmethod
-    def for_model(cls, model, fraction=0.25):
-        """Default cutoff at a fixed fraction of the injectivity radius."""
-        return cls(r0=fraction * model.injectivity_radius)
+    def for_model(cls, model):
+        """Default cutoff at a quarter of the injectivity radius."""
+        return cls(r0=0.25 * model.injectivity_radius)
 
     def value(self, r):
         if not math.isfinite(self.r0):
@@ -106,23 +105,6 @@ class Configuration:
     def k(self):
         return len(self.bubbles)
 
-    def to_json(self):
-        return json.dumps({
-            "delta": [b.delta for b in self.bubbles],
-            "center": [np.asarray(b.center).tolist() for b in self.bubbles],
-            "alpha": self.alpha,
-            "K": self.K,
-            "delta_bar": self.delta_bar,
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        bubbles = tuple(BubbleParams(delta=d, center=np.asarray(c, dtype=float))
-                        for d, c in zip(data["delta"], data["center"]))
-        return cls(bubbles=bubbles, alpha=data["alpha"], K=data["K"],
-                   delta_bar=data["delta_bar"])
-
 
 def _profile(n, delta, d):
     """Flat extremal profile and its first two radial derivatives."""
@@ -137,8 +119,6 @@ def _profile(n, delta, d):
 
 class BubbleField:
     """One cutoff bubble, with analytic gradient and radial Laplacian."""
-
-    has_gradient = True
 
     def __init__(self, model, params, cutoff):
         if math.isfinite(cutoff.r0) and cutoff.r0 >= model.injectivity_radius:
@@ -179,6 +159,8 @@ class BubbleField:
     def __call__(self, pts):
         return self.jet(pts)[0]
 
+    # no library code calls grad or laplace_beltrami; perfbench/tracing.py
+    # looks both up by name, so they stay until the tracer wraps jet
     def grad(self, pts):
         return self.jet(pts, 1)[1]
 
@@ -188,8 +170,6 @@ class BubbleField:
 
 class SumField:
     """Pointwise sum of fields sharing a model."""
-
-    has_gradient = True
 
     def __init__(self, fields):
         fields = list(fields)
@@ -210,6 +190,8 @@ class SumField:
     def __call__(self, pts):
         return self.jet(pts)[0]
 
+    # no library code calls grad or laplace_beltrami; perfbench/tracing.py
+    # looks both up by name, so they stay until the tracer wraps jet
     def grad(self, pts):
         return self.jet(pts, 1)[1]
 

@@ -34,18 +34,6 @@ from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
                       reduced_constants, reduced_limit_ratio,
                       schedule_configuration)
 
-EXPERIMENTS = (
-    "flat-energy",
-    "expansion-sweep",
-    "interaction-sweep",
-    "residual-sweep",
-    "reduced-limit",
-    "schedule-table",
-    "isolation-sweep",
-    "bump-audit",
-)
-
-
 class ConfigError(ValueError):
     """Malformed experiment configuration (maps to exit code 2)."""
 
@@ -337,6 +325,7 @@ _RUNNERS = {
     "isolation-sweep": _exp_isolation_sweep,
     "bump-audit": _exp_bump_audit,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config_path, out=None, quiet=False):

@@ -22,7 +22,6 @@ __all__ = [
     "extract_peaks",
     "IsolationReport",
     "isolation_ratios",
-    "weighted_peak_bound",
 ]
 
 
@@ -275,20 +274,3 @@ def isolation_ratios(model, centers, scales, xi0):
                            min_separation=float(np.min(off)),
                            min_sep_over_scale=float(np.min(offr)))
 
-
-def weighted_peak_bound(model, u, center, radii):
-    """sup over sampled radii of d^((n-2)/2) * (max of u at distance d).
-
-    Probes along the tangent-frame axes; a finite uniform bound as the
-    configuration degenerates indicates bounded weighted blow-up.
-    """
-    n = model.n
-    frame = model.tangent_frame(center)
-    best = 0.0
-    for r in np.asarray(radii, dtype=float):
-        if r >= model.injectivity_radius:
-            continue
-        pts = np.array([model.exp(center, s * r * v)
-                        for v in frame for s in (1.0, -1.0)])
-        best = max(best, r ** ((n - 2.0) / 2.0) * float(np.max(u(pts))))
-    return best

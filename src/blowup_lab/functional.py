@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bubble import BubbleField, SumField
 from .geometry import CapacityError
@@ -34,7 +33,6 @@ __all__ = [
     "residual_norm",
     "interaction_term",
     "energy_split",
-    "rayleigh_lambda1_estimate",
     "single_bubble_energy_constant",
 ]
 
@@ -54,14 +52,12 @@ class PotentialField:
     """Potential h = base + perturbation, evaluable on point batches.
 
     ``base`` may be a float (constant potential) or a callable; the optional
-    perturbation likewise.  ``meta`` carries diagnostics such as sup-norm
-    bounds for perturbed potentials.
+    perturbation likewise.
     """
 
     model: object
     base: object
     perturbation: object = None
-    meta: dict = None
 
     @property
     def c_n(self):
@@ -83,10 +79,9 @@ class PotentialField:
         if callable(base):
             return PotentialField(model=self.model,
                                   base=lambda pts: base(pts) + sigma,
-                                  perturbation=self.perturbation,
-                                  meta=self.meta)
+                                  perturbation=self.perturbation)
         return PotentialField(model=self.model, base=base + sigma,
-                              perturbation=self.perturbation, meta=self.meta)
+                              perturbation=self.perturbation)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -109,9 +104,7 @@ def _density(vals, grads, hv, twostar):
 
 
 def energy(model, h, u, rule):
-    """Quadrature value of J_h(u); u must expose a gradient via ``jet``."""
-    if not u.has_gradient:
-        raise ValueError("energy requires a field with a gradient")
+    """Quadrature value of J_h(u) for a field u sampled by ``jet``."""
     pts = rule.nodes
     vals, grads = u.jet(pts, 1)
     dens, _ = _density(vals, grads, h(pts), critical_exponent(model.n))
@@ -151,9 +144,9 @@ def residual_norm(model, h, cfg, cutoff, rule):
                          residual_field(model, h, cfg, cutoff)(rule.nodes))
 
 
-def lebesgue_norm(model, rule, values, exponent=None):
-    """Helper: L^p quadrature norm of a value array (default p = 2n/(n+2))."""
-    p = 2.0 * model.n / (model.n + 2.0) if exponent is None else exponent
+def lebesgue_norm(model, rule, values):
+    """L^p quadrature norm of a value array with p = 2n/(n+2)."""
+    p = 2.0 * model.n / (model.n + 2.0)
     return float(np.sum(rule.weights * np.abs(values) ** p)) ** (1.0 / p)
 
 
@@ -171,9 +164,12 @@ class EnergyBreakdown:
 
     ``total`` is J_h of the full sum; ``cross_dirichlet_plus_potential``
     collects the pairwise Dirichlet + potential couplings; the nonlinear
-    excess is int((sum W)^(2*) - sum W^(2*)).  ``deviation`` is the measured
-    |total - sum of single-bubble energies| and ``interaction_prediction``
-    the closed-form scale it should follow.
+    excess is int((sum W)^(2*) - sum W^(2*)).  ``deviation`` is
+    |total - sum of single-bubble energies|, evaluated as
+    |cross - excess/2*| so that no digits cancel, and
+    ``interaction_prediction`` the closed-form scale it should follow.
+    ``identity_gap`` measures how far the direct difference
+    total - sum(per_bubble) is from that form.
     """
 
     total: float
@@ -188,6 +184,27 @@ class EnergyBreakdown:
         return abs(self.total - (sum(self.per_bubble)
                                  + self.cross_dirichlet_plus_potential
                                  - self.nonlinear_excess / twostar))
+
+
+def _power_excess(vals, powers, twostar):
+    """Pointwise (sum v_i)^(2*) - sum v_i^(2*) of nonnegative bubble values.
+
+    Written as P_max expm1(2* log1p(s)) - sum_{i != max} P_i with
+    s = sum_{i != max} v_i / v_max and P_i = v_i^(2*), so no term cancels
+    where one bubble dominates; the excess is 0 where v_max = 0.  The sums
+    over the other bubbles are accumulated directly, never formed by
+    subtracting the largest term from a full sum.
+    """
+    v_max, p_max = vals[0], powers[0]
+    rest = p_rest = 0.0
+    for v, p in zip(vals[1:], powers[1:]):
+        larger = v > v_max
+        rest = rest + np.where(larger, v_max, v)
+        p_rest = p_rest + np.where(larger, p_max, p)
+        v_max = np.where(larger, v, v_max)
+        p_max = np.where(larger, p, p_max)
+    s = np.divide(rest, v_max, out=np.zeros_like(v_max), where=v_max > 0.0)
+    return p_max * np.expm1(twostar * np.log1p(s)) - p_rest
 
 
 def energy_split(model, h, cfg, cutoff, rule):
@@ -212,9 +229,9 @@ def energy_split(model, h, cfg, cutoff, rule):
                         + hv * vals[i] * vals[j])
             cross += float(np.sum(w * coupling))
 
-    total_dens, total_power = _density(sum(vals), sum(grads), hv, twostar)
+    total_dens, _ = _density(sum(vals), sum(grads), hv, twostar)
     total = float(np.sum(w * total_dens))
-    excess = float(np.sum(w * (total_power - sum(powers))))
+    excess = float(np.sum(w * _power_excess(vals, powers, twostar)))
 
     prediction = 0.0
     for i in range(len(fields)):
@@ -228,53 +245,9 @@ def energy_split(model, h, cfg, cutoff, rule):
         per_bubble=tuple(per_bubble),
         cross_dirichlet_plus_potential=cross,
         nonlinear_excess=excess,
-        deviation=abs(total - sum(per_bubble)),
+        deviation=abs(cross - excess / twostar),
         interaction_prediction=prediction,
     )
-
-
-def rayleigh_lambda1_estimate(model, h, rule, trial_count=1):
-    """One-sided (upper) bound on the bottom of the spectrum of Delta_g + h.
-
-    Minimizes the Rayleigh quotient over the span of the constant function
-    and the first ``trial_count - 1`` ambient coordinate functions; the
-    constant alone is exact for constant potentials.
-    """
-    if trial_count < 1:
-        raise ValueError("trial_count must be >= 1")
-    d = model.ambient_dim
-    trial_count = min(trial_count, 1 + (d if model.is_compact else model.n))
-
-    pts = rule.nodes
-    w = rule.weights
-    hv = h(pts)
-
-    vals = [np.ones(len(pts))]
-    grads = [np.zeros_like(pts)]
-    for j in range(trial_count - 1):
-        vals.append(pts[:, j])
-        g = np.zeros_like(pts)
-        g[:, j] = 1.0
-        if model.kind == "round_sphere":
-            g = g - pts[:, j][:, None] * pts
-        elif model.kind == "product_spheres":
-            x1, x2 = model.split(pts)
-            if j < model.p + 1:
-                g[:, : model.p + 1] -= pts[:, j][:, None] * x1
-            else:
-                g[:, model.p + 1:] -= pts[:, j][:, None] * x2
-        grads.append(g)
-
-    m = len(vals)
-    A = np.empty((m, m))
-    B = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            A[i, j] = A[j, i] = float(np.sum(
-                w * (np.sum(grads[i] * grads[j], axis=-1) + hv * vals[i] * vals[j])))
-            B[i, j] = B[j, i] = float(np.sum(w * vals[i] * vals[j]))
-    eigs = scipy.linalg.eigh(A, B, eigvals_only=True)
-    return float(eigs[0])
 
 
 def single_bubble_energy_constant(n):

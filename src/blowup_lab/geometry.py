@@ -53,10 +53,6 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _clamped_arccos(c):
-    return np.arccos(np.clip(c, -1.0, 1.0))
-
-
 def _sphere_angle(a, b):
     """Angle between unit vectors, accurate for all separations.
 
@@ -197,8 +193,9 @@ class ManifoldModel:
             raise GeometryError("split is only defined on products")
         return x[..., : self.p + 1], x[..., self.p + 1:]
 
-    def validate_point(self, x, tol=1e-12):
+    def validate_point(self, x):
         x = np.asarray(x, dtype=float)
+        tol = 1e-12
         if x.shape[-1] != self.ambient_dim:
             raise GeometryError(
                 f"point has ambient dimension {x.shape[-1]}, expected {self.ambient_dim}")
@@ -430,11 +427,6 @@ class QuadratureRule:
     def node_count(self):
         return self.nodes.shape[0]
 
-    def integrate(self, f):
-        """Integrate a field (callable on point batches) or a value array."""
-        vals = f(self.nodes) if callable(f) else np.asarray(f, dtype=float)
-        return float(np.sum(self.weights * vals))
-
 
 @functools.lru_cache(maxsize=64)
 def _leggauss(k):
@@ -610,11 +602,11 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
                           center=center, finest_scale=finest_scale)
 
 
-def _check_budget(planned, minimal, budget, finest_scale):
+def _check_budget(planned, budget, finest_scale):
     if planned > budget:
         raise CapacityError(
             f"budget {budget} too small for finest_scale={finest_scale:g}; "
-            f"minimal budget is {minimal}")
+            f"the requested rule needs {planned} nodes")
 
 
 def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
@@ -647,9 +639,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
             planned += len(r)
             pts = center + r[:, None] * dirs[j]
             blocks.append((pts, wdir[j] * wr * r ** (n - 1)))
-        # every direction needs at least the shortest direction's radii
-        minimal = len(dirs) * min(len(w) for _, w in blocks)
-        _check_budget(planned, minimal, budget, finest_scale)
+        _check_budget(planned, budget, finest_scale)
         nodes = np.concatenate([b[0] for b in blocks])
         weights = np.concatenate([b[1] for b in blocks])
         return nodes, weights
@@ -663,7 +653,7 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
     amb = dirs @ frame
     r, wr = _radial_grid(finest_scale, patch_radius, math.pi, transition)
     planned = len(dirs) * len(r)
-    _check_budget(planned, planned, budget, finest_scale)
+    _check_budget(planned, budget, finest_scale)
     ct, st = np.cos(r), np.sin(r)
     nodes = (ct[:, None] * center)[:, None, :] + st[:, None, None] * amb[None, :, :]
     nodes = nodes.reshape(-1, model.ambient_dim)
@@ -726,8 +716,7 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
         r, wr = _radial_grid(finest_scale, patch_radius, rmax, transition)
         radial.append((r, wr))
         planned += len(r) * A1 * A2
-    minimal = sum(len(r) for r, _ in radial) * 2 * 2
-    _check_budget(planned, minimal, budget, finest_scale)
+    _check_budget(planned, budget, finest_scale)
 
     blocks_n, blocks_w = [], []
     wab = np.outer(wa, wb).reshape(-1)  # (A1*A2,)
@@ -753,33 +742,35 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
 
 
 def build_multicenter_quadrature(model, centers, finest_scale,
-                                 budget=4_000_000, *, patch_radius=None,
-                                 angular=None, patch_angular=None):
+                                 budget=4_000_000, *, angular=None,
+                                 patch_angular=None):
     """Composite rule resolving concentration at several centers at once.
 
     A smooth partition of unity splits the integral into one well-resolved
     polar patch per center plus a coarse background piece; each piece is
     integrated by a rule centered where its integrand lives, so the combined
     node set integrates fields with spikes at every center.  Weights stay
-    positive because the partition functions are.  No piece is radial about
-    its centre, so the "radial" profile raises GeometryError.
+    positive because the partition functions are.  It needs at least two
+    centres; one centre is the job of :func:`build_quadrature`.  No piece is
+    radial about its centre, so the "radial" profile raises GeometryError.
     """
     if "radial" in (angular, patch_angular):
         raise GeometryError(
             "the radial profile does not apply to multicentre rules")
     centers = [model.validate_point(np.asarray(c, dtype=float)) for c in centers]
     if len(centers) < 2:
-        return build_quadrature(model, centers[0], finest_scale, budget,
-                                patch_radius=patch_radius, angular=angular)
+        raise GeometryError(
+            "a multicentre rule needs at least two centres; use "
+            "build_quadrature for one")
     dmin = min(model.distance(a, b)
                for i, a in enumerate(centers) for b in centers[i + 1:])
     if dmin <= 0:
         raise GeometryError("multicenter rule requires distinct centers")
     r_i = min(dmin / 2.0, model.injectivity_radius / 4.0)
 
-    def part(c, pts):
-        # smooth localizer: 1 within r_i/2 of c, 0 beyond r_i
-        d = model.distance(pts, c)
+    def part(d):
+        # smooth localizer in the distance d to a centre: 1 within r_i/2,
+        # 0 beyond r_i
         return step(2.0 * (r_i - d) / r_i)
 
     sub_budget = budget // (len(centers) + 1)
@@ -795,7 +786,7 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         # restrict to the patch support and apply the localizer
         d = model.distance(rule.nodes, c)
         keep = d < r_i
-        w = rule.weights[keep] * part(c, rule.nodes[keep])
+        w = rule.weights[keep] * part(d[keep])
         all_nodes.append(rule.nodes[keep])
         all_weights.append(w)
 
@@ -808,11 +799,10 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     except GeometryError:
         bg_axis = None
     bg = build_quadrature(model, centers[0], min(bg_finest, 1.0), sub_budget,
-                          patch_radius=patch_radius, axis=bg_axis,
-                          angular=angular or "axial")
+                          axis=bg_axis, angular=angular or "axial")
     rho = np.zeros(len(bg.nodes))
     for c in centers:
-        rho += part(c, bg.nodes)
+        rho += part(model.distance(bg.nodes, c))
     wbg = bg.weights * np.clip(1.0 - rho, 0.0, None)
     all_nodes.append(bg.nodes)
     all_weights.append(wbg)

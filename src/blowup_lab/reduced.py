@@ -106,14 +106,6 @@ class ReducedEnergyParams:
         if self.weyl_sq < 0:
             raise ValueError("weyl_sq must be nonnegative")
 
-    @property
-    def c1(self):
-        return reduced_constants(self.n)[0]
-
-    @property
-    def d_n(self):
-        return reduced_constants(self.n)[1]
-
 
 def expansion_predict(params, delta, h_minus_cnR_at_center):
     """Predicted single-bubble energy at scale delta (remainders excluded).
@@ -135,17 +127,14 @@ def expansion_predict(params, delta, h_minus_cnR_at_center):
                  - params.weyl_sq * fourth)
 
 
-def F_n_eval(params, t, p=None, H_value=None):
-    """Reduced energy at scale parameter t and peak location p.
+def F_n_eval(params, t, H_value):
+    """Reduced energy at scale parameter t and a peak location p.
 
-    The peak location enters only through H(p); callers without a bump
-    profile can pass ``H_value`` directly.
+    The peak location enters only through ``H_value`` = H(p).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be positive")
-    if H_value is None:
-        H_value = params.H(np.asarray(p, dtype=float))
     c1, d_n = reduced_constants(params.n)
     return c1 * H_value * t**2 - d_n * params.weyl_sq * t**4
 
@@ -304,7 +293,7 @@ def build_H(k, dim, seed=None):
                         sigma=r_tilde, r_tilde=r_tilde)
 
 
-def audit_bumps(Hb, resolution=None):
+def audit_bumps(Hb):
     """Grid-scan verification of the four bump-profile invariants.
 
     The maxima live in the coordinate (e1, e2)-plane, so the scan covers
@@ -313,8 +302,7 @@ def audit_bumps(Hb, resolution=None):
     is checked by radial profiles through each maximum along every
     coordinate axis.  Returns a report dict; draws no exceptions.
     """
-    sigma = Hb.sigma
-    res = resolution if resolution is not None else sigma / 20.0
+    res = Hb.sigma / 20.0
     dim = Hb.dim
     span = 2.2
     m = int(np.ceil(2.0 * span / res)) + 1
@@ -390,7 +378,7 @@ def tangent_coordinates(model, xi0, pts, frame=None):
     return model.log(xi0, pts) @ frame.T
 
 
-def h_eps_field(model, xi0, eps, mu, Hb, r=0):
+def h_eps_field(model, xi0, eps, mu, Hb):
     """Perturbed potential  c_n R_g + eps * H(log_xi0(.) / mu).
 
     Points farther than 2*mu from xi0 receive the far value -eps without
@@ -413,18 +401,15 @@ def h_eps_field(model, xi0, eps, mu, Hb, r=0):
             out[near] = eps * Hb(y)
         return out[0] if single else out
 
-    meta = {
-        "sup_norm_perturbation": eps * float(np.max(Hb.amplitudes)),
-        "cr_smallness_proxy": eps / mu ** r if r > 0 else eps,
-    }
-    return PotentialField(model=model, base=base, perturbation=pert, meta=meta)
+    return PotentialField(model=model, base=base, perturbation=pert)
 
 
-def schedule_configuration(model, xi0, ts, ps, eps, r=0, alpha=2.0, K=10.0):
+def schedule_configuration(model, xi0, ts, ps, eps, r=0):
     """Bubble configuration (delta_i, xi_i) built from the schedules.
 
     delta_i = t_i * delta(eps) and xi_i = exp_xi0(mu(eps) * p_i) with p_i in
-    tangent-frame coordinates.
+    tangent-frame coordinates.  The admissibility cone is the default one
+    with separation bound K = 10.
     """
     sch = ScheduleParams(n=model.n, eps=eps, r=r)
     d_eps = sch.delta_eps
@@ -435,12 +420,10 @@ def schedule_configuration(model, xi0, ts, ps, eps, r=0, alpha=2.0, K=10.0):
         v = mu * np.asarray(p, dtype=float) @ frame
         center = model.exp(xi0, v)
         bubbles.append(BubbleParams(delta=t * d_eps, center=center))
-    return Configuration(bubbles=tuple(bubbles), alpha=alpha, K=K,
-                         delta_bar=1.0), sch
+    return Configuration(bubbles=tuple(bubbles), K=10.0), sch
 
 
-def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
-                        cutoff=None):
+def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):
     """Normalized energy ratio whose eps -> 0 limit is sum_i F_n(t_i, p_i).
 
     Builds the schedule configuration and the perturbed potential at this
@@ -456,16 +439,15 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0,
     fourth-order branch that belongs to the limit, and Q puts it back:
     Q = -d_n |Weyl|^2 sum_i delta_i^4 ln(1/delta_i) / (eps delta_eps^2) in
     dimension 6 (no log for n >= 7), which converges to the quartic part of
-    sum_i F_n(t_i, p_i).  A ``rule`` coarser than the smallest delta_i
-    raises CapacityError.
+    sum_i F_n(t_i, p_i).  The bubbles carry the default cutoff.  A ``rule``
+    coarser than the smallest delta_i raises CapacityError.
     """
     cfg, sch = schedule_configuration(model, xi0, ts, ps, eps, r=r)
     _check_resolution(rule, cfg)
     mu = sch.mu_eps
-    h = h_eps_field(model, xi0, eps, mu, Hb, r=r)
-    if cutoff is None:
-        cutoff = CutoffSpec.for_model(model)
-    vals = multi_bubble_field(model, cfg, cutoff)(rule.nodes)
+    h = h_eps_field(model, xi0, eps, mu, Hb)
+    u = multi_bubble_field(model, cfg, CutoffSpec.for_model(model))
+    vals = u(rule.nodes)
     # h_eps and c_n R_g share their base, so h - h0 is the perturbation
     j_diff = 0.5 * float(np.sum(rule.weights * h.perturbation(rule.nodes)
                                 * vals**2))

@@ -188,21 +188,11 @@ class TestConfiguration:
         assert not ok
         assert any(v["constraint"] == "scale_ratio" for v in violations)
 
-    def test_json_round_trip(self):
-        cfg = Configuration(bubbles=(BubbleParams(1e-3, np.zeros(8)),),
-                            alpha=3.0, K=50.0, delta_bar=0.5)
-        back = Configuration.from_json(cfg.to_json())
-        assert back.alpha == cfg.alpha and back.K == cfg.K
-        assert back.bubbles[0].delta == cfg.bubbles[0].delta
-        np.testing.assert_array_equal(back.bubbles[0].center,
-                                      cfg.bubbles[0].center)
-
     def test_multi_bubble_field_gradient(self):
         m = _pp()
         xi = _base(m)
         cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
         u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
-        assert u.has_gradient
         single = BubbleField(m, cfg.bubbles[0], CutoffSpec.for_model(m))
         x = m.random_point(RNG)[None, :]
         np.testing.assert_allclose(u.grad(x), single.grad(x), rtol=1e-14)

@@ -17,7 +17,6 @@ from blowup_lab.diagnostics import (
     isolation_ratios,
     order_fit,
     rescale_peak,
-    weighted_peak_bound,
 )
 from blowup_lab.geometry import ManifoldModel
 
@@ -82,16 +81,6 @@ class TestProfiles:
         radii = np.geomspace(0.1, 10.0, 17)
         r, prof = rescale_peak(m, u, xi, delta, radii=radii)
         np.testing.assert_allclose(prof, flat_profile(6, r), rtol=1e-4)
-
-    def test_weighted_bound_single_bubble(self):
-        # d^((n-2)/2) u stays bounded by the profile maximum
-        m = _pp()
-        xi = _base(m)
-        u = multi_bubble_field(
-            m, Configuration(bubbles=(BubbleParams(1e-3, xi),)),
-            CutoffSpec.for_model(m))
-        bound = weighted_peak_bound(m, u, xi, np.geomspace(1e-3, 0.5, 12))
-        assert 0.0 < bound < 30.0
 
 
 class TestIsolation:

@@ -274,6 +274,17 @@ class TestQuadrature:
         with pytest.raises(CapacityError):
             build_quadrature(m, _base(m), finest_scale=1e-4, budget=1000)
 
+    def test_capacity_message_names_the_planned_rule(self):
+        # the message reports the node count of the rule that was asked for
+        m = _pp()
+        rule = build_quadrature(m, _base(m), finest_scale=1e-4,
+                                angular="radial")
+        need = rule.node_count
+        assert need == 23040
+        with pytest.raises(CapacityError, match=f"needs {need} nodes"):
+            build_quadrature(m, _base(m), finest_scale=1e-4,
+                             budget=need - 1, angular="radial")
+
     def test_unknown_product_profile_names_valid_ones(self):
         m = _pp()
         for name in ("fine", "default"):
@@ -328,3 +339,8 @@ class TestQuadrature:
         ball = sphere_volume(5) / 6.0 * 10.0**6
         assert float(np.sum(rule.weights)) == pytest.approx(ball, rel=1e-9)
         assert np.all(rule.weights > 0.0)
+
+    def test_multicenter_needs_two_centres(self):
+        m = ManifoldModel.flat_ball(6, 10.0)
+        with pytest.raises(GeometryError, match="two centres"):
+            build_multicenter_quadrature(m, [np.zeros(6)], finest_scale=0.01)

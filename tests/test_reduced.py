@@ -229,13 +229,6 @@ class TestPerturbedPotential:
         with pytest.raises(CapacityError, match="does not resolve"):
             reduced_limit_ratio(m, xi0, [1.0], [Hb.maxima[0]], 1e-4, Hb, rule)
 
-    def test_sup_norm_meta(self):
-        m = self._model()
-        Hb = build_H(2, 6, seed=5)
-        h = h_eps_field(m, self._xi0(m), 1e-3, 0.1, Hb)
-        assert h.meta["sup_norm_perturbation"] == pytest.approx(
-            1e-3 * float(np.max(Hb.amplitudes)))
-
 
 class TestScheduleConf04:
     def test_configuration_geometry(self):

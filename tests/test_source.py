@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import blowup_lab
@@ -31,3 +32,21 @@ def test_all_names_exist():
                for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, f"names in __all__ that do not exist: {missing}"
+
+
+def test_imports_only_stdlib_and_numpy():
+    # the runtime dependencies in pyproject.toml are numpy alone
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      and name.split(".")[0] != "numpy"]
+    assert not found, f"imports outside the standard library and numpy: {found}"

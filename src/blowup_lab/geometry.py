@@ -557,12 +557,15 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
 
     The rule combines a geodesic-polar patch around the center with radial
     nodes graded geometrically (ratio 2 per annulus) from ``finest_scale/10``
-    out to ``patch_radius`` (default: a quarter of the injectivity radius),
-    and coarser Gauss panels over the rest of the model.  On compact
-    models the panels inside the default cutoff's transition band
-    [inj/8, inj/4] are subdivided.  ``axis``, when given, directs the
-    angular resolution toward that tangent direction; this matters only for
-    integrands that are not radial about the center.
+    out to a quarter of the injectivity radius, and coarser Gauss panels
+    over the rest of the model.  On compact models the panels inside the
+    default cutoff's transition band [inj/8, inj/4] are subdivided.
+    ``patch_radius``, when given, restricts the rule to the geodesic ball
+    of that radius about the center, graded all the way out; nodes beyond
+    it are never built, so ``budget`` pays only for the ball.  ``axis``,
+    when given, directs the angular resolution toward that tangent
+    direction; this matters only for integrands that are not radial about
+    the center.
 
     ``angular`` selects the angular resolution.  On products it is a
     profile name ("radial", "biradial", "axial") or a dict with keys
@@ -584,8 +587,8 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
     center = model.validate_point(np.asarray(center, dtype=float))
-    if patch_radius is None:
-        patch_radius = model.injectivity_radius / 4.0
+    extent = math.inf if patch_radius is None else patch_radius
+    r_patch = min(model.injectivity_radius / 4.0, extent)
     transition = None
     if model.is_compact:
         # the default cutoff transition band [r0/2, r0] with r0 = inj/4;
@@ -593,10 +596,19 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
         r0 = model.injectivity_radius / 4.0
         transition = (r0 / 2.0, r0)
 
+    @functools.cache
+    def ball_grid(r_outer):
+        return _radial_grid(finest_scale, r_patch, r_outer, transition)
+
+    def grid(r_outer):
+        # radial nodes along a direction that leaves the model at r_outer;
+        # directions that leave the ball at the same radius share one grid
+        return ball_grid(min(r_outer, extent))
+
     build = (_build_product_nodes if model.kind == "product_spheres"
              else _build_polar_nodes)
-    nodes, weights = build(model, center, finest_scale, budget, patch_radius,
-                           axis, angular, transition)
+    nodes, weights = build(model, center, finest_scale, budget, grid, axis,
+                           angular)
     keep = weights > 0.0
     return QuadratureRule(model=model, nodes=nodes[keep], weights=weights[keep],
                           center=center, finest_scale=finest_scale)
@@ -609,8 +621,8 @@ def _check_budget(planned, budget, finest_scale):
             f"the requested rule needs {planned} nodes")
 
 
-def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
-                       axis, angular, transition):
+def _build_polar_nodes(model, center, finest_scale, budget, grid, axis,
+                       angular):
     """Polar rule for flat balls and round spheres."""
     n = model.n
     default_profile = "default" if axis is None else "axial"
@@ -631,17 +643,12 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
         # outer radius depends on the direction for off-center rules
         cdotw = dirs @ center
         rmax = -cdotw + np.sqrt(cdotw**2 + model.radius**2 - center @ center)
-        planned = 0
-        blocks = []
-        for j in range(len(dirs)):
-            r, wr = _radial_grid(finest_scale, patch_radius, float(rmax[j]),
-                                 transition)
-            planned += len(r)
-            pts = center + r[:, None] * dirs[j]
-            blocks.append((pts, wdir[j] * wr * r ** (n - 1)))
-        _check_budget(planned, budget, finest_scale)
-        nodes = np.concatenate([b[0] for b in blocks])
-        weights = np.concatenate([b[1] for b in blocks])
+        radial = [grid(float(r)) for r in rmax]
+        _check_budget(sum(len(r) for r, _ in radial), budget, finest_scale)
+        nodes = np.concatenate([center + r[:, None] * d
+                                for (r, _), d in zip(radial, dirs)])
+        weights = np.concatenate([w * wr * r ** (n - 1)
+                                  for (r, wr), w in zip(radial, wdir)])
         return nodes, weights
 
     # round sphere: map directions through the tangent frame
@@ -651,9 +658,8 @@ def _build_polar_nodes(model, center, finest_scale, budget, patch_radius,
         coeff /= np.linalg.norm(coeff)
         dirs = dirs @ _rotation_with_first_axis(coeff).T
     amb = dirs @ frame
-    r, wr = _radial_grid(finest_scale, patch_radius, math.pi, transition)
-    planned = len(dirs) * len(r)
-    _check_budget(planned, budget, finest_scale)
+    r, wr = grid(math.pi)
+    _check_budget(len(dirs) * len(r), budget, finest_scale)
     ct, st = np.cos(r), np.sin(r)
     nodes = (ct[:, None] * center)[:, None, :] + st[:, None, None] * amb[None, :, :]
     nodes = nodes.reshape(-1, model.ambient_dim)
@@ -668,8 +674,8 @@ _PRODUCT_PROFILES = {
 }
 
 
-def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
-                         axis, angular, transition):
+def _build_product_nodes(model, center, finest_scale, budget, grid, axis,
+                         angular):
     p, q, n = model.p, model.q, model.n
     if angular is None:
         angular = "biradial" if axis is None else "axial"
@@ -708,25 +714,19 @@ def _build_product_nodes(model, center, finest_scale, budget, patch_radius,
     wpsi = np.concatenate(wpsis)
 
     A1, A2 = len(a_amb), len(b_amb)
-    planned = 0
-    radial = []
-    for j, ps in enumerate(psi):
-        rmax = min(math.pi / max(math.cos(ps), 1e-15),
-                   math.pi / max(math.sin(ps), 1e-15))
-        r, wr = _radial_grid(finest_scale, patch_radius, rmax, transition)
-        radial.append((r, wr))
-        planned += len(r) * A1 * A2
-    _check_budget(planned, budget, finest_scale)
+    radial = [grid(min(math.pi / max(math.cos(ps), 1e-15),
+                       math.pi / max(math.sin(ps), 1e-15))) for ps in psi]
+    _check_budget(sum(len(r) for r, _ in radial) * A1 * A2, budget,
+                  finest_scale)
 
     blocks_n, blocks_w = [], []
     wab = np.outer(wa, wb).reshape(-1)  # (A1*A2,)
-    for j, ps in enumerate(psi):
-        r, wr = radial[j]
+    for (r, wr), ps, wp in zip(radial, psi, wpsi):
         s1 = r * math.cos(ps)
         s2 = r * math.sin(ps)
         dens = (wr * r ** (n - 1)
                 * _sinc_ratio(s1) ** (p - 1) * _sinc_ratio(s2) ** (q - 1)
-                * wpsi[j] * math.cos(ps) ** (p - 1) * math.sin(ps) ** (q - 1))
+                * wp * math.cos(ps) ** (p - 1) * math.sin(ps) ** (q - 1))
         # factor-sphere points for all radii and directions
         x1 = (np.cos(s1)[:, None, None] * c1[None, None, :]
               + np.sin(s1)[:, None, None] * a_amb[None, :, :])  # (R, A1, p+1)
@@ -749,10 +749,13 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     A smooth partition of unity splits the integral into one well-resolved
     polar patch per center plus a coarse background piece; each piece is
     integrated by a rule centered where its integrand lives, so the combined
-    node set integrates fields with spikes at every center.  Weights stay
-    positive because the partition functions are.  It needs at least two
-    centres; one centre is the job of :func:`build_quadrature`.  No piece is
-    radial about its centre, so the "radial" profile raises GeometryError.
+    node set integrates fields with spikes at every center.  Each patch is
+    a :func:`build_quadrature` rule for the ball its localizer lives on, so
+    no node is built only to be dropped.  The budget is split evenly over
+    the patches and the background.  Weights stay positive because the
+    partition functions are.  It needs at least two centres; one centre is
+    the job of :func:`build_quadrature`.  No piece is radial about its
+    centre, so the "radial" profile raises GeometryError.
     """
     if "radial" in (angular, patch_angular):
         raise GeometryError(
@@ -774,32 +777,23 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         return step(2.0 * (r_i - d) / r_i)
 
     sub_budget = budget // (len(centers) + 1)
-    all_nodes, all_weights = [], []
+    all_nodes, all_weights, axes = [], [], []
     for idx, c in enumerate(centers):
         try:
-            ax = model.log(c, centers[(idx + 1) % len(centers)])
+            axes.append(model.log(c, centers[(idx + 1) % len(centers)]))
         except GeometryError:
-            ax = None
+            axes.append(None)
+        # a rule for the ball of radius r_i about c, weighted by the localizer
         rule = build_quadrature(model, c, finest_scale, sub_budget,
-                                patch_radius=r_i, axis=ax,
+                                patch_radius=r_i, axis=axes[-1],
                                 angular=patch_angular or "axial")
-        # restrict to the patch support and apply the localizer
-        d = model.distance(rule.nodes, c)
-        keep = d < r_i
-        w = rule.weights[keep] * part(d[keep])
-        all_nodes.append(rule.nodes[keep])
-        all_weights.append(w)
+        all_nodes.append(rule.nodes)
+        all_weights.append(rule.weights * part(model.distance(rule.nodes, c)))
 
+    # the background integrand keeps the inter-center axis symmetry
     bg_finest = max(r_i / 2.0, finest_scale)
-    try:
-        # the background integrand keeps the inter-center axis symmetry
-        bg_axis = model.log(centers[0], centers[1])
-        if np.linalg.norm(bg_axis) < 1e-12:
-            bg_axis = None
-    except GeometryError:
-        bg_axis = None
     bg = build_quadrature(model, centers[0], min(bg_finest, 1.0), sub_budget,
-                          axis=bg_axis, angular=angular or "axial")
+                          axis=axes[0], angular=angular or "axial")
     rho = np.zeros(len(bg.nodes))
     for c in centers:
         rho += part(model.distance(bg.nodes, c))

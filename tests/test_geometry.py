@@ -344,3 +344,45 @@ class TestQuadrature:
         m = ManifoldModel.flat_ball(6, 10.0)
         with pytest.raises(GeometryError, match="two centres"):
             build_multicenter_quadrature(m, [np.zeros(6)], finest_scale=0.01)
+
+    @pytest.mark.parametrize("model", [ManifoldModel.round_sphere(6), _pp(),
+                                       ManifoldModel.flat_ball(6, 1.0)],
+                             ids=["S6", "S3xS3", "B6"])
+    def test_patch_radius_bounds_the_rule(self, model):
+        c = _base(model)
+        if model.kind == "flat_ball":
+            c[0] = 0.97  # the ball of radius 0.05 reaches past the boundary
+        angular = "biradial" if model.kind == "product_spheres" else "minimal"
+        rule = build_quadrature(model, c, finest_scale=1e-2, patch_radius=0.05,
+                                angular=angular)
+        d = model.distance(rule.nodes, c)
+        assert np.all(d < 0.05)
+        assert np.max(d) > 0.049
+        assert np.all(rule.weights > 0.0)
+
+    def test_multicenter_budget_pays_only_for_kept_nodes(self):
+        # each patch is a rule for its own ball of radius 0.01 (153,600
+        # nodes), so it fits a third of the budget; a rule for the whole
+        # ball about the same centre needs 583,680
+        m = ManifoldModel.flat_ball(7, 100.0)
+        c1, c2 = np.zeros(7), np.zeros(7)
+        c1[0], c2[0] = -0.01, 0.01
+        rule = build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
+                                            budget=1_300_000)
+        assert rule.node_count == 640_128
+        # a third of the budget no longer holds the background
+        with pytest.raises(CapacityError, match="needs 414720 nodes"):
+            build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
+                                         budget=1_200_000)
+
+    def test_multicenter_patch_clipped_by_the_boundary(self):
+        # the patch about 0.97 e1 has radius 0.05, so the directions toward
+        # the boundary end at the unit sphere before the patch does
+        m = ManifoldModel.flat_ball(6, 1.0)
+        e1, e2 = np.eye(6)[:2]
+        rule = build_multicenter_quadrature(
+            m, [0.97 * e1, 0.97 * e1 + 0.1 * e2], finest_scale=1e-2)
+        r = np.linalg.norm(rule.nodes, axis=-1)
+        assert np.all(r < 1.0)
+        assert np.max(r) > 0.999
+        assert np.all(rule.weights > 0.0)

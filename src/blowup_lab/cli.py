@@ -347,7 +347,7 @@ def run(config_path, out=None, quiet=False):
         return 2
     outdir = out or cfg.get("out", ".")
     os.makedirs(outdir, exist_ok=True)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rows, columns, lines, passed = _RUNNERS[kind](cfg)
     except CapacityError as e:
@@ -365,7 +365,7 @@ def run(config_path, out=None, quiet=False):
     manifest = {
         "config": cfg,
         "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
-        "wallclock_seconds": time.time() - t0,
+        "wallclock_seconds": time.perf_counter() - t0,
         "outputs": [os.path.basename(csv_path),
                     os.path.basename(summary_path)],
         "version": __version__,

@@ -78,28 +78,23 @@ def flat_profile(n, radii):
     return (n * (n - 2.0)) ** (m / 2.0) / (1.0 + radii**2) ** m
 
 
-def rescale_peak(model, u, center, scale, radii=None, directions=4):
+def rescale_peak(model, u, center, scale, radii=None):
     """Blow-up profile of u around a center at a given scale.
 
-    Samples u along ``directions`` fixed geodesic rays through the center at
-    distances scale * radii and returns (radii, scale^((n-2)/2) * mean value
-    over directions).  On the standard profile this converges to
-    ``flat_profile`` as scale -> 0.
+    Samples u along four fixed geodesic rays through the center (the first
+    four of the tangent frame and its negative) at distances scale * radii
+    and returns (radii, scale^((n-2)/2) * mean value over the rays).  On
+    the standard profile this converges to ``flat_profile`` as scale -> 0.
     """
     n = model.n
     if radii is None:
         radii = np.geomspace(1e-2, 1e2, 33)
     radii = np.asarray(radii, dtype=float)
     frame = model.tangent_frame(center)
-    vals = np.zeros((directions, len(radii)))
-    for j in range(directions):
-        v = frame[j % n]
-        if j >= n:
-            v = -frame[j - n]
-        d = np.minimum(scale * radii, 0.999 * model.injectivity_radius)
-        pts = model.exp(center, d[:, None] * v)
-        vals[j] = u(pts)
-    prof = scale ** ((n - 2.0) / 2.0) * vals.mean(axis=0)
+    d = np.minimum(scale * radii, 0.999 * model.injectivity_radius)
+    vals = [u(model.exp(center, d[:, None] * v))
+            for v in np.vstack([frame, -frame])[:4]]
+    prof = scale ** ((n - 2.0) / 2.0) * np.mean(vals, axis=0)
     return radii, prof
 
 
@@ -119,41 +114,47 @@ class PeakReport:
         return len(self.scales)
 
 
-_POLISH_POINTS = 17   # samples per coordinate bracket; each zoom shrinks it 8x
-_POLISH_LEVELS = 11   # zooms per round: bracket half-width step * 8^-11
-_POLISH_ROUNDS = 8    # Jacobi rounds, step shrinking 10x per round
+_FITS = 6           # profile fits per candidate at most
 
 
-def _bracket_polish(f, x, step):
-    """Batched coordinate-bracket refinement of a local maximum.
+def _fit_peak(model, f, c, s, cap):
+    """Fit a standard bubble to f around the point c by inverting its profile.
 
-    Each round gives every coordinate i the bracket x[i] +- step.  Each
-    zoom level evaluates f once on an (n*m, n) batch: for every coordinate,
-    m copies of x with that coordinate swept over m equispaced points of
-    its bracket.  Each bracket then shrinks to +-1 cell around its own
-    argmax, which keeps the 1-d maximum inside it when the slice is
-    unimodal.  After the last level all coordinates move to their bracket
-    midpoints at once (a Jacobi update) and step shrinks 10x.  The cost is
-    a fixed rounds * levels = 88 calls of about 100 points each.
+    A bubble of scale delta centred at z* in normal coordinates z at c has
+    f^(-2/(n-2)) = (delta^2 + |z - z*|^2) / (sqrt(n(n-2)) delta), exactly
+    on flat space.  One field call samples f at c and at +-s on each
+    tangent axis (2n + 1 points); the least-squares fit of a|z|^2 + b.z + g
+    to those samples decouples into g = sample at c, b_i = the central
+    difference on axis i and a = the mean second difference.  Then
+    z* = -b/2a and delta = 1/(sqrt(n(n-2)) a).  The point moves to
+    exp_c(z*) and the fit repeats with s = delta, which removes the
+    curvature error, until |z*| < 1e-10 s or after _FITS fits.
+
+    Returns (point, delta, height), the height being f at the last
+    stencil's centre, or None when the samples are not bubble-shaped:
+    a nonpositive sample, or a fitted delta or |z*| of at least ``cap``.
     """
-    x = np.asarray(x, dtype=float)
-    n, m = len(x), _POLISH_POINTS
-    rows = np.arange(n)
-    sweep = np.linspace(-1.0, 1.0, m)
-    for _ in range(_POLISH_ROUNDS):
-        center = x
-        half = np.full(n, float(step))
-        for _ in range(_POLISH_LEVELS):
-            probe = center[:, None] + half[:, None] * sweep     # (n, m)
-            batch = np.broadcast_to(x, (n, m, n)).copy()
-            batch[rows, :, rows] = probe
-            vals = np.asarray(f(batch.reshape(n * m, n)), dtype=float)
-            best = np.argmax(vals.reshape(n, m), axis=1)
-            center = probe[rows, best]
-            half = half * (2.0 / (m - 1))
-        x = center
-        step *= 0.1
-    return x
+    n = model.n
+    kappa = math.sqrt(n * (n - 2.0))
+    axes = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
+    for _ in range(_FITS):
+        frame = model.tangent_frame(c)
+        vals = np.asarray(f(model.exp(c, (s * axes) @ frame)), dtype=float)
+        if not np.all(vals > 0.0):
+            return None
+        w = vals ** (-2.0 / (n - 2.0))
+        a = (np.mean(w[1:]) - w[0]) / s**2
+        b = (w[1:n + 1] - w[n + 1:]) / (2.0 * s)
+        # comparisons that a NaN fails, and no division before them
+        if not (kappa * a * cap > 1.0 and np.linalg.norm(b) < 2.0 * a * cap):
+            return None
+        z = -b / (2.0 * a)
+        delta = float(1.0 / (kappa * a))
+        c = model.exp(c, z @ frame)
+        if np.linalg.norm(z) < 1e-10 * s:
+            break
+        s = delta
+    return c, delta, float(vals[0])
 
 
 _PROMINENCE = 0.05    # stop below this share of the first peak's height
@@ -162,85 +163,71 @@ _PROMINENCE = 0.05    # stop below this share of the first peak's height
 def extract_peaks(model, u, xi0, search_grid, k_max=8):
     """Locate concentration peaks of a nonnegative field.
 
-    Works in tangent coordinates at xi0: takes the best point of
-    ``search_grid``, polishes it, infers the scale from the height via the
-    extremal profile normalization, subtracts the matching standard peak,
-    repeats.  Stops when the remaining sup falls below 5% of the first
-    height.  Returns a PeakReport; irrecoverable situations (flat field,
-    more than ``k_max`` peaks) are reported as failures, not raised.
+    Works from ``search_grid`` (tangent coordinates at xi0, shape (N, n),
+    required): takes the grid point where the field is largest, fits a
+    standard bubble there (``_fit_peak``), which gives the peak's centre
+    and scale, subtracts that bubble and repeats.  Stops when the fitted
+    height falls below 5% of the first one.  Returns a PeakReport;
+    irrecoverable situations (no bubble-shaped maximum, more than
+    ``k_max`` peaks) are reported as failures, not raised.
 
-    ``search_grid`` (tangent coordinates at xi0, shape (N, n)) supplies the
-    candidate locations and is required.  It must be fine enough to resolve
-    the smallest concentration scale: an exhaustive grid with spacing below
-    the scale is hopeless in 6 dimensions, so in practice the grid comes
-    from where the upstream solver refined its mesh.  ``residual_sup`` is
-    the largest remaining value over the grid.
+    The grid must resolve the smallest concentration scale: an exhaustive
+    grid with spacing below the scale is hopeless in 6 dimensions, so in
+    practice the grid comes from where the upstream solver refined its
+    mesh.  ``residual_sup`` is the largest remaining value over the grid.
 
-    The polish is a batched coordinate-bracket search (``_bracket_polish``)
-    whose initial step is the distance to the nearest other grid point,
-    capped at 0.15 min(inj, pi).  It makes one field call of about 100
-    points per zoom level, 88 calls per candidate, so a case of k peaks
-    costs 90 (k + 1) + 1 field calls: the candidate that falls below the
-    prominence threshold is polished too.
+    The first stencil radius is the scale the grid value v implies,
+    sqrt(n(n-2)) v^(-2/(n-2)) = (delta^2 + r^2)/delta >= 2r at distance r
+    from a bubble's centre, so the stencil spans the centre; it is capped
+    at 0.15 min(inj, pi).  Each fit is one field call of 2n + 1 points and
+    a peak takes about three; with one grid call per candidate and one at
+    the end, criterion 11's fields with k = 1, 2, 3 peaks cost 6-7, 10 and
+    14 field calls.
     """
     n = model.n
-    frame = model.tangent_frame(xi0)
-    max_step = 0.9 * min(model.injectivity_radius, math.pi) / 6.0
+    cap = 0.9 * min(model.injectivity_radius, math.pi) / 6.0
     search_grid = np.atleast_2d(np.asarray(search_grid, dtype=float))
     if search_grid.ndim != 2 or search_grid.shape[1] != n:
         raise ValueError(f"search_grid must have shape (N, {n}), "
                          f"got {search_grid.shape}")
+    grid = model.exp(xi0, search_grid @ model.tangent_frame(xi0))
+    kappa = math.sqrt(n * (n - 2.0))
+    m = (n - 2.0) / 2.0
+    centers, scales, heights = [], [], []
 
-    def to_point(y):
-        return model.exp(xi0, y @ frame)
-
-    residual_terms = []
-
-    def remaining(Y):
-        pts = model.exp(xi0, np.atleast_2d(Y) @ frame)
+    def remaining(pts):
         vals = np.asarray(u(pts), dtype=float)
-        for c, s in residual_terms:
+        for c, s in zip(centers, scales):
             d = model.distance(pts, c)
-            m = (n - 2.0) / 2.0
-            vals = vals - (math.sqrt(n * (n - 2.0)) * s / (s**2 + d**2)) ** m
+            vals = vals - (kappa * s / (s**2 + d**2)) ** m
         return vals
 
-    centers, scales, heights = [], [], []
-    first_height = None
     for _ in range(k_max + 1):
-        vals = remaining(search_grid)
+        vals = remaining(grid)
         j = int(np.argmax(vals))
-        y, v = search_grid[j].copy(), float(vals[j])
-        gaps = np.linalg.norm(np.delete(search_grid, j, axis=0) - y, axis=-1)
-        step = float(np.min(gaps, initial=max_step))
-        if first_height is None and (v <= 0.0 or not np.isfinite(v)):
-            return PeakReport((), (), (), float(v), failed=True,
-                              message="field has no positive maximum")
-        # a grid sample can sit well below the true height, so polish
-        # before judging prominence
-        y = _bracket_polish(remaining, y, step)
-        v = float(remaining(y[None])[0])
-        if first_height is None:
-            if v <= 0.0 or not np.isfinite(v):
-                return PeakReport((), (), (), float(v), failed=True,
-                                  message="field has no positive maximum")
-            first_height = v
-        if v < _PROMINENCE * first_height:
+        v = float(vals[j])
+        peak = None
+        if v > 0.0:
+            peak = _fit_peak(model, remaining, grid[j],
+                             min(kappa * v ** (-1.0 / m), cap), cap)
+        if peak is None:
+            if not centers:
+                return PeakReport((), (), (), v, failed=True,
+                                  message="no bubble-shaped maximum found")
+            break
+        c, scale, height = peak
+        if heights and height < _PROMINENCE * heights[0]:
             break
         if len(centers) == k_max:
             return PeakReport(tuple(centers), tuple(scales), tuple(heights),
-                              float(v), failed=True,
+                              height, failed=True,
                               message="peak count exceeds k_max")
-        m = (n - 2.0) / 2.0
-        scale = ((n * (n - 2.0)) ** (m / 2.0) / v) ** (1.0 / m)
-        c = to_point(y)
         centers.append(c)
         scales.append(scale)
-        heights.append(v)
-        residual_terms.append((c, scale))
-    v = float(np.max(remaining(search_grid)))
+        heights.append(height)
+    v = float(np.max(remaining(grid)))
     return PeakReport(tuple(centers), tuple(scales), tuple(heights),
-                      float(max(v, 0.0)))
+                      max(v, 0.0))
 
 
 @dataclass(frozen=True)

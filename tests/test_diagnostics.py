@@ -119,8 +119,8 @@ def _planted_with_grid(model, xi0, delta, seed):
 
 class TestExtractPeaks:
     def test_field_call_budget(self):
-        # the polish batches its probes: a k=1 case costs a few hundred
-        # field calls, not thousands of one-point calls
+        # each profile fit is one field call of 2n + 1 points: a k=1 case
+        # costs a handful of calls
         m = _pp()
         xi0 = _base(m)
         delta = 5e-3
@@ -132,7 +132,7 @@ class TestExtractPeaks:
             return u(pts)
 
         rep = extract_peaks(m, counted, xi0, k_max=3, search_grid=grid)
-        assert len(calls) <= 400
+        assert len(calls) <= 20
         assert not rep.failed
         assert rep.k == 1
         assert m.distance(rep.centers[0], center) < 0.1 * delta
@@ -146,8 +146,10 @@ class TestExtractPeaks:
         rep = extract_peaks(m, u, xi0, k_max=3, search_grid=grid)
         assert not rep.failed
         assert rep.k == 1
-        assert m.distance(rep.centers[0], center) < 1e-3 * delta
-        assert abs(rep.scales[0] - delta) < 1e-4 * delta
+        assert m.distance(rep.centers[0], center) < 1e-8 * delta
+        assert abs(rep.scales[0] - delta) < 1e-8 * delta
+        assert type(rep.scales[0]) is float
+        assert type(rep.heights[0]) is float
 
         def flat(pts):
             return np.zeros(np.shape(pts)[:-1])
@@ -155,6 +157,21 @@ class TestExtractPeaks:
         rep = extract_peaks(m, flat, xi0, search_grid=grid)
         assert rep.failed
         assert rep.k == 0
+
+    def test_constant_field_has_no_peak(self):
+        # a positive field with no bubble-shaped maximum is a failure, not
+        # a peak per grid point
+        m = _pp()
+        xi0 = _base(m)
+        _, _, grid = _planted_with_grid(m, xi0, 5e-3, seed=3)
+
+        def constant(pts):
+            return np.full(np.shape(pts)[:-1], 2.0)
+
+        rep = extract_peaks(m, constant, xi0, search_grid=grid)
+        assert rep.failed
+        assert rep.k == 0
+        assert "no bubble-shaped maximum" in rep.message
 
     def test_search_grid_shape_checked(self):
         # a k_max passed in the old fourth positional slot fails loudly

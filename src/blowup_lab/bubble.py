@@ -132,11 +132,11 @@ class BubbleField:
 
         The derivative is None for order 0, the ambient gradient for order 1
         and the geometer's Laplacian -div grad for order 2; the Laplacian
-        needs only radial derivatives, never the distance gradient.
+        needs only radial derivatives, never the distance gradient.  The
+        distance and its gradient or Laplacian coefficient come from one
+        projection per sphere factor.
         """
-        pts = np.asarray(pts, dtype=float)
-        center = self.params.center
-        d = self.model.distance(pts, center)
+        d, metric = self.model._distance_jet(self.params.center, pts, order)
         chi = self.cutoff.value(d)
         B, B1, B2 = _profile(self.model.n, self.params.delta, d)
         w = chi * B
@@ -145,13 +145,12 @@ class BubbleField:
         c1 = self.cutoff.d1(d)
         w1 = c1 * B + chi * B1
         if order == 1:
-            return w, w1[..., None] * self.model.distance_gradient(center, pts)
+            return w, w1[..., None] * metric
         w2 = self.cutoff.d2(d) * B + 2.0 * c1 * B1 + chi * B2
-        coeff = self.model.radial_laplacian_coeff(center, pts, d=d)
         # at the center the slope vanishes like w''(0) d; the limit of the
         # full expression is n * w''(0)
         near = d < 1e-12
-        lap = w2 + coeff * w1
+        lap = w2 + metric * w1
         if np.any(near):
             lap = np.where(near, self.model.n * w2, lap)
         return w, -lap

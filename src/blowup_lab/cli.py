@@ -7,7 +7,8 @@ Usage:
 Each run writes manifest.json, one CSV per sweep, and summary.txt with
 pass/fail lines against the thresholds in the config (defaults match the
 project acceptance criteria).  Exit codes: 0 ok, 1 threshold failure
-(artifacts still written), 2 malformed config, 3 capacity exceeded.
+(artifacts still written), 2 malformed config, 3 capacity exceeded,
+4 numerical or domain failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 
@@ -28,14 +30,22 @@ from .bubble import (BubbleParams, Configuration, CutoffSpec,
 from .diagnostics import isolation_ratios, order_fit
 from .functional import (PotentialField, energy, energy_split, residual_norm,
                          single_bubble_energy_constant)
-from .geometry import (CapacityError, ManifoldModel,
+from .geometry import (CapacityError, GeometryError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
-from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
-                      reduced_constants, reduced_limit_ratio,
+from .reduced import (DegenerateError, ScheduleParams, audit_bumps, build_H,
+                      mu_eps, reduced_constants, reduced_limit_ratio,
                       schedule_configuration)
+
 
 class ConfigError(ValueError):
     """Malformed experiment configuration (maps to exit code 2)."""
+
+
+def _peak_rss_mb():
+    """This process's peak resident set size (ru_maxrss) in MiB."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return rss / 2**20 if sys.platform == "darwin" else rss / 2**10
 
 
 def _fmt(x):
@@ -60,23 +70,39 @@ def emit_csv(path, columns, rows):
 
 def _model_from_spec(spec):
     kind = spec.get("kind", "product_spheres")
-    if kind == "product_spheres":
-        return ManifoldModel.product_spheres(spec.get("p", 3), spec.get("q", 3))
-    if kind == "round_sphere":
-        return ManifoldModel.round_sphere(spec.get("n", 6))
-    if kind == "flat_ball":
-        return ManifoldModel.flat_ball(spec.get("n", 6),
-                                       spec.get("radius", 100.0))
+    # a dimension or radius out of the model's range is a config value the
+    # constructor refuses, not a failure of the computation
+    try:
+        if kind == "product_spheres":
+            return ManifoldModel.product_spheres(spec.get("p", 3),
+                                                 spec.get("q", 3))
+        if kind == "round_sphere":
+            return ManifoldModel.round_sphere(spec.get("n", 6))
+        if kind == "flat_ball":
+            return ManifoldModel.flat_ball(spec.get("n", 6),
+                                           spec.get("radius", 100.0))
+    except GeometryError as e:
+        raise ConfigError(f"model {spec}: {e}") from e
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def _geomspace(rng_spec, default_lo, default_hi, default_count):
+def _geomspace(rng_spec, default_lo, default_hi, default_count, top=math.inf):
     lo = float(rng_spec.get("min", default_lo))
     hi = float(rng_spec.get("max", default_hi))
     count = int(rng_spec.get("count", default_count))
-    if not (0 < lo < hi) or count < 2:
-        raise ConfigError("range must satisfy 0 < min < max with count >= 2")
+    if not (0 < lo < hi <= top) or count < 2:
+        bound = "" if top == math.inf else f" <= {top:g}"
+        raise ConfigError(f"range must satisfy 0 < min < max{bound} "
+                          f"with count >= 2")
     return np.geomspace(lo, hi, count)
+
+
+def _scale(value):
+    """A bubble scale from the config; rules resolve scales in (0, 1]."""
+    delta = float(value)
+    if not 0.0 < delta <= 1.0:
+        raise ConfigError(f"bubble scale {delta:g} must lie in (0, 1]")
+    return delta
 
 
 def _rule_center(model):
@@ -100,7 +126,8 @@ def _exp_flat_energy(cfg):
     tol = float(cfg.get("threshold", 1e-6))
     rows, lines, ok = [], [], True
     for n in dims:
-        model = ManifoldModel.flat_ball(n, radius)
+        model = _model_from_spec({"kind": "flat_ball", "n": n,
+                                  "radius": radius})
         center = np.zeros(n)
         rule = build_quadrature(model, center, finest_scale=1.0,
                                 budget=budget, angular="radial")
@@ -122,7 +149,7 @@ def _exp_flat_energy(cfg):
 def _exp_expansion_sweep(cfg):
     model = _model_from_spec(cfg.get("model", {}))
     sigma = float(cfg.get("sigma", 1e-3))
-    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 7)
+    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 7, top=1.0)
     budget = int(cfg.get("budget", 2_000_000))
     tol = float(cfg.get("threshold", 0.05))
     c1 = reduced_constants(model.n)[0]
@@ -151,11 +178,12 @@ def _exp_expansion_sweep(cfg):
 
 def _exp_interaction_sweep(cfg):
     n = int(cfg.get("n", 6))
-    delta = float(cfg.get("delta", 1e-3))
+    delta = _scale(cfg.get("delta", 1e-3))
     dists = _geomspace(cfg.get("dist_range", {}), 0.02, 0.2, 6)
     budget = int(cfg.get("budget", 4_000_000))
     tol = float(cfg.get("threshold", 0.05))
-    model = ManifoldModel.flat_ball(n, float(cfg.get("radius", 100.0)))
+    model = _model_from_spec({"kind": "flat_ball", "n": n,
+                              "radius": float(cfg.get("radius", 100.0))})
     rows = []
     for d in dists:
         c1 = np.zeros(n)
@@ -181,7 +209,7 @@ def _exp_interaction_sweep(cfg):
 
 def _exp_residual_sweep(cfg):
     model = _model_from_spec(cfg.get("model", {"kind": "product_spheres"}))
-    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 6)
+    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 6, top=1.0)
     budget = int(cfg.get("budget", 2_000_000))
     log_b = float(cfg.get("log_correction", 2.0 / 3.0 if model.n == 6 else 0.0))
     lo, hi = cfg.get("slope_window", [1.8, 2.4] if model.n == 6 else [1.9, 2.2])
@@ -354,6 +382,10 @@ def run(config_path, out=None, quiet=False):
         print(f"error: capacity exceeded: {e}\nhint: raise 'budget' in the "
               f"config or coarsen the sweep", file=sys.stderr)
         return 3
+    except (GeometryError, DegenerateError) as e:
+        # both derive from ValueError: caught first, they are not config errors
+        print(f"error: numerical or domain failure: {e}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError, KeyError, TypeError) as e:
         print(f"error: malformed config: {e}", file=sys.stderr)
         return 2
@@ -368,6 +400,7 @@ def run(config_path, out=None, quiet=False):
         "wallclock_seconds": time.perf_counter() - t0,
         "outputs": [os.path.basename(csv_path),
                     os.path.basename(summary_path)],
+        "peak_rss_mb": _peak_rss_mb(),
         "version": __version__,
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as f:

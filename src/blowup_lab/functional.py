@@ -9,7 +9,10 @@ equation in the L^(2n/(n+2)) norm, pairwise bubble interaction scales, and
 the multi-bubble energy splitting.  All integrals are straightforward
 weighted sums over a :class:`~blowup_lab.geometry.QuadratureRule`; integrands
 are evaluated analytically (radial derivatives of the profile and cutoff),
-never by discrete differentiation.  J is affine in h, so an h-difference is
+never by discrete differentiation.  Integrands are sampled on the rule's
+nodes in fixed blocks, so their per-node temporaries stay cache-sized on
+rules of millions of nodes, and each weighted sum is then reduced once over
+the full node array.  J is affine in h, so an h-difference is
 integrated in closed form, J_h(u) - J_h0(u) = 1/2 int (h - h0) u^2, rather
 than as the difference of two energies that agree in most of their digits.
 """
@@ -103,12 +106,32 @@ def _density(vals, grads, hv, twostar):
     return 0.5 * quadratic - power / twostar, power
 
 
+# nodes per block of _sample: a block's (nodes, 8) float temporaries take
+# 2 MiB, so a few of them stay in cache
+_BLOCK = 32_768
+
+
+def _sample(integrand, nodes):
+    """``integrand`` on ``nodes``, evaluated in consecutive blocks of _BLOCK.
+
+    The integrand maps a block of points to values along its last axis;
+    the blocks' values are concatenated there.  A weighted sum over the
+    result is one reduction over the full node array, summed in the same
+    order as if the integrand had been evaluated on all nodes at once.
+    """
+    return np.concatenate([integrand(nodes[i:i + _BLOCK])
+                           for i in range(0, len(nodes), _BLOCK)], axis=-1)
+
+
 def energy(model, h, u, rule):
     """Quadrature value of J_h(u) for a field u sampled by ``jet``."""
-    pts = rule.nodes
-    vals, grads = u.jet(pts, 1)
-    dens, _ = _density(vals, grads, h(pts), critical_exponent(model.n))
-    return float(np.sum(rule.weights * dens))
+    twostar = critical_exponent(model.n)
+
+    def density(pts):
+        vals, grads = u.jet(pts, 1)
+        return _density(vals, grads, h(pts), twostar)[0]
+
+    return float(np.sum(rule.weights * _sample(density, rule.nodes)))
 
 
 def _check_resolution(rule, cfg):
@@ -140,8 +163,8 @@ def residual_field(model, h, cfg, cutoff):
 def residual_norm(model, h, cfg, cutoff, rule):
     """L^(2n/(n+2)) norm of the strong-form residual."""
     _check_resolution(rule, cfg)
-    return lebesgue_norm(model, rule,
-                         residual_field(model, h, cfg, cutoff)(rule.nodes))
+    res = residual_field(model, h, cfg, cutoff)
+    return lebesgue_norm(model, rule, _sample(res, rule.nodes))
 
 
 def lebesgue_norm(model, rule, values):
@@ -211,31 +234,35 @@ def energy_split(model, h, cfg, cutoff, rule):
     """Evaluate the multi-bubble energy splitting on one shared rule."""
     _check_resolution(rule, cfg)
     fields = [BubbleField(model, b, cutoff) for b in cfg.bubbles]
-    pts = rule.nodes
-    w = rule.weights
-    hv = h(pts)
+    k = len(fields)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     twostar = critical_exponent(model.n)
 
-    vals, grads = zip(*(f.jet(pts, 1) for f in fields))
-    dens, powers = zip(*(_density(v, g, hv, twostar)
-                         for v, g in zip(vals, grads)))
-    per_bubble = [float(np.sum(w * d)) for d in dens]
+    def pieces(pts):
+        # rows: k per-bubble densities, one coupling per pair, the total
+        # density and the nonlinear excess
+        hv = h(pts)
+        vals, grads = zip(*(f.jet(pts, 1) for f in fields))
+        dens, powers = zip(*(_density(v, g, hv, twostar)
+                             for v, g in zip(vals, grads)))
+        # the 1/2 in the energy cancels the (i, j)/(j, i) symmetry factor
+        couplings = [np.sum(grads[i] * grads[j], axis=-1)
+                     + hv * vals[i] * vals[j] for i, j in pairs]
+        total_dens, _ = _density(sum(vals), sum(grads), hv, twostar)
+        return np.stack([*dens, *couplings, total_dens,
+                         _power_excess(vals, powers, twostar)])
 
+    sums = [float(np.sum(rule.weights * row))
+            for row in _sample(pieces, rule.nodes)]
+    per_bubble = sums[:k]
     cross = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            # the 1/2 in the energy cancels the (i, j)/(j, i) symmetry factor
-            coupling = (np.sum(grads[i] * grads[j], axis=-1)
-                        + hv * vals[i] * vals[j])
-            cross += float(np.sum(w * coupling))
-
-    total_dens, _ = _density(sum(vals), sum(grads), hv, twostar)
-    total = float(np.sum(w * total_dens))
-    excess = float(np.sum(w * _power_excess(vals, powers, twostar)))
+    for c in sums[k:-2]:
+        cross += c
+    total, excess = sums[-2:]
 
     prediction = 0.0
-    for i in range(len(fields)):
-        for j in range(len(fields)):
+    for i in range(k):
+        for j in range(k):
             if i != j:
                 prediction += interaction_term(model, cfg.bubbles[i],
                                                cfg.bubbles[j])

@@ -50,22 +50,29 @@ def sphere_volume(m):
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1)
+    # einsum: a numpy reduce over a length-4 axis costs more than the products
+    return np.einsum("...i,...i->...", a, b)
 
 
-def _sphere_angle(a, b):
-    """Angle between unit vectors, accurate for all separations.
+def _sphere_polar(base, x):
+    """Angle from ``base`` to ``x`` on a unit sphere, with its projection.
 
-    arccos(a.b) loses half the significant digits at small angles (1 - a.b
-    rounds at machine epsilon); the chord formula 2 arcsin(|a-b|/2) is
-    exact there, and the antipodal mirror covers obtuse angles.
+    Returns (angle, w, |w|), where w = x - (x.base) base is the part of x
+    orthogonal to base: a tangent vector at base of length sin(angle) that
+    points toward x.  Distances, log maps, distance gradients and the
+    mean curvature of geodesic spheres all derive from this one
+    projection.
+
+    atan2(|w|, c), with c = x.base, is accurate to a few ulp absolute at
+    every angle from 0 to pi: near 0 it is |w|/c, where arccos(c) would
+    lose half the digits because 1 - c rounds at machine epsilon, and
+    near pi it is pi - |w|/|c|, so no branch between the near and the
+    antipodal side is needed.
     """
-    chord = np.linalg.norm(a - b, axis=-1)
-    anti = np.linalg.norm(a + b, axis=-1)
-    near = chord <= anti
-    return np.where(near,
-                    2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)),
-                    math.pi - 2.0 * np.arcsin(np.clip(anti / 2.0, 0.0, 1.0)))
+    c = _dot(x, base)
+    w = x - c[..., None] * base
+    nw = np.sqrt(_dot(w, w))
+    return np.arctan2(nw, c), w, nw
 
 
 def _sphere_exp(base, v):
@@ -76,14 +83,10 @@ def _sphere_exp(base, v):
     return np.cos(theta) * base + np.sin(theta) * np.where(small, 0.0, v / safe)
 
 
-def _sphere_log(base, x):
-    """Inverse of :func:`_sphere_exp`; requires angle < pi."""
-    c = np.clip(_dot(base, x), -1.0, 1.0)
-    theta = _sphere_angle(base, x)
-    w = x - c[..., None] * base
-    nw = np.linalg.norm(w, axis=-1)
+def _along(length, w, nw):
+    """``length`` times the unit vector w/|w|; 0 where w vanishes."""
     small = nw < 1e-300
-    scale = np.where(small, 0.0, theta / np.where(small, 1.0, nw))
+    scale = np.where(small, 0.0, length / np.where(small, 1.0, nw))
     return scale[..., None] * w
 
 
@@ -214,26 +217,33 @@ class ManifoldModel:
 
     # -- metric operations ---------------------------------------------------
 
+    def _polars(self, base, x):
+        """:func:`_sphere_polar` on each sphere factor, and the distance.
+
+        Returns (d, polars): one (angle, w, |w|) on a round sphere, two on
+        a product, whose distance is the hypotenuse of the factor angles.
+        """
+        if self.kind == "product_spheres":
+            polars = [_sphere_polar(bi, xi)
+                      for bi, xi in zip(self.split(base), self.split(x))]
+            return np.sqrt(polars[0][0]**2 + polars[1][0]**2), polars
+        polar = _sphere_polar(base, x)
+        return polar[0], [polar]
+
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape[-1] != self.ambient_dim or b.shape[-1] != self.ambient_dim:
             raise GeometryError("mismatched ambient dimensions")
-        if self.kind == "product_spheres":
-            a1, a2 = self.split(a)
-            b1, b2 = self.split(b)
-            t1 = _sphere_angle(a1, b1)
-            t2 = _sphere_angle(a2, b2)
-            return np.sqrt(t1**2 + t2**2)
-        if self.kind == "round_sphere":
-            return _sphere_angle(a, b)
-        return np.linalg.norm(a - b, axis=-1)
+        if self.kind == "flat_ball":
+            return np.linalg.norm(a - b, axis=-1)
+        return self._polars(a, b)[0]
 
     def factor_distances(self, a, b):
-        """Per-factor arc lengths on a product (needed by radial Laplacians)."""
-        a1, a2 = self.split(np.asarray(a, dtype=float))
-        b1, b2 = self.split(np.asarray(b, dtype=float))
-        return _sphere_angle(a1, b1), _sphere_angle(a2, b2)
+        """Per-factor arc lengths on a product."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        return tuple(polar[0] for polar in self._polars(a, b)[1])
 
     def exp(self, base, v):
         base = np.asarray(base, dtype=float)
@@ -248,19 +258,25 @@ class ManifoldModel:
         return base + v
 
     def log(self, base, target):
-        base = np.asarray(base, dtype=float)
-        target = np.asarray(target, dtype=float)
-        d = self.distance(base, target)
+        v, d = self._log_and_distance(base, target)
         if np.any(d >= self.injectivity_radius):
             raise GeometryError("log map target at or beyond the injectivity radius")
-        if self.kind == "product_spheres":
-            b1, b2 = self.split(base)
-            t1, t2 = self.split(target)
-            return np.concatenate(
-                [_sphere_log(b1, t1), _sphere_log(b2, t2)], axis=-1)
-        if self.kind == "round_sphere":
-            return _sphere_log(base, target)
-        return target - base
+        return v
+
+    def _log_and_distance(self, base, target):
+        """log_base(target) and d(base, target) from one projection.
+
+        The log map is only meaningful below the injectivity radius; this
+        does not check it.
+        """
+        base = np.asarray(base, dtype=float)
+        target = np.asarray(target, dtype=float)
+        if self.kind == "flat_ball":
+            v = target - base
+            return v, np.linalg.norm(v, axis=-1)
+        d, polars = self._polars(base, target)
+        parts = [_along(angle, w, nw) for angle, w, nw in polars]
+        return np.concatenate(parts, axis=-1), d
 
     def tangent_frame(self, base):
         """Orthonormal basis of the tangent space, rows (n, ambient_dim)."""
@@ -283,38 +299,9 @@ class ManifoldModel:
         Returns zeros at points where the distance vanishes (the radial
         profile functions built on top of this all have zero slope there).
         """
-        pts = np.asarray(pts, dtype=float)
-        if self.kind == "flat_ball":
-            diff = pts - center
-            d = np.linalg.norm(diff, axis=-1, keepdims=True)
-            safe = np.where(d < 1e-300, 1.0, d)
-            return np.where(d < 1e-300, 0.0, diff / safe)
-        if self.kind == "round_sphere":
-            c = np.clip(_dot(pts, center), -1.0, 1.0)
-            w = c[..., None] * pts - center
-            s = np.linalg.norm(w, axis=-1, keepdims=True)
-            safe = np.where(s < 1e-300, 1.0, s)
-            return np.where(s < 1e-300, 0.0, w / safe)
-        # product: grad d = (r1 grad r1 + r2 grad r2)/d
-        x1, x2 = self.split(pts)
-        c1, c2 = self.split(np.asarray(center, dtype=float))
-        g = np.zeros_like(pts)
-        rs = []
-        for sl, xi, ci in ((np.s_[..., : self.p + 1], x1, c1),
-                           (np.s_[..., self.p + 1:], x2, c2)):
-            ki = np.clip(_dot(xi, ci), -1.0, 1.0)
-            ri = _sphere_angle(xi, ci)
-            rs.append(ri)
-            wi = ki[..., None] * xi - ci
-            si = np.linalg.norm(wi, axis=-1, keepdims=True)
-            safe = np.where(si < 1e-300, 1.0, si)
-            g[sl] = np.where(si < 1e-300, 0.0, ri[..., None] * wi / safe)
-        # recombine with the same angle values so |grad d| is exactly 1
-        d = np.hypot(rs[0], rs[1])[..., None]
-        dsafe = np.where(d < 1e-300, 1.0, d)
-        return np.where(d < 1e-300, 0.0, g / dsafe)
+        return self._distance_jet(center, pts, 1)[1]
 
-    def radial_laplacian_coeff(self, center, pts, d=None):
+    def radial_laplacian_coeff(self, center, pts):
         """Coefficient m(x) such that div grad f(d(., center)) = f'' + m f'.
 
         This is the mean curvature of the geodesic sphere through x around
@@ -322,17 +309,44 @@ class ManifoldModel:
         exact per-factor combination).  Values blow up as d -> 0; callers
         only use it where the radial slope is nonzero.
         """
+        return self._distance_jet(center, pts, 2)[1]
+
+    def _distance_jet(self, center, pts, order):
+        """d(pts, center) with, for order 1, its ambient gradient or, for
+        order 2, its radial Laplacian coefficient (None for order 0).
+
+        On spheres and products everything comes from one projection per
+        factor, taken at ``pts``, so each factor's w points toward the
+        centre.
+        """
         pts = np.asarray(pts, dtype=float)
-        if d is None:
-            d = self.distance(pts, center)
-        dsafe = np.where(d < 1e-300, 1.0, d)
+        center = np.asarray(center, dtype=float)
         if self.kind == "flat_ball":
-            return (self.n - 1) / dsafe
+            diff = pts - center
+            d = np.linalg.norm(diff, axis=-1)
+            if order == 0:
+                return d, None
+            if order == 1:
+                dk = d[..., None]
+                return d, np.where(dk < 1e-300, 0.0,
+                                   diff / np.where(dk < 1e-300, 1.0, dk))
+            return d, (self.n - 1) / np.where(d < 1e-300, 1.0, d)
+        d, polars = self._polars(pts, center)
+        if order == 0:
+            return d, None
+        if order == 1:
+            # grad d = (r1 grad r1 + r2 grad r2) / d, with grad r_i the unit
+            # vector away from the centre on factor i; recombined from the
+            # same angles that gave d, so |grad d| is 1 to rounding
+            g = np.concatenate([_along(-r, w, nw) for r, w, nw in polars],
+                               axis=-1)
+            return d, _along(1.0, g, d)
+        dsafe = np.where(d < 1e-300, 1.0, d)
         if self.kind == "round_sphere":
-            return (self.n - 1) * _xcotx(d) / dsafe
-        r1, r2 = self.factor_distances(pts, center)
+            return d, (self.n - 1) * _xcotx(d) / dsafe
+        (r1, _, _), (r2, _, _) = polars
         num = 1.0 + (self.p - 1) * _xcotx(r1) + (self.q - 1) * _xcotx(r2)
-        return num / dsafe
+        return d, num / dsafe
 
     # -- curvature invariants -------------------------------------------------
 

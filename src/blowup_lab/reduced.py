@@ -21,7 +21,7 @@ import numpy as np
 from ._smoothstep import radial_bump
 from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
-from .functional import (PotentialField, _check_resolution, energy,
+from .functional import (PotentialField, _check_resolution, _sample, energy,
                          single_bubble_energy_constant)
 from .geometry import CapacityError
 
@@ -371,19 +371,13 @@ def audit_bumps(Hb):
     }
 
 
-def tangent_coordinates(model, xi0, pts, frame=None):
-    """Coordinates of log_xi0(pts) in a fixed orthonormal tangent frame."""
-    if frame is None:
-        frame = model.tangent_frame(xi0)
-    return model.log(xi0, pts) @ frame.T
-
-
 def h_eps_field(model, xi0, eps, mu, Hb):
     """Perturbed potential  c_n R_g + eps * H(log_xi0(.) / mu).
 
-    Points farther than 2*mu from xi0 receive the far value -eps without
-    evaluating the log map (H = -1 outside the ball of radius 2), which also
-    covers points beyond the injectivity radius.
+    Points farther than 2*mu from xi0 receive the far value -eps (H = -1
+    outside the ball of radius 2), which also covers points beyond the
+    injectivity radius, where the log map is not defined.  The distance and
+    the log map come from one projection of the points.
     """
     frame = model.tangent_frame(xi0)
     base = PotentialField.conformal_scalar(model).base
@@ -393,12 +387,12 @@ def h_eps_field(model, xi0, eps, mu, Hb):
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        d = model.distance(pts, xi0)
+        v, d = model._log_and_distance(xi0, pts)
         out = np.full(len(pts), -eps)
         near = d < min(2.5 * mu, 0.9 * model.injectivity_radius)
         if np.any(near):
-            y = tangent_coordinates(model, xi0, pts[near], frame) / mu
-            out[near] = eps * Hb(y)
+            # coordinates of log_xi0 in the tangent frame, in units of mu
+            out[near] = eps * Hb(v[near] @ frame.T / mu)
         return out[0] if single else out
 
     return PotentialField(model=model, base=base, perturbation=pert)
@@ -447,10 +441,10 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):
     mu = sch.mu_eps
     h = h_eps_field(model, xi0, eps, mu, Hb)
     u = multi_bubble_field(model, cfg, CutoffSpec.for_model(model))
-    vals = u(rule.nodes)
     # h_eps and c_n R_g share their base, so h - h0 is the perturbation
-    j_diff = 0.5 * float(np.sum(rule.weights * h.perturbation(rule.nodes)
-                                * vals**2))
+    pert_u2 = _sample(lambda pts: h.perturbation(pts) * u(pts) ** 2,
+                      rule.nodes)
+    j_diff = 0.5 * float(np.sum(rule.weights * pert_u2))
     e1 = single_bubble_energy_constant(model.n)
     _, d_n = reduced_constants(model.n)
     weyl = model.weyl_norm_sq()

@@ -55,6 +55,33 @@ class TestConfigErrors:
             "experiment": "flat-energy", "dims": [6], "budget": 100})
         assert run(cfg, out=str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("payload, code, message", [
+        # a value of the wrong type: malformed config
+        ({"experiment": "flat-energy", "dims": "six"}, 2, "malformed config"),
+        # values out of the model's or the quadrature's range: refused by
+        # the config readers, not left to the GeometryError they would raise
+        ({"experiment": "flat-energy", "radius": -1.0}, 2, "malformed config"),
+        ({"experiment": "flat-energy", "dims": [2]}, 2, "malformed config"),
+        ({"experiment": "expansion-sweep",
+          "delta_range": {"min": 0.5, "max": 2.0, "count": 2}},
+         2, "malformed config"),
+        ({"experiment": "interaction-sweep", "delta": 2.0}, 2,
+         "malformed config"),
+        # a well-formed sweep that needs more nodes than the budget
+        ({"experiment": "residual-sweep", "budget": 1000,
+          "delta_range": {"min": 1e-3, "max": 1e-2, "count": 2}},
+         3, "capacity exceeded"),
+        # the schedule's bubble scale t * delta_eps exceeds 1, outside the
+        # domain of the quadrature (a GeometryError, also a ValueError)
+        ({"experiment": "reduced-limit", "t": 1e6,
+          "eps_range": {"min": 1e-4, "max": 1e-3, "count": 2}},
+         4, "numerical or domain failure"),
+    ])
+    def test_failure_classes(self, tmp_path, capsys, payload, code, message):
+        cfg = _write(tmp_path, payload)
+        assert run(cfg, out=str(tmp_path / "o"), quiet=True) == code
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_schedule_table_outputs(self, tmp_path, capsys):
@@ -73,6 +100,7 @@ class TestArtifacts:
         assert manifest["config"]["experiment"] == "schedule-table"
         assert len(manifest["config_sha256"]) == 64
         assert "schedule-table.csv" in manifest["outputs"]
+        assert manifest["peak_rss_mb"] > 0.0
         summary = (outdir / "summary.txt").read_text()
         assert "[PASS]" in summary
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup_lab import functional
 from blowup_lab.bubble import (
     BubbleField,
     BubbleParams,
@@ -25,9 +26,9 @@ from blowup_lab.functional import (
     single_bubble_energy_constant,
     _density,
 )
-from blowup_lab.geometry import ManifoldModel, build_quadrature
+from blowup_lab.geometry import ManifoldModel, QuadratureRule, build_quadrature
 from blowup_lab.reduced import (ScheduleParams, build_H, h_eps_field,
-                                schedule_configuration)
+                                reduced_limit_ratio, schedule_configuration)
 
 RNG = np.random.default_rng(11)
 
@@ -353,3 +354,67 @@ class TestSplit:
         np.testing.assert_array_equal(power, [0.0, 0.0, 0.0, 0.5**twostar])
         np.testing.assert_allclose(
             dens, 0.5 * (7.0 + 2.0 * vals**2) - power / twostar, rtol=1e-15)
+
+
+_BLOCK = functional._BLOCK
+
+
+class TestBlockSampling:
+    """Integrands sampled block by block equal one full-array evaluation.
+
+    The rules hold one node, exactly one block, one block and one node, and
+    two and a half blocks, which the block size does not divide.  Their
+    nodes are drawn from one coarse S^3 x S^3 rule at the eps = 1e-2
+    schedule; accuracy is not tested.
+    """
+
+    EPS = 1e-2
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        m = _pp()
+        xi0 = _base(m)
+        delta = ScheduleParams(n=m.n, eps=self.EPS).delta_eps
+        coarse = {"n_psi": 4, "orders_a": "minimal", "orders_b": "minimal"}
+        rule = build_quadrature(m, xi0, finest_scale=delta, angular=coarse)
+        v = m.random_tangent(np.random.default_rng(5), xi0)
+        c2 = m.exp(xi0, 0.3 * v / np.linalg.norm(v))
+        cfg = Configuration(bubbles=(BubbleParams(delta, xi0),
+                                     BubbleParams(delta, c2)), K=10.0)
+        return m, xi0, rule, cfg
+
+    def _quantities(self, m, xi0, rule, cfg):
+        h0 = PotentialField.conformal_scalar(m)
+        cutoff = CutoffSpec.for_model(m)
+        split = energy_split(m, h0, cfg, cutoff, rule)
+        Hb = build_H(1, m.n, seed=7)
+        ratio, _, _, _ = reduced_limit_ratio(m, xi0, [1.0], [Hb.maxima[0]],
+                                             self.EPS, Hb, rule)
+        return [energy(m, h0, multi_bubble_field(m, cfg, cutoff), rule),
+                *split.per_bubble, split.cross_dirichlet_plus_potential,
+                split.total, split.nonlinear_excess,
+                residual_norm(m, h0, cfg, cutoff, rule), ratio]
+
+    @pytest.mark.parametrize("count", [1, _BLOCK, _BLOCK + 1,
+                                       5 * _BLOCK // 2])
+    def test_blocks_match_one_pass(self, setting, count, monkeypatch):
+        m, xi0, full, cfg = setting
+        assert full.node_count >= count
+        pick = np.sort(np.random.default_rng(count).choice(
+            full.node_count, count, replace=False))
+        rule = QuadratureRule(model=m, nodes=full.nodes[pick],
+                              weights=full.weights[pick], center=xi0,
+                              finest_scale=full.finest_scale)
+        blocked = self._quantities(m, xi0, rule, cfg)
+        monkeypatch.setattr(functional, "_BLOCK", count)  # one block
+        direct = self._quantities(m, xi0, rule, cfg)
+        assert all(math.isfinite(q) for q in blocked)
+        np.testing.assert_allclose(blocked, direct, rtol=1e-15, atol=0.0)
+
+    def test_sample_keeps_block_order(self, monkeypatch):
+        # a block size that does not divide the node count: 7 = 3 + 3 + 1
+        monkeypatch.setattr(functional, "_BLOCK", 3)
+        nodes = np.arange(14.0).reshape(7, 2)
+        got = functional._sample(lambda pts: np.stack([pts[:, 0], pts[:, 1]]),
+                                 nodes)
+        np.testing.assert_array_equal(got, nodes.T)

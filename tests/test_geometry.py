@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowup_lab.bubble import BubbleField, BubbleParams, CutoffSpec, _profile
 from blowup_lab.geometry import (
     CapacityError,
     GeometryError,
@@ -81,7 +83,9 @@ class TestDistance:
         assert m.distance(a, b) == pytest.approx(math.hypot(s1, s2), rel=1e-14)
 
     def test_small_angle_accuracy(self):
-        # chord-based angles keep full precision where arccos loses half
+        # atan2 of the orthogonal part against the dot product keeps full
+        # precision at small angles, where arccos of the dot product loses
+        # half the digits
         m = ManifoldModel.round_sphere(3)
         base = _base(m)
         for t in (1e-3, 1e-6, 1e-8):
@@ -197,6 +201,146 @@ class TestDistanceProperties:
         if max(chords) <= math.pi / 2.0:
             assert d == pytest.approx(math.hypot(*chords), rel=1e-14)
         assert abs(d - theta) <= 16.0 * _EPS
+
+
+# a factor angle from 1e-12 up to within 1e-9 of pi, log-spaced toward
+# both ends
+_ANGLE = st.one_of(
+    st.floats(-12.0, math.log10(math.pi / 2.0)).map(lambda e: 10.0 ** e),
+    st.floats(-9.0, math.log10(math.pi / 2.0)).map(
+        lambda e: math.pi - 10.0 ** e))
+
+
+def _at_angles(dims, seed, angles):
+    """A model, a base point and a point at the given factor angles from it.
+
+    ``dims`` is drawn as in :func:`_draw`; a round sphere uses angles[0].
+    """
+    p, q = dims
+    m = (ManifoldModel.round_sphere(p) if q == 0
+         else ManifoldModel.product_spheres(p, q))
+    rng = np.random.default_rng(seed)
+    base = m.random_point(rng)
+    parts = []
+    for b, s in zip(_factors(m, base), angles):
+        u = rng.standard_normal(len(b))
+        u -= (u @ b) * b
+        u /= np.linalg.norm(u)
+        parts.append(math.cos(s) * b + math.sin(s) * u)
+    return m, base, np.concatenate(parts)
+
+
+def _mp_vec(x):
+    return [mpmath.mpf(float(t)) for t in x]
+
+
+def _mp_polar(base, x):
+    """50-digit angle and log vector between the directions of two stored
+    float vectors (call under mpmath.workdps(50))."""
+    b, y = _mp_vec(base), _mp_vec(x)
+    nb = mpmath.sqrt(mpmath.fsum(t * t for t in b))
+    ny = mpmath.sqrt(mpmath.fsum(t * t for t in y))
+    b = [t / nb for t in b]
+    y = [t / ny for t in y]
+    c = mpmath.fsum(s * t for s, t in zip(b, y))
+    w = [t - c * s for s, t in zip(b, y)]
+    nw = mpmath.sqrt(mpmath.fsum(t * t for t in w))
+    angle = mpmath.atan2(nw, c)
+    return angle, [angle * t / nw if nw else mpmath.mpf(0) for t in w]
+
+
+def _ulps8(ref):
+    # 8 ulp of the angle's scale, floored at 1: the kernel's error is
+    # absolute, so a tiny angle is held to 8 ulp of 1
+    return 8.0 * np.spacing(max(float(ref), 1.0))
+
+
+class TestProjectionAccuracy:
+    """The one projection kernel against 50-digit mpmath references.
+
+    References are computed from the stored float vectors, so they measure
+    the kernel's rounding, not the rounding of the points themselves.
+    """
+
+    @_PROPERTY
+    @given(dims=_DIMS, seed=_SEEDS, angles=st.tuples(_ANGLE, _ANGLE))
+    def test_distance_and_factor_angles(self, dims, seed, angles):
+        m, base, x = _at_angles(dims, seed, angles)
+        with mpmath.workdps(50):
+            refs = [_mp_polar(a, b)[0]
+                    for a, b in zip(_factors(m, base), _factors(m, x))]
+            d_ref = mpmath.sqrt(mpmath.fsum(r * r for r in refs))
+            for a, b in ((base, x), (x, base)):
+                assert abs(mpmath.mpf(float(m.distance(a, b))) - d_ref) \
+                    <= _ulps8(d_ref)
+                if m.kind == "product_spheres":
+                    for got, ref in zip(m.factor_distances(a, b), refs):
+                        assert abs(mpmath.mpf(float(got)) - ref) \
+                            <= _ulps8(ref)
+
+    @_PROPERTY
+    @given(dims=_DIMS, seed=_SEEDS, theta=_ANGLE, psi=_SPLIT)
+    def test_log_map(self, dims, seed, theta, psi):
+        # the bound of test_exp_log_round_trip, s / sin s being the
+        # conditioning of the log map on a factor circle of angle s
+        m, base, v, _ = _draw(dims, seed, theta, psi)
+        x = m.exp(base, v)
+        w = m.log(base, x)
+        with mpmath.workdps(50):
+            polars = [_mp_polar(a, b)
+                      for a, b in zip(_factors(m, base), _factors(m, x))]
+            ref = [t for _, vec in polars for t in vec]
+            err = mpmath.sqrt(mpmath.fsum(
+                (mpmath.mpf(float(g)) - r) ** 2 for g, r in zip(w, ref)))
+            cond = max([1.0] + [float(s / mpmath.sin(s))
+                                for s, _ in polars if s > 0])
+        assert float(err) <= 16.0 * _EPS * cond
+
+    @_PROPERTY
+    @given(dims=_DIMS, seed=_SEEDS, angles=st.tuples(_ANGLE, _ANGLE))
+    def test_jet_laplacian_matches_separate_path(self, dims, seed, angles):
+        # the order-2 jet takes d and the factor angles from one projection;
+        # rebuild its Laplacian from distance, the factor angles and the
+        # closed-form mean curvature of the geodesic sphere
+        m, base, x = _at_angles(dims, seed, angles)
+        delta, cutoff = 0.1, CutoffSpec(r0=3.0)
+        pts = x[None, :]
+        lap = BubbleField(m, BubbleParams(delta, base), cutoff).jet(pts, 2)[1]
+        d = m.distance(pts, base)
+        if m.kind == "product_spheres":
+            r1, r2 = m.factor_distances(pts, base)
+            coeff = (1.0 + (m.p - 1) * r1 / np.tan(r1)
+                     + (m.q - 1) * r2 / np.tan(r2)) / d
+        else:
+            coeff = (m.n - 1) / np.tan(d)
+        B, B1, B2 = _profile(m.n, delta, d)
+        chi, c1 = cutoff.value(d), cutoff.d1(d)
+        w1 = c1 * B + chi * B1
+        w2 = cutoff.d2(d) * B + 2.0 * c1 * B1 + chi * B2
+        if d[0] < 1e-12:
+            want, scale = -m.n * w2, m.n * np.abs(w2)
+        else:
+            want, scale = -(w2 + coeff * w1), np.abs(w2) + np.abs(coeff * w1)
+        assert np.all(np.abs(lap - want) <= 1e-13 * scale)
+
+    def test_log_raises_at_and_beyond_injectivity_radius(self):
+        s = ManifoldModel.round_sphere(4)
+        b = _base(s)
+        with pytest.raises(GeometryError):
+            s.log(b, -b)  # the antipode, at exactly pi
+        p = _pp()
+        b = _base(p)
+        b1, b2 = p.split(b)
+        for target in (np.concatenate([-b1, b2]),    # d = pi
+                       np.concatenate([-b1, -b2])):  # d = pi sqrt(2)
+            with pytest.raises(GeometryError):
+                p.log(b, target)
+            with pytest.raises(GeometryError):
+                p.log(b, np.stack([b, target]))  # one bad point in a batch
+        f = ManifoldModel.flat_ball(6, 2.0)
+        for r in (2.0, 3.0):
+            with pytest.raises(GeometryError):
+                f.log(np.zeros(6), r * np.eye(6)[0])
 
 
 class TestCurvature:

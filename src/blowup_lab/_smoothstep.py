@@ -7,7 +7,7 @@ smoothsteps).  All functions are vectorized over numpy arrays.
 
 import numpy as np
 
-__all__ = ["step", "step_d1", "step_d2", "radial_bump"]
+__all__ = ["step_jet", "radial_bump"]
 
 
 def _f(t):
@@ -20,58 +20,40 @@ def _f(t):
     return out
 
 
-def _parts(t):
-    """u = f(t), v = f(1-t) and the derivatives needed below.
+def step_jet(t, order=0):
+    """Smooth step s and its first ``order`` derivatives, as a tuple.
 
-    Derivatives are only valid on 0 < t < 1; callers mask the rest.
+    s = 0 for t <= 0, s = 1 for t >= 1 and increasing in between; the
+    derivatives vanish outside (0, 1).  All come from one pair
+    u = f(t), v = f(1 - t) with f(t) = exp(-1/t), s = u / (u + v).
     """
-    t = np.asarray(t, dtype=float)
-    u = _f(t)
-    v = _f(1.0 - t)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        it = 1.0 / t
-        is_ = 1.0 / (1.0 - t)
-        u1 = u * it**2
-        v1 = -v * is_**2
-        u2 = u * (it**4 - 2.0 * it**3)
-        v2 = v * (is_**4 - 2.0 * is_**3)
-    return u, v, u1, v1, u2, v2
-
-
-def step(t):
-    """Smooth step s with s = 0 for t <= 0, s = 1 for t >= 1, increasing."""
     t = np.asarray(t, dtype=float)
     u = _f(t)
     v = _f(1.0 - t)
     with np.errstate(invalid="ignore"):
         s = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, u / (u + v)))
-    return s
-
-
-def step_d1(t):
-    """First derivative of :func:`step` (zero outside (0, 1))."""
-    t = np.asarray(t, dtype=float)
+    if order == 0:
+        return (s,)
     inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    if np.any(inside):
-        u, v, u1, v1, _, _ = _parts(t[inside])
-        P = u + v
-        out[inside] = (u1 * P - u * (u1 + v1)) / P**2
-    return out
-
-
-def step_d2(t):
-    """Second derivative of :func:`step` (zero outside (0, 1))."""
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.zeros_like(t)
-    if np.any(inside):
-        u, v, u1, v1, u2, v2 = _parts(t[inside])
-        P = u + v
+    ti, u, v = t[inside], u[inside], v[inside]
+    P = u + v
+    # it**4 overflows only where u has underflowed to 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        it = 1.0 / ti
+        is_ = 1.0 / (1.0 - ti)
+        u1 = u * it**2
+        v1 = -v * is_**2
         P1 = u1 + v1
-        P2 = u2 + v2
-        out[inside] = (u2 * P - u * P2) / P**2 - 2.0 * P1 * (u1 * P - u * P1) / P**3
-    return out
+        d1 = np.zeros_like(t)
+        d1[inside] = (u1 * P - u * P1) / P**2
+        if order == 1:
+            return s, d1
+        u2 = u * (it**4 - 2.0 * it**3)
+        v2 = v * (is_**4 - 2.0 * is_**3)
+        d2 = np.zeros_like(t)
+        d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
+                      - 2.0 * P1 * (u1 * P - u * P1) / P**3)
+    return s, d1, d2
 
 
 def radial_bump(s):

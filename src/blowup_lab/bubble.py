@@ -43,22 +43,16 @@ class CutoffSpec:
         """Default cutoff at a quarter of the injectivity radius."""
         return cls(r0=0.25 * model.injectivity_radius)
 
-    def value(self, r):
+    def jet(self, r, order=0):
+        """Cutoff value at distances ``r`` and its first ``order`` radial
+        derivatives, as a tuple."""
+        r = np.asarray(r, dtype=float)
         if not math.isfinite(self.r0):
-            return np.ones_like(np.asarray(r, dtype=float))
-        return _smoothstep.step(2.0 * (self.r0 - np.asarray(r, float)) / self.r0)
-
-    def d1(self, r):
-        if not math.isfinite(self.r0):
-            return np.zeros_like(np.asarray(r, dtype=float))
-        t = 2.0 * (self.r0 - np.asarray(r, float)) / self.r0
-        return _smoothstep.step_d1(t) * (-2.0 / self.r0)
-
-    def d2(self, r):
-        if not math.isfinite(self.r0):
-            return np.zeros_like(np.asarray(r, dtype=float))
-        t = 2.0 * (self.r0 - np.asarray(r, float)) / self.r0
-        return _smoothstep.step_d2(t) * (4.0 / self.r0**2)
+            return (np.ones_like(r),) + (np.zeros_like(r),) * order
+        s = _smoothstep.step_jet(2.0 * (self.r0 - r) / self.r0, order)
+        # the step argument falls at the rate 2/r0
+        return s[:1] + tuple(sk * c for sk, c in
+                             zip(s[1:], (-2.0 / self.r0, 4.0 / self.r0**2)))
 
     @classmethod
     def none(cls):
@@ -137,16 +131,15 @@ class BubbleField:
         projection per sphere factor.
         """
         d, metric = self.model._distance_jet(self.params.center, pts, order)
-        chi = self.cutoff.value(d)
+        chi, *dchi = self.cutoff.jet(d, order)
         B, B1, B2 = _profile(self.model.n, self.params.delta, d)
         w = chi * B
         if order == 0:
             return w, None
-        c1 = self.cutoff.d1(d)
-        w1 = c1 * B + chi * B1
+        w1 = dchi[0] * B + chi * B1
         if order == 1:
             return w, w1[..., None] * metric
-        w2 = self.cutoff.d2(d) * B + 2.0 * c1 * B1 + chi * B2
+        w2 = dchi[1] * B + 2.0 * dchi[0] * B1 + chi * B2
         # at the center the slope vanishes like w''(0) d; the limit of the
         # full expression is n * w''(0)
         near = d < 1e-12

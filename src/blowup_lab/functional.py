@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleField, SumField
+from .bubble import BubbleField, multi_bubble_field
 from .geometry import CapacityError
 
 __all__ = [
@@ -54,17 +54,13 @@ def conformal_coupling(n):
 class PotentialField:
     """Potential h = base + perturbation, evaluable on point batches.
 
-    ``base`` may be a float (constant potential) or a callable; the optional
-    perturbation likewise.
+    ``base`` is a float, the constant part; the optional perturbation is a
+    callable on point batches.
     """
 
     model: object
-    base: object
+    base: float
     perturbation: object = None
-
-    @property
-    def c_n(self):
-        return conformal_coupling(self.model.n)
 
     @classmethod
     def conformal_scalar(cls, model):
@@ -78,18 +74,12 @@ class PotentialField:
 
     def shifted(self, sigma):
         """Same potential with a constant added."""
-        base = self.base
-        if callable(base):
-            return PotentialField(model=self.model,
-                                  base=lambda pts: base(pts) + sigma,
-                                  perturbation=self.perturbation)
-        return PotentialField(model=self.model, base=base + sigma,
+        return PotentialField(model=self.model, base=self.base + sigma,
                               perturbation=self.perturbation)
 
     def __call__(self, pts):
         pts = np.asarray(pts, dtype=float)
-        vals = self.base(pts) if callable(self.base) else \
-            np.full(pts.shape[:-1], float(self.base))
+        vals = np.full(pts.shape[:-1], float(self.base))
         if self.perturbation is not None:
             vals = vals + self.perturbation(pts)
         return vals
@@ -149,7 +139,7 @@ def residual_field(model, h, cfg, cutoff):
     Returns a callable evaluating (Delta_g + h)(sum W) - (sum W)^(2*-1)
     with the geometer's Laplacian Delta_g = -div grad.
     """
-    total = SumField([BubbleField(model, b, cutoff) for b in cfg.bubbles])
+    total = multi_bubble_field(model, cfg, cutoff)
     twostar = critical_exponent(model.n)
 
     def res(pts):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._smoothstep import step
+from ._smoothstep import step_jet
 
 __all__ = [
     "CapacityError",
@@ -103,9 +103,7 @@ def _orthonormal_complement(u):
 
 def _rotation_with_first_axis(axis):
     """Orthogonal matrix whose first column is the given unit vector."""
-    d = axis.shape[0]
-    comp = _orthonormal_complement(axis)
-    return np.column_stack([axis] + [comp[i] for i in range(d - 1)])
+    return np.column_stack([axis, *_orthonormal_complement(axis)])
 
 
 def _xcotx(x):
@@ -113,15 +111,8 @@ def _xcotx(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x**2 / 3.0 - x**4 / 45.0,
-                   xs * np.cos(xs) / np.sin(xs))
-    return out
-
-
-def _sinc_ratio(x):
-    """sin(x)/x, stable near 0."""
-    x = np.asarray(x, dtype=float)
-    return np.sinc(x / np.pi)
+    return np.where(small, 1.0 - x**2 / 3.0 - x**4 / 45.0,
+                    xs * np.cos(xs) / np.sin(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +495,7 @@ def _lookup_profile(table, name, what):
     return table[name]
 
 
-def _resolve_orders(m, spec, default_profile):
-    if spec is None:
-        spec = default_profile
+def _resolve_orders(m, spec):
     if isinstance(spec, str):
         return _lookup_profile(_SPHERE_PROFILES, spec, f"orders on S^{m}")(m)
     return list(spec)
@@ -565,122 +554,6 @@ def _radial_grid(finest_scale, r_patch, r_outer, transition):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
-                     patch_radius=None, axis=None, angular=None):
-    """Concentration-aware quadrature rule centered at ``center``.
-
-    The rule combines a geodesic-polar patch around the center with radial
-    nodes graded geometrically (ratio 2 per annulus) from ``finest_scale/10``
-    out to a quarter of the injectivity radius, and coarser Gauss panels
-    over the rest of the model.  On compact models the panels inside the
-    default cutoff's transition band [inj/8, inj/4] are subdivided.
-    ``patch_radius``, when given, restricts the rule to the geodesic ball
-    of that radius about the center, graded all the way out; nodes beyond
-    it are never built, so ``budget`` pays only for the ball.  ``axis``,
-    when given, directs the angular resolution toward that tangent
-    direction; this matters only for integrands that are not radial about
-    the center.
-
-    ``angular`` selects the angular resolution.  On products it is a
-    profile name ("radial", "biradial", "axial") or a dict with keys
-    ``n_psi``, ``orders_a``, ``orders_b`` (each a list of polar orders or a
-    sphere profile name); None means "biradial", or "axial" when ``axis``
-    is given.  On flat balls and round spheres it is a sphere profile name
-    ("default", "minimal", "axial", "radial") or a list of polar orders;
-    None means "default", or "axial" when ``axis`` is given.  An unknown
-    name raises GeometryError.
-
-    "radial" keeps one angular node per sphere of directions (per factor
-    sphere on products), so it is exact only for an integrand that depends
-    on the distance to ``center`` alone, or on products on the two factor
-    distances alone: one bubble at ``center`` under a constant potential or
-    a one-bump potential peaked there.  The caller declares that symmetry;
-    nothing checks the integrand.  The domain must share it, so on a flat
-    ball ``center`` must be the origin, or GeometryError is raised.
-    """
-    if not (0.0 < finest_scale <= 1.0):
-        raise GeometryError("finest_scale must lie in (0, 1]")
-    center = model.validate_point(np.asarray(center, dtype=float))
-    extent = math.inf if patch_radius is None else patch_radius
-    r_patch = min(model.injectivity_radius / 4.0, extent)
-    transition = None
-    if model.is_compact:
-        # the default cutoff transition band [r0/2, r0] with r0 = inj/4;
-        # flat balls carry no cutoff, so there is no band to refine
-        r0 = model.injectivity_radius / 4.0
-        transition = (r0 / 2.0, r0)
-
-    @functools.cache
-    def ball_grid(r_outer):
-        return _radial_grid(finest_scale, r_patch, r_outer, transition)
-
-    def grid(r_outer):
-        # radial nodes along a direction that leaves the model at r_outer;
-        # directions that leave the ball at the same radius share one grid
-        return ball_grid(min(r_outer, extent))
-
-    build = (_build_product_nodes if model.kind == "product_spheres"
-             else _build_polar_nodes)
-    nodes, weights = build(model, center, finest_scale, budget, grid, axis,
-                           angular)
-    keep = weights > 0.0
-    return QuadratureRule(model=model, nodes=nodes[keep], weights=weights[keep],
-                          center=center, finest_scale=finest_scale)
-
-
-def _check_budget(planned, budget, finest_scale):
-    if planned > budget:
-        raise CapacityError(
-            f"budget {budget} too small for finest_scale={finest_scale:g}; "
-            f"the requested rule needs {planned} nodes")
-
-
-def _build_polar_nodes(model, center, finest_scale, budget, grid, axis,
-                       angular):
-    """Polar rule for flat balls and round spheres."""
-    n = model.n
-    default_profile = "default" if axis is None else "axial"
-    orders = _resolve_orders(n - 1, angular, default_profile)
-    dirs, wdir = unit_sphere_rule(n - 1, orders)
-    if axis is not None:
-        nrm = np.linalg.norm(axis)
-        if nrm == 0:
-            raise GeometryError("axis must be a nonzero tangent vector")
-        axis = np.asarray(axis, dtype=float) / nrm
-    if model.kind == "flat_ball":
-        if angular == "radial" and np.any(center):
-            raise GeometryError(
-                "the radial profile needs a flat ball centred at the origin; "
-                "the ball is not symmetric about an off-origin centre")
-        if axis is not None:
-            dirs = dirs @ _rotation_with_first_axis(axis).T
-        # outer radius depends on the direction for off-center rules
-        cdotw = dirs @ center
-        rmax = -cdotw + np.sqrt(cdotw**2 + model.radius**2 - center @ center)
-        radial = [grid(float(r)) for r in rmax]
-        _check_budget(sum(len(r) for r, _ in radial), budget, finest_scale)
-        nodes = np.concatenate([center + r[:, None] * d
-                                for (r, _), d in zip(radial, dirs)])
-        weights = np.concatenate([w * wr * r ** (n - 1)
-                                  for (r, wr), w in zip(radial, wdir)])
-        return nodes, weights
-
-    # round sphere: map directions through the tangent frame
-    frame = model.tangent_frame(center)
-    if axis is not None:
-        coeff = frame @ axis  # coordinates of the axis in the frame
-        coeff /= np.linalg.norm(coeff)
-        dirs = dirs @ _rotation_with_first_axis(coeff).T
-    amb = dirs @ frame
-    r, wr = grid(math.pi)
-    _check_budget(len(dirs) * len(r), budget, finest_scale)
-    ct, st = np.cos(r), np.sin(r)
-    nodes = (ct[:, None] * center)[:, None, :] + st[:, None, None] * amb[None, :, :]
-    nodes = nodes.reshape(-1, model.ambient_dim)
-    weights = (wr * st ** (n - 1))[:, None] * wdir[None, :]
-    return nodes, weights.reshape(-1)
-
-
 _PRODUCT_PROFILES = {
     "radial": dict(n_psi=24, orders_a="radial", orders_b="radial"),
     "biradial": dict(n_psi=24, orders_a="minimal", orders_b="minimal"),
@@ -688,71 +561,149 @@ _PRODUCT_PROFILES = {
 }
 
 
-def _build_product_nodes(model, center, finest_scale, budget, grid, axis,
-                         angular):
-    p, q, n = model.p, model.q, model.n
-    if angular is None:
-        angular = "biradial" if axis is None else "axial"
-    if isinstance(angular, str):
-        prof = _lookup_profile(_PRODUCT_PROFILES, angular, "a product")
+def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
+                     angular=None):
+    """Concentration-aware quadrature rule centered at ``center``.
+
+    The rule combines a geodesic-polar patch around the center with radial
+    nodes graded geometrically (ratio 2 per annulus) from ``finest_scale/10``
+    out to a quarter of the injectivity radius, and coarser Gauss panels
+    over the rest of the model.  On compact models the panels inside the
+    default cutoff's transition band [inj/8, inj/4] are subdivided.  A rule
+    of more than ``budget`` nodes raises CapacityError, naming its size.
+
+    ``angular`` selects the angular resolution.  On products it is a
+    profile name ("radial", "biradial", "axial") or a dict with keys
+    ``n_psi``, ``orders_a``, ``orders_b`` (each a list of polar orders or a
+    sphere profile name); None means "biradial".  On flat balls and round
+    spheres it is a sphere profile name ("default", "minimal", "axial",
+    "radial") or a list of polar orders; None means "default".  An unknown
+    name raises GeometryError.
+
+    "radial" keeps one angular node per sphere of directions (per factor
+    sphere on products), so it is exact only for an integrand that depends
+    on the distance to ``center`` alone, or on products on the two factor
+    distances alone: one bubble at ``center`` under a constant potential or
+    a one-bump potential peaked there.  The caller declares that symmetry;
+    nothing checks the integrand.
+
+    On a flat ball ``center`` must be the origin, or GeometryError is
+    raised: about another centre each ray leaves the ball at its own
+    radius, which a polar grid about the frame's first axis does not
+    resolve, so not even constants would integrate.
+    """
+    center = model.validate_point(np.asarray(center, dtype=float))
+    if model.kind == "flat_ball" and np.any(center):
+        raise GeometryError("a rule on a flat ball must be centred at the "
+                            "origin, the ball's only centre of symmetry")
+    nodes, weights = _polar_rule(model, center, finest_scale, budget, angular)
+    return QuadratureRule(model=model, nodes=nodes, weights=weights,
+                          center=center, finest_scale=finest_scale)
+
+
+def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
+                extent=math.inf):
+    """Nodes and weights of a geodesic-polar rule about ``center``.
+
+    Every model is a join of spheres of directions: one on a ball or a
+    round sphere, two on S^p x S^q, where the point at distance r and split
+    angle psi lies r cos(psi) and r sin(psi) out along the two factors.
+    For each join angle and each distinct outer radius one radial grid is
+    mapped factor by factor, c + t a on the ball and cos(t) c + sin(t) a on
+    a sphere factor, and broadcast over the factors' directions with weight
+    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs.  The outer radius is
+    pi / max(cos psi, sin psi) on sphere factors and each ray's exit radius
+    on the ball, cut at ``extent``.  ``axis``, a tangent vector at
+    ``center``, turns each factor's polar axis toward its projection on
+    that factor; with None it is the first vector of the factor's frame.
+    """
+    if not (0.0 < finest_scale <= 1.0):
+        raise GeometryError("finest_scale must lie in (0, 1]")
+    flat = model.kind == "flat_ball"
+    if model.kind == "product_spheres":
+        split, dims = model.split, (model.p, model.q)
+        prof = angular or "biradial"
+        if isinstance(prof, str):
+            prof = _lookup_profile(_PRODUCT_PROFILES, prof, "a product")
+        orders = [_resolve_orders(k - 1, prof.get(key) or "minimal")
+                  for k, key in zip(dims, ("orders_a", "orders_b"))]
+        # two panels of split angles, meeting at the kink of the outer
+        # radius at pi/4
+        psi, wpsi = np.concatenate(
+            [gauss_segment(lo, hi, int(prof.get("n_psi", 24))) for lo, hi
+             in ((0.0, math.pi / 4.0), (math.pi / 4.0, math.pi / 2.0))],
+            axis=1)
+        joins = [((c, s), wp * c ** (model.p - 1) * s ** (model.q - 1))
+                 for ps, wp in zip(psi, wpsi)
+                 for c, s in [(math.cos(ps), math.sin(ps))]]
     else:
-        prof = angular
-    n_psi = int(prof.get("n_psi", 24))
-    orders_a = _resolve_orders(p - 1, prof.get("orders_a"), "minimal")
-    orders_b = _resolve_orders(q - 1, prof.get("orders_b"), "minimal")
+        split, dims = (lambda x: (x,)), (model.n,)
+        orders = [_resolve_orders(model.n - 1, angular or "default")]
+        joins = [((1.0,), 1.0)]
+    bases = split(center)
 
-    c1, c2 = model.split(center)
-    f1 = _orthonormal_complement(c1)  # (p, p+1)
-    f2 = _orthonormal_complement(c2)
-    a_loc, wa = unit_sphere_rule(p - 1, orders_a)
-    b_loc, wb = unit_sphere_rule(q - 1, orders_b)
-    if axis is not None:
-        u = np.asarray(axis, dtype=float)
-        u1 = f1 @ u[: p + 1]
-        if np.linalg.norm(u1) > 1e-12:
-            a_loc = a_loc @ _rotation_with_first_axis(u1 / np.linalg.norm(u1)).T
-        u2 = f2 @ u[p + 1:]
-        if np.linalg.norm(u2) > 1e-12:
-            b_loc = b_loc @ _rotation_with_first_axis(u2 / np.linalg.norm(u2)).T
-    a_amb = a_loc @ f1  # (A1, p+1)
-    b_amb = b_loc @ f2
+    dirs, wdirs = [], []
+    for i, (base, k, o) in enumerate(zip(bases, dims, orders)):
+        frame = np.eye(k) if flat else _orthonormal_complement(base)
+        loc, w = unit_sphere_rule(k - 1, o)
+        if axis is not None:
+            u = frame @ split(np.asarray(axis, dtype=float))[i]
+            if np.linalg.norm(u) > 1e-12:
+                loc = loc @ _rotation_with_first_axis(u / np.linalg.norm(u)).T
+        dirs.append(loc @ frame)
+        wdirs.append(w)
 
-    # split angle psi between the two factors; panels split at pi/4 where
-    # the per-direction outer radius min(pi/cos, pi/sin) has a kink
-    psis, wpsis = [], []
-    for lo, hi in ((0.0, math.pi / 4.0), (math.pi / 4.0, math.pi / 2.0)):
-        x, w = gauss_segment(lo, hi, n_psi)
-        psis.append(x)
-        wpsis.append(w)
-    psi = np.concatenate(psis)
-    wpsi = np.concatenate(wpsis)
+    # graded out to r0 = inj/4; flat balls carry no cutoff, so only compact
+    # models refine the default cutoff's transition band [r0/2, r0]
+    r0 = model.injectivity_radius / 4.0
+    transition = (r0 / 2.0, r0) if model.is_compact else None
+    if flat:
+        cdotw = dirs[0] @ center
+        exit_radius = -cdotw + np.sqrt(cdotw**2 + model.radius**2
+                                       - center @ center)
+    # one radial grid per join angle and distinct outer radius: the
+    # directions of a sphere factor share it, those of the ball are grouped
+    plan = []
+    for scales, wj in joins:
+        r_out = exit_radius if flat else np.full(len(dirs[0]),
+                                                 math.pi / max(scales))
+        radii, group = np.unique(np.minimum(r_out, extent),
+                                 return_inverse=True)
+        plan += [(scales, wj, group == g,
+                  *_radial_grid(finest_scale, min(r0, extent), float(r),
+                                transition)) for g, r in enumerate(radii)]
+    count = sum(len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan) \
+        * math.prod(len(d) for d in dirs[1:])
+    if count > budget:
+        raise CapacityError(
+            f"budget {budget} too small for finest_scale={finest_scale:g}; "
+            f"the requested rule needs {count} nodes")
 
-    A1, A2 = len(a_amb), len(b_amb)
-    radial = [grid(min(math.pi / max(math.cos(ps), 1e-15),
-                       math.pi / max(math.sin(ps), 1e-15))) for ps in psi]
-    _check_budget(sum(len(r) for r, _ in radial) * A1 * A2, budget,
-                  finest_scale)
-
-    blocks_n, blocks_w = [], []
-    wab = np.outer(wa, wb).reshape(-1)  # (A1*A2,)
-    for (r, wr), ps, wp in zip(radial, psi, wpsi):
-        s1 = r * math.cos(ps)
-        s2 = r * math.sin(ps)
-        dens = (wr * r ** (n - 1)
-                * _sinc_ratio(s1) ** (p - 1) * _sinc_ratio(s2) ** (q - 1)
-                * wp * math.cos(ps) ** (p - 1) * math.sin(ps) ** (q - 1))
-        # factor-sphere points for all radii and directions
-        x1 = (np.cos(s1)[:, None, None] * c1[None, None, :]
-              + np.sin(s1)[:, None, None] * a_amb[None, :, :])  # (R, A1, p+1)
-        x2 = (np.cos(s2)[:, None, None] * c2[None, None, :]
-              + np.sin(s2)[:, None, None] * b_amb[None, :, :])  # (R, A2, q+1)
-        R = len(r)
-        pts = np.empty((R, A1, A2, model.ambient_dim))
-        pts[..., : p + 1] = x1[:, :, None, :]
-        pts[..., p + 1:] = x2[:, None, :, :]
-        blocks_n.append(pts.reshape(-1, model.ambient_dim))
-        blocks_w.append((dens[:, None] * wab[None, :]).reshape(-1))
-    return np.concatenate(blocks_n), np.concatenate(blocks_w)
+    nodes = np.empty((count, model.ambient_dim))
+    weights = np.empty(count)
+    at = 0
+    for scales, wj, sel, r, wr in plan:
+        facs = [dirs[0][sel], *dirs[1:]]
+        shape = (len(r), *(len(a) for a in facs))
+        size = math.prod(shape)
+        block = nodes[at:at + size].reshape(*shape, model.ambient_dim)
+        dens = wr * r ** (model.n - 1)
+        lo = 0
+        for i, (s, base, a, k) in enumerate(zip(scales, bases, facs, dims)):
+            t = r * s
+            if flat:
+                x = base + t[:, None, None] * a
+            else:
+                x = np.cos(t)[:, None, None] * base \
+                    + np.sin(t)[:, None, None] * a
+                dens = dens * np.sinc(t / np.pi) ** (k - 1)
+            others = [j + 1 for j in range(len(facs)) if j != i]
+            block[..., lo:lo + len(base)] = np.expand_dims(x, others)
+            lo += len(base)
+        wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0][sel])
+        weights[at:at + size] = np.outer(dens * wj, wd).reshape(-1)
+        at += size
+    return nodes, weights
 
 
 def build_multicenter_quadrature(model, centers, finest_scale,
@@ -764,12 +715,19 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     polar patch per center plus a coarse background piece; each piece is
     integrated by a rule centered where its integrand lives, so the combined
     node set integrates fields with spikes at every center.  Each patch is
-    a :func:`build_quadrature` rule for the ball its localizer lives on, so
-    no node is built only to be dropped.  The budget is split evenly over
-    the patches and the background.  Weights stay positive because the
-    partition functions are.  It needs at least two centres; one centre is
-    the job of :func:`build_quadrature`.  No piece is radial about its
-    centre, so the "radial" profile raises GeometryError.
+    a polar rule for the ball its localizer lives on, so no node is built
+    only to be dropped.  Each patch, and the background about the first
+    centre, turns its polar axis toward the next centre; ``patch_angular``
+    and ``angular`` are their profiles, as in :func:`build_quadrature`,
+    with None meaning "axial".  The budget is split evenly over the
+    patches and the background.  Weights stay positive because the
+    partition functions are.
+
+    It needs at least two distinct centres; one centre is the job of
+    :func:`build_quadrature`.  No piece is radial about its centre, so the
+    "radial" profile raises GeometryError.  On a flat ball the centres must
+    lie on one line through the origin, the polar axis about which every
+    piece's exit radii are symmetric, or GeometryError is raised.
     """
     if "radial" in (angular, patch_angular):
         raise GeometryError(
@@ -783,12 +741,17 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                for i, a in enumerate(centers) for b in centers[i + 1:])
     if dmin <= 0:
         raise GeometryError("multicenter rule requires distinct centers")
+    if model.kind == "flat_ball":
+        sv = np.linalg.svd(np.array(centers), compute_uv=False)
+        if sv[1] > 1e-12 * sv[0]:
+            raise GeometryError("a multicentre rule on a flat ball needs its "
+                                "centres on one line through the origin")
     r_i = min(dmin / 2.0, model.injectivity_radius / 4.0)
 
     def part(d):
         # smooth localizer in the distance d to a centre: 1 within r_i/2,
         # 0 beyond r_i
-        return step(2.0 * (r_i - d) / r_i)
+        return step_jet(2.0 * (r_i - d) / r_i)[0]
 
     sub_budget = budget // (len(centers) + 1)
     all_nodes, all_weights, axes = [], [], []
@@ -798,22 +761,19 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         except GeometryError:
             axes.append(None)
         # a rule for the ball of radius r_i about c, weighted by the localizer
-        rule = build_quadrature(model, c, finest_scale, sub_budget,
-                                patch_radius=r_i, axis=axes[-1],
-                                angular=patch_angular or "axial")
-        all_nodes.append(rule.nodes)
-        all_weights.append(rule.weights * part(model.distance(rule.nodes, c)))
+        nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
+                                     patch_angular or "axial", axis=axes[-1],
+                                     extent=r_i)
+        all_nodes.append(nodes)
+        all_weights.append(weights * part(model.distance(nodes, c)))
 
     # the background integrand keeps the inter-center axis symmetry
-    bg_finest = max(r_i / 2.0, finest_scale)
-    bg = build_quadrature(model, centers[0], min(bg_finest, 1.0), sub_budget,
-                          axis=axes[0], angular=angular or "axial")
-    rho = np.zeros(len(bg.nodes))
-    for c in centers:
-        rho += part(model.distance(bg.nodes, c))
-    wbg = bg.weights * np.clip(1.0 - rho, 0.0, None)
-    all_nodes.append(bg.nodes)
-    all_weights.append(wbg)
+    nodes, weights = _polar_rule(model, centers[0],
+                                 min(max(r_i / 2.0, finest_scale), 1.0),
+                                 sub_budget, angular or "axial", axis=axes[0])
+    rho = sum(part(model.distance(nodes, c)) for c in centers)
+    all_nodes.append(nodes)
+    all_weights.append(weights * np.clip(1.0 - rho, 0.0, None))
 
     nodes = np.concatenate(all_nodes)
     weights = np.concatenate(all_weights)

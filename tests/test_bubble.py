@@ -33,7 +33,7 @@ class TestCutoff:
     def test_plateau_and_support(self):
         cut = CutoffSpec(r0=1.0)
         r = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
-        v = cut.value(r)
+        v = cut.jet(r)[0]
         assert v[0] == 1.0 and v[1] == 1.0 and v[2] == 1.0
         assert 0.0 < v[3] < 1.0
         assert v[4] == 0.0 and v[5] == 0.0
@@ -42,13 +42,17 @@ class TestCutoff:
         # derivative vanishes to all orders at r0/2 and r0; check d1, d2
         cut = CutoffSpec(r0=1.0)
         for r in (0.5 + 1e-9, 1.0 - 1e-9):
-            assert abs(cut.d1(np.array([r]))[0]) < 1e-3
-            assert abs(cut.d2(np.array([r]))[0]) < 1e3
+            _, d1, d2 = cut.jet(np.array([r]), 2)
+            assert abs(d1[0]) < 1e-3
+            assert abs(d2[0]) < 1e3
 
     def test_none_is_identity(self):
         cut = CutoffSpec.none()
         r = np.geomspace(1e-3, 1e3, 11)
-        np.testing.assert_array_equal(cut.value(r), 1.0)
+        value, d1, d2 = cut.jet(r, 2)
+        np.testing.assert_array_equal(value, 1.0)
+        np.testing.assert_array_equal(d1, 0.0)
+        np.testing.assert_array_equal(d2, 0.0)
 
     def test_rejects_cutoff_beyond_injectivity(self):
         m = _pp()

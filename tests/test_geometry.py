@@ -12,6 +12,7 @@ from blowup_lab.geometry import (
     CapacityError,
     GeometryError,
     ManifoldModel,
+    _polar_rule,
     build_quadrature,
     build_multicenter_quadrature,
     gauss_segment,
@@ -314,9 +315,9 @@ class TestProjectionAccuracy:
         else:
             coeff = (m.n - 1) / np.tan(d)
         B, B1, B2 = _profile(m.n, delta, d)
-        chi, c1 = cutoff.value(d), cutoff.d1(d)
+        chi, c1, c2 = cutoff.jet(d, 2)
         w1 = c1 * B + chi * B1
-        w2 = cutoff.d2(d) * B + 2.0 * c1 * B1 + chi * B2
+        w2 = c2 * B + 2.0 * c1 * B1 + chi * B2
         if d[0] < 1e-12:
             want, scale = -m.n * w2, m.n * np.abs(w2)
         else:
@@ -367,6 +368,23 @@ class TestCurvature:
         np.testing.assert_allclose(ricci, 0.0, atol=1e-12)
 
 
+# (model, angular, turn the polar axes toward a random tangent vector)
+_CONSTANT_CASES = [
+    (ManifoldModel.product_spheres(3, 3), "radial", False),
+    (ManifoldModel.product_spheres(3, 3), "biradial", False),
+    (ManifoldModel.product_spheres(3, 3),
+     dict(n_psi=24, orders_a=[4, 2], orders_b=[1, 1]), True),
+    (ManifoldModel.round_sphere(6), "default", False),
+    (ManifoldModel.round_sphere(6), "minimal", False),
+    (ManifoldModel.round_sphere(6), "radial", False),
+    (ManifoldModel.round_sphere(6), "axial", True),
+    (ManifoldModel.flat_ball(6, 2.0), "minimal", False),
+]
+_CONSTANT_IDS = ["S3xS3-radial", "S3xS3-biradial", "S3xS3-axial-axis",
+                 "S6-default", "S6-minimal", "S6-radial", "S6-axial-axis",
+                 "B6-minimal"]
+
+
 class TestQuadrature:
     def test_gauss_segment_polynomial(self):
         x, w = gauss_segment(0.0, 2.0, 8)
@@ -384,25 +402,20 @@ class TestQuadrature:
         assert float(w @ dirs[:, 0] ** 2) == pytest.approx(
             sphere_volume(3) / 4.0, rel=1e-12)
 
-    def test_rule_integrates_constants_product(self):
-        m = _pp()
-        rule = build_quadrature(m, _base(m), finest_scale=0.1)
-        assert float(np.sum(rule.weights)) == pytest.approx(
-            m.volume, rel=1e-12)
-
-    def test_rule_integrates_constants_sphere(self):
-        m = ManifoldModel.round_sphere(6)
-        rule = build_quadrature(m, _base(m), finest_scale=0.1,
-                                angular="minimal")
-        assert float(np.sum(rule.weights)) == pytest.approx(
-            m.volume, rel=1e-12)
-
-    def test_rule_flat_ball_volume(self):
-        m = ManifoldModel.flat_ball(6, 2.0)
-        rule = build_quadrature(m, np.zeros(6), finest_scale=0.1,
-                                angular="minimal")
-        ball = sphere_volume(5) / 6.0 * 2.0**6
-        assert float(np.sum(rule.weights)) == pytest.approx(ball, rel=1e-12)
+    @pytest.mark.parametrize("model, angular, with_axis", _CONSTANT_CASES,
+                             ids=_CONSTANT_IDS)
+    def test_rule_integrates_constants(self, model, angular, with_axis):
+        # every model is a join of spheres of directions, so every profile
+        # integrates constants exactly, with or without a turned polar axis
+        base = _base(model)
+        if with_axis:
+            axis = model.random_tangent(np.random.default_rng(0), base)
+            _, w = _polar_rule(model, base, 0.1, 2_000_000, angular,
+                               axis=axis)
+        else:
+            w = build_quadrature(model, base, finest_scale=0.1,
+                                 angular=angular).weights
+        assert float(np.sum(w)) == pytest.approx(model.volume, rel=1e-12)
 
     def test_rule_nodes_on_manifold(self):
         m = _pp()
@@ -449,25 +462,21 @@ class TestQuadrature:
                              angular=dict(n_psi=8, orders_a="minmal"))
 
     def test_radial_profile_needs_a_symmetric_domain(self):
-        # a flat ball is symmetric only about its origin
+        # a flat ball is symmetric only about its origin; about any other
+        # centre no profile resolves the exit radius of the rays
         m = ManifoldModel.flat_ball(6, 2.0)
         build_quadrature(m, np.zeros(6), finest_scale=0.1, angular="radial")
         off = np.zeros(6)
         off[0] = 0.5
-        with pytest.raises(GeometryError, match="origin"):
-            build_quadrature(m, off, finest_scale=0.1, angular="radial")
+        for angular in ("radial", "default", "minimal", "axial"):
+            with pytest.raises(GeometryError, match="origin"):
+                build_quadrature(m, off, finest_scale=0.1, angular=angular)
         # no piece of a multicentre rule is radial about its centre
         for kw in ("angular", "patch_angular"):
             with pytest.raises(GeometryError, match="multicentre"):
                 build_multicenter_quadrature(m, [np.zeros(6), off],
                                              finest_scale=0.1,
                                              **{kw: "radial"})
-
-    def test_zero_axis_rejected(self):
-        m = ManifoldModel.flat_ball(6, 2.0)
-        with pytest.raises(GeometryError, match="nonzero"):
-            build_quadrature(m, np.zeros(6), finest_scale=0.1,
-                             axis=np.zeros(6), angular="minimal")
 
     def test_finest_scale_domain(self):
         m = _pp()
@@ -493,16 +502,17 @@ class TestQuadrature:
                                        ManifoldModel.flat_ball(6, 1.0)],
                              ids=["S6", "S3xS3", "B6"])
     def test_patch_radius_bounds_the_rule(self, model):
+        # the multicentre patches: a rule for the ball of radius 0.05
         c = _base(model)
         if model.kind == "flat_ball":
-            c[0] = 0.97  # the ball of radius 0.05 reaches past the boundary
+            c[0] = 0.9
         angular = "biradial" if model.kind == "product_spheres" else "minimal"
-        rule = build_quadrature(model, c, finest_scale=1e-2, patch_radius=0.05,
-                                angular=angular)
-        d = model.distance(rule.nodes, c)
+        nodes, weights = _polar_rule(model, c, 1e-2, 2_000_000, angular,
+                                     extent=0.05)
+        d = model.distance(nodes, c)
         assert np.all(d < 0.05)
         assert np.max(d) > 0.049
-        assert np.all(rule.weights > 0.0)
+        assert np.all(weights > 0.0)
 
     def test_multicenter_budget_pays_only_for_kept_nodes(self):
         # each patch is a rule for its own ball of radius 0.01 (153,600
@@ -523,10 +533,23 @@ class TestQuadrature:
         # the patch about 0.97 e1 has radius 0.05, so the directions toward
         # the boundary end at the unit sphere before the patch does
         m = ManifoldModel.flat_ball(6, 1.0)
-        e1, e2 = np.eye(6)[:2]
-        rule = build_multicenter_quadrature(
-            m, [0.97 * e1, 0.97 * e1 + 0.1 * e2], finest_scale=1e-2)
+        e1 = np.eye(6)[0]
+        rule = build_multicenter_quadrature(m, [0.97 * e1, 0.87 * e1],
+                                            finest_scale=1e-2)
         r = np.linalg.norm(rule.nodes, axis=-1)
         assert np.all(r < 1.0)
         assert np.max(r) > 0.999
         assert np.all(rule.weights > 0.0)
+        assert float(np.sum(rule.weights)) == pytest.approx(m.volume,
+                                                            rel=1e-9)
+
+    @pytest.mark.parametrize("first", [0.3, 0.97])
+    def test_multicenter_flat_centres_off_one_line_rejected(self, first):
+        # each ray's exit radius is symmetric about the line through the
+        # origin and the rule's centre; polar axes off that line miss it
+        # (the sums of weights were 55% and 391% off the ball's volume)
+        m = ManifoldModel.flat_ball(6, 1.0)
+        e1, e2 = np.eye(6)[:2]
+        with pytest.raises(GeometryError, match="one line through the origin"):
+            build_multicenter_quadrature(
+                m, [first * e1, first * e1 + 0.1 * e2], finest_scale=1e-2)

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .geometry import (CapacityError, GeometryError, ManifoldModel,
                        QuadratureRule, build_multicenter_quadrature,
-                       build_quadrature, sphere_volume, unit_sphere_rule,
+                       build_quadrature, sphere_volume,
                        weyl_tensor_from_riemann, riemann_product_spheres)
 from .bubble import (BubbleField, BubbleParams, Configuration, CutoffSpec,
                      SumField, is_admissible, multi_bubble_field)
@@ -22,9 +22,8 @@ from .functional import (EnergyBreakdown, PotentialField, conformal_coupling,
                          residual_norm, single_bubble_energy_constant)
 from .reduced import (BumpFunction, DegenerateError, F_n_critical, F_n_eval,
                       ReducedEnergyParams, ScheduleParams, audit_bumps,
-                      build_H, delta_eps, expansion_predict, h_eps_field,
-                      mu_eps, reduced_constants, reduced_limit_ratio,
+                      build_H, delta_eps, h_eps_field, mu_eps,
+                      reduced_constants, reduced_limit_ratio,
                       schedule_configuration)
 from .diagnostics import (IsolationReport, PeakReport, SlopeFit,
-                          extract_peaks, flat_profile, isolation_ratios,
-                          order_fit, rescale_peak)
+                          extract_peaks, isolation_ratios, order_fit)

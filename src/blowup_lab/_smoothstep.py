@@ -37,22 +37,22 @@ def step_jet(t, order=0):
     inside = (t > 0.0) & (t < 1.0)
     ti, u, v = t[inside], u[inside], v[inside]
     P = u + v
-    # it**4 overflows only where u has underflowed to 0
-    with np.errstate(invalid="ignore", over="ignore"):
-        it = 1.0 / ti
-        is_ = 1.0 / (1.0 - ti)
-        u1 = u * it**2
-        v1 = -v * is_**2
-        P1 = u1 + v1
-        d1 = np.zeros_like(t)
-        d1[inside] = (u1 * P - u * P1) / P**2
-        if order == 1:
-            return s, d1
-        u2 = u * (it**4 - 2.0 * it**3)
-        v2 = v * (is_**4 - 2.0 * is_**3)
-        d2 = np.zeros_like(t)
-        d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
-                      - 2.0 * P1 * (u1 * P - u * P1) / P**3)
+    # 1/t is set to 0 where u = exp(-1/t) has underflowed to 0, so that the
+    # terms u (1/t)^j are 0 there rather than 0 * inf; likewise 1/(1-t) and v
+    it = np.divide(1.0, ti, out=np.zeros_like(ti), where=u > 0.0)
+    is_ = np.divide(1.0, 1.0 - ti, out=np.zeros_like(ti), where=v > 0.0)
+    u1 = u * it**2
+    v1 = -v * is_**2
+    P1 = u1 + v1
+    d1 = np.zeros_like(t)
+    d1[inside] = (u1 * P - u * P1) / P**2
+    if order == 1:
+        return s, d1
+    u2 = u * (it**4 - 2.0 * it**3)
+    v2 = v * (is_**4 - 2.0 * is_**3)
+    d2 = np.zeros_like(t)
+    d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
+                  - 2.0 * P1 * (u1 * P - u * P1) / P**3)
     return s, d1, d2
 
 

@@ -343,17 +343,51 @@ def _exp_bump_audit(cfg):
             lines, ok)
 
 
+# each experiment's runner and the config keys it reads, the keys of its
+# table in docs/config.md
 _RUNNERS = {
-    "flat-energy": _exp_flat_energy,
-    "expansion-sweep": _exp_expansion_sweep,
-    "interaction-sweep": _exp_interaction_sweep,
-    "residual-sweep": _exp_residual_sweep,
-    "reduced-limit": _exp_reduced_limit,
-    "schedule-table": _exp_schedule_table,
-    "isolation-sweep": _exp_isolation_sweep,
-    "bump-audit": _exp_bump_audit,
+    "flat-energy": (_exp_flat_energy, "dims radius budget threshold"),
+    "expansion-sweep": (_exp_expansion_sweep,
+                        "model sigma delta_range budget threshold"),
+    "interaction-sweep": (_exp_interaction_sweep,
+                          "n radius delta dist_range budget threshold"),
+    "residual-sweep": (_exp_residual_sweep, "model delta_range budget shift "
+                       "r0 log_correction slope_window"),
+    "reduced-limit": (_exp_reduced_limit,
+                      "model k seed t r eps_range budget threshold"),
+    "schedule-table": (_exp_schedule_table, "n r eps_range"),
+    "isolation-sweep": (_exp_isolation_sweep, "model k seed r eps_range"),
+    "bump-audit": (_exp_bump_audit, "dim ks seed"),
 }
 EXPERIMENTS = tuple(_RUNNERS)
+_MODEL_KEYS = {"product_spheres": "kind p q", "round_sphere": "kind n",
+               "flat_ball": "kind n radius"}
+
+
+def _refuse_unknown(spec, accepted, where):
+    """ConfigError naming the keys of ``spec`` not in ``accepted``."""
+    accepted = sorted(accepted.split())
+    unknown = sorted(set(spec) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                          f"in {where}; accepted: {', '.join(accepted)}")
+
+
+def _check_keys(cfg, keys):
+    """Refuse a key that the runner would ignore, such as a misspelt one.
+
+    Checks the top level, the model spec of a known kind and the ranges;
+    the values are checked where the runner reads them.
+    """
+    _refuse_unknown(cfg, "experiment out " + keys, "config")
+    model = cfg.get("model")
+    if isinstance(model, dict):
+        kind = model.get("kind", "product_spheres")
+        if kind in _MODEL_KEYS:
+            _refuse_unknown(model, _MODEL_KEYS[kind], f"model {kind!r}")
+    for key in ("delta_range", "eps_range", "dist_range"):
+        if isinstance(cfg.get(key), dict):
+            _refuse_unknown(cfg[key], "min max count", key)
 
 
 def run(config_path, out=None, quiet=False):
@@ -373,11 +407,13 @@ def run(config_path, out=None, quiet=False):
         print(f"error: unknown experiment kind {kind!r}; choose from "
               f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    runner, keys = _RUNNERS[kind]
     outdir = out or cfg.get("out", ".")
-    os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     try:
-        rows, columns, lines, passed = _RUNNERS[kind](cfg)
+        _check_keys(cfg, keys)
+        os.makedirs(outdir, exist_ok=True)
+        rows, columns, lines, passed = runner(cfg)
     except CapacityError as e:
         print(f"error: capacity exceeded: {e}\nhint: raise 'budget' in the "
               f"config or coarsen the sweep", file=sys.stderr)

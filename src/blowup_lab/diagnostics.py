@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "SlopeFit",
     "order_fit",
-    "flat_profile",
-    "rescale_peak",
     "PeakReport",
     "extract_peaks",
     "IsolationReport",
@@ -69,33 +67,6 @@ def order_fit(xs, ys, log_correction=0.0):
     return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]),
                     residual_rms=float(np.sqrt(np.mean(resid**2))),
                     log_correction=log_correction)
-
-
-def flat_profile(n, radii):
-    """The extremal profile (n(n-2))^((n-2)/4) (1+|x|^2)^(-(n-2)/2) at |x|."""
-    radii = np.asarray(radii, dtype=float)
-    m = (n - 2.0) / 2.0
-    return (n * (n - 2.0)) ** (m / 2.0) / (1.0 + radii**2) ** m
-
-
-def rescale_peak(model, u, center, scale, radii=None):
-    """Blow-up profile of u around a center at a given scale.
-
-    Samples u along four fixed geodesic rays through the center (the first
-    four of the tangent frame and its negative) at distances scale * radii
-    and returns (radii, scale^((n-2)/2) * mean value over the rays).  On
-    the standard profile this converges to ``flat_profile`` as scale -> 0.
-    """
-    n = model.n
-    if radii is None:
-        radii = np.geomspace(1e-2, 1e2, 33)
-    radii = np.asarray(radii, dtype=float)
-    frame = model.tangent_frame(center)
-    d = np.minimum(scale * radii, 0.999 * model.injectivity_radius)
-    vals = [u(model.exp(center, d[:, None] * v))
-            for v in np.vstack([frame, -frame])[:4]]
-    prof = scale ** ((n - 2.0) / 2.0) * np.mean(vals, axis=0)
-    return radii, prof
 
 
 @dataclass(frozen=True)
@@ -232,32 +203,25 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
 
 @dataclass(frozen=True)
 class IsolationReport:
-    """Pairwise separation metrics for a family of concentration peaks."""
+    """Separation metrics for a family of concentration peaks."""
 
-    separations: np.ndarray        # (k, k) geodesic distances
-    sep_over_scale: np.ndarray     # (k, k) d_ij / max(delta_i, delta_j)
     dist_to_reference: np.ndarray  # (k,) distances to the reference point
-    min_separation: float
-    min_sep_over_scale: float
+    min_separation: float          # smallest pairwise geodesic distance
+    min_sep_over_scale: float      # smallest d_ij / max(delta_i, delta_j)
 
 
 def isolation_ratios(model, centers, scales, xi0):
-    """Separation diagnostics; reports ratios, draws no verdict."""
-    centers = [np.asarray(c, dtype=float) for c in centers]
-    scales = np.asarray(scales, dtype=float)
-    k = len(centers)
-    sep = np.zeros((k, k))
-    ratio = np.full((k, k), np.inf)
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = model.distance(centers[i], centers[j])
-            sep[i, j] = sep[j, i] = d
-            ratio[i, j] = ratio[j, i] = d / max(scales[i], scales[j])
-    dref = np.array([model.distance(c, xi0) for c in centers])
-    off = sep[~np.eye(k, dtype=bool)] if k > 1 else np.array([np.inf])
-    offr = ratio[~np.eye(k, dtype=bool)] if k > 1 else np.array([np.inf])
-    return IsolationReport(separations=sep, sep_over_scale=ratio,
-                           dist_to_reference=dref,
-                           min_separation=float(np.min(off)),
-                           min_sep_over_scale=float(np.min(offr)))
+    """Separation diagnostics; reports ratios, draws no verdict.
 
+    With fewer than two peaks both minima are infinite.
+    """
+    centers = [np.asarray(c, dtype=float) for c in centers]
+    min_sep = min_ratio = math.inf
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            d = float(model.distance(centers[i], centers[j]))
+            min_sep = min(min_sep, d)
+            min_ratio = min(min_ratio, d / max(scales[i], scales[j]))
+    dref = np.array([model.distance(c, xi0) for c in centers])
+    return IsolationReport(dist_to_reference=dref, min_separation=min_sep,
+                           min_sep_over_scale=float(min_ratio))

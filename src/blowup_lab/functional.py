@@ -85,15 +85,15 @@ class PotentialField:
         return vals
 
 
-def _density(vals, grads, hv, twostar):
-    """Energy density of J_h and the u_+^(2*) term inside it.
+def _positive_power(vals, twostar):
+    """u_+^(2*): a negative base raised to a non-integer 2* would be NaN."""
+    return np.maximum(vals, 0.0) ** twostar
 
-    u_+ keeps negative values finite: a negative base raised to a
-    non-integer 2* is NaN.
-    """
-    power = np.maximum(vals, 0.0) ** twostar
+
+def _density(vals, grads, hv, twostar):
+    """Energy density 1/2 (|grad u|^2 + h u^2) - u_+^(2*)/2* of J_h."""
     quadratic = np.sum(grads * grads, axis=-1) + hv * vals**2
-    return 0.5 * quadratic - power / twostar, power
+    return 0.5 * quadratic - _positive_power(vals, twostar) / twostar
 
 
 # nodes per block of _sample: a block's (nodes, 8) float temporaries take
@@ -119,7 +119,7 @@ def energy(model, h, u, rule):
 
     def density(pts):
         vals, grads = u.jet(pts, 1)
-        return _density(vals, grads, h(pts), twostar)[0]
+        return _density(vals, grads, h(pts), twostar)
 
     return float(np.sum(rule.weights * _sample(density, rule.nodes)))
 
@@ -175,28 +175,18 @@ def interaction_term(model, b_i, b_j):
 class EnergyBreakdown:
     """Multi-bubble energy splitting, each piece by separate quadrature.
 
-    ``total`` is J_h of the full sum; ``cross_dirichlet_plus_potential``
-    collects the pairwise Dirichlet + potential couplings; the nonlinear
-    excess is int((sum W)^(2*) - sum W^(2*)).  ``deviation`` is
-    |total - sum of single-bubble energies|, evaluated as
-    |cross - excess/2*| so that no digits cancel, and
-    ``interaction_prediction`` the closed-form scale it should follow.
-    ``identity_gap`` measures how far the direct difference
-    total - sum(per_bubble) is from that form.
+    ``cross_dirichlet_plus_potential`` collects the pairwise Dirichlet +
+    potential couplings and ``nonlinear_excess`` is
+    int((sum W)^(2*) - sum W^(2*)).  J_h(sum W) - sum J_h(W_i) equals
+    cross - excess/2*, so ``deviation`` = |cross - excess/2*| is that
+    energy difference with no digits cancelled; ``interaction_prediction``
+    is the closed-form scale it should follow.
     """
 
-    total: float
-    per_bubble: tuple
     cross_dirichlet_plus_potential: float
     nonlinear_excess: float
     deviation: float
     interaction_prediction: float
-
-    def identity_gap(self, n):
-        twostar = critical_exponent(n)
-        return abs(self.total - (sum(self.per_bubble)
-                                 + self.cross_dirichlet_plus_potential
-                                 - self.nonlinear_excess / twostar))
 
 
 def _power_excess(vals, powers, twostar):
@@ -229,26 +219,18 @@ def energy_split(model, h, cfg, cutoff, rule):
     twostar = critical_exponent(model.n)
 
     def pieces(pts):
-        # rows: k per-bubble densities, one coupling per pair, the total
-        # density and the nonlinear excess
+        # rows: one coupling per pair, then the nonlinear excess
         hv = h(pts)
         vals, grads = zip(*(f.jet(pts, 1) for f in fields))
-        dens, powers = zip(*(_density(v, g, hv, twostar)
-                             for v, g in zip(vals, grads)))
+        powers = [_positive_power(v, twostar) for v in vals]
         # the 1/2 in the energy cancels the (i, j)/(j, i) symmetry factor
         couplings = [np.sum(grads[i] * grads[j], axis=-1)
                      + hv * vals[i] * vals[j] for i, j in pairs]
-        total_dens, _ = _density(sum(vals), sum(grads), hv, twostar)
-        return np.stack([*dens, *couplings, total_dens,
-                         _power_excess(vals, powers, twostar)])
+        return np.stack([*couplings, _power_excess(vals, powers, twostar)])
 
-    sums = [float(np.sum(rule.weights * row))
-            for row in _sample(pieces, rule.nodes)]
-    per_bubble = sums[:k]
-    cross = 0.0
-    for c in sums[k:-2]:
-        cross += c
-    total, excess = sums[-2:]
+    *couplings, excess = [float(np.sum(rule.weights * row))
+                          for row in _sample(pieces, rule.nodes)]
+    cross = sum(couplings, 0.0)
 
     prediction = 0.0
     for i in range(k):
@@ -258,8 +240,6 @@ def energy_split(model, h, cfg, cutoff, rule):
                                                cfg.bubbles[j])
 
     return EnergyBreakdown(
-        total=total,
-        per_bubble=tuple(per_bubble),
         cross_dirichlet_plus_potential=cross,
         nonlinear_excess=excess,
         deviation=abs(cross - excess / twostar),

@@ -32,7 +32,6 @@ __all__ = [
     "build_quadrature",
     "build_multicenter_quadrature",
     "sphere_volume",
-    "unit_sphere_rule",
 ]
 
 
@@ -452,8 +451,6 @@ def unit_sphere_rule(m, orders):
     at any orders; the polar resolution of the FIRST angle (measured from
     the +e1 axis) controls accuracy for axially symmetric integrands.
     """
-    if m == 0:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if len(orders) != m:
         raise GeometryError(f"need {m} orders for S^{m}")
     if m == 1:

@@ -1,7 +1,7 @@
-"""Finite-dimensional endgame: expansions, reduced energy, schedules, bumps.
+"""Finite-dimensional endgame: reduced energy, schedules, bumps.
 
-This module owns the closed-form side of the construction: the predicted
-single-bubble energy expansion, the reduced energy
+This module owns the closed-form side of the construction: the reduced
+energy
 
     F_n(t, p) = c1 H(p) t^2 - d_n |Weyl|^2 t^4,
 
@@ -30,7 +30,6 @@ __all__ = [
     "BumpFunction",
     "ScheduleParams",
     "reduced_constants",
-    "expansion_predict",
     "F_n_eval",
     "F_n_critical",
     "delta_eps",
@@ -105,26 +104,6 @@ class ReducedEnergyParams:
             raise ValueError("n must be >= 6")
         if self.weyl_sq < 0:
             raise ValueError("weyl_sq must be nonnegative")
-
-
-def expansion_predict(params, delta, h_minus_cnR_at_center):
-    """Predicted single-bubble energy at scale delta (remainders excluded).
-
-    E_1 (1 + c1 v delta^2 - |Weyl|^2 * fourth_order(delta)) where the fourth
-    order branch is delta^4 ln(1/delta)/64 in dimension 6 and
-    delta^4/(24(n-4)(n-6)) for n >= 7.
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    n = params.n
-    e1 = single_bubble_energy_constant(n)
-    c1, d_n = reduced_constants(n)
-    if n == 6:
-        fourth = d_n * delta**4 * math.log(1.0 / delta)
-    else:
-        fourth = d_n * delta**4
-    return e1 * (1.0 + c1 * h_minus_cnR_at_center * delta**2
-                 - params.weyl_sq * fourth)
 
 
 def F_n_eval(params, t, H_value):

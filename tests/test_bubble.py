@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup_lab._smoothstep import step_jet
 from blowup_lab.bubble import (
     BubbleField,
     BubbleParams,
@@ -45,6 +46,12 @@ class TestCutoff:
             _, d1, d2 = cut.jet(np.array([r]), 2)
             assert abs(d1[0]) < 1e-3
             assert abs(d2[0]) < 1e3
+
+    def test_step_jet_where_exp_underflows(self):
+        # exp(-1/t) is 0 below t = 1/745; (1/t)^2 overflows at 1e-300 and
+        # (1/t)^4 at 1e-80, so the derivatives must be 0 there, not 0 * inf
+        for q in step_jet(np.array([1e-300, 1e-80]), 2):
+            np.testing.assert_array_equal(q, 0.0)
 
     def test_none_is_identity(self):
         cut = CutoffSpec.none()

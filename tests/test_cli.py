@@ -50,6 +50,24 @@ class TestConfigErrors:
             "eps_range": {"min": 0.1, "max": 0.01, "count": 5}})
         assert run(cfg, out=str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("payload, key, accepted", [
+        # a misspelt threshold would otherwise run at the default 1e-6
+        ({"experiment": "flat-energy", "thresold": 1e-30}, "'thresold'",
+         "budget, dims, experiment, out, radius, threshold"),
+        ({"experiment": "expansion-sweep",
+          "model": {"kind": "product_spheres", "n": 7}}, "'n'",
+         "kind, p, q"),
+        ({"experiment": "schedule-table",
+          "eps_range": {"min": 1e-10, "max": 1e-4, "points": 5}}, "'points'",
+         "count, max, min"),
+    ])
+    def test_unknown_key(self, tmp_path, capsys, payload, key, accepted):
+        outdir = tmp_path / "o"
+        assert run(_write(tmp_path, payload), out=str(outdir)) == 2
+        err = capsys.readouterr().err
+        assert key in err and f"accepted: {accepted}" in err
+        assert not outdir.exists()
+
     def test_capacity_error_exit_code(self, tmp_path):
         cfg = _write(tmp_path, {
             "experiment": "flat-energy", "dims": [6], "budget": 100})

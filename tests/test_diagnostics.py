@@ -1,4 +1,4 @@
-"""Diagnostics: slope fits, profile rescaling, peak extraction."""
+"""Diagnostics: slope fits, peak extraction, isolation metrics."""
 
 import math
 
@@ -13,10 +13,8 @@ from blowup_lab.bubble import (
 )
 from blowup_lab.diagnostics import (
     extract_peaks,
-    flat_profile,
     isolation_ratios,
     order_fit,
-    rescale_peak,
 )
 from blowup_lab.geometry import ManifoldModel
 
@@ -61,26 +59,6 @@ class TestOrderFit:
             order_fit(xs, np.zeros(6))  # zero values
         with pytest.raises(ValueError):
             order_fit(np.linspace(0.5, 5.0, 6), np.ones(6))  # x outside (0,1)
-
-
-class TestProfiles:
-    def test_flat_profile_normalization(self):
-        # value 24^1 at the origin for n = 6 ((n(n-2))^((n-2)/4) squared...)
-        assert flat_profile(6, np.array([0.0]))[0] == pytest.approx(24.0)
-        # half-height radius: (1 + r^2)^2 = 2 at r = sqrt(sqrt(2) - 1)
-        r = math.sqrt(math.sqrt(2.0) - 1.0)
-        assert flat_profile(6, np.array([r]))[0] == pytest.approx(12.0)
-
-    def test_rescale_recovers_flat_profile(self):
-        m = _pp()
-        xi = _base(m)
-        delta = 1e-3
-        u = multi_bubble_field(
-            m, Configuration(bubbles=(BubbleParams(delta, xi),)),
-            CutoffSpec.for_model(m))
-        radii = np.geomspace(0.1, 10.0, 17)
-        r, prof = rescale_peak(m, u, xi, delta, radii=radii)
-        np.testing.assert_allclose(prof, flat_profile(6, r), rtol=1e-4)
 
 
 class TestIsolation:

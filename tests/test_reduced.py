@@ -14,7 +14,6 @@ from blowup_lab.reduced import (
     audit_bumps,
     build_H,
     delta_eps,
-    expansion_predict,
     F_n_critical,
     F_n_eval,
     h_eps_field,
@@ -94,15 +93,6 @@ class TestReducedEnergy:
         # an infinite quartic coefficient makes the curvature check NaN
         with pytest.raises(DegenerateError):
             F_n_critical(ReducedEnergyParams(n=6, weyl_sq=math.inf, H=Hb))
-
-    def test_expansion_predict(self):
-        p = ReducedEnergyParams(n=6, weyl_sq=14.4, H=None)
-        from blowup_lab.functional import single_bubble_energy_constant
-        e1 = single_bubble_energy_constant(6)
-        d = 1e-2
-        want = e1 * (1.0 + 1.25 * 0.5 * d**2
-                     - 14.4 * d**4 * math.log(1.0 / d) / 64.0)
-        assert expansion_predict(p, d, 0.5) == pytest.approx(want, rel=1e-14)
 
 
 class TestSchedules:

@@ -34,6 +34,55 @@ def test_all_names_exist():
     assert not missing, f"names in __all__ that do not exist: {missing}"
 
 
+# public names whose caller is outside src/ and perfbench/, with the reason
+_CALLED_ELSEWHERE = {
+    # the closed-form maximum that acceptance criterion 7 checks
+    "F_n_critical",
+    # the admissibility-cone check that the k-bubble reduced limit is to
+    # apply to each scheduled configuration (ROADMAP item 1)
+    "is_admissible",
+}
+
+
+def _references(tree):
+    """Names and attribute names read in ``tree``, outside their own def.
+
+    A function or class that refers to itself, by recursion or in its own
+    body, does not count as a caller of itself.  Strings and docstrings
+    are not read.
+    """
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in enclosing:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only tests call is code kept alive for its tests
+    paths = sorted(SRC.rglob("*.py")) + sorted(
+        (SRC.parents[1] / "perfbench").glob("*.py"))
+    used = set()
+    for path in paths:
+        used |= _references(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = [f"{info.name}.{name}"
+                for info in pkgutil.iter_modules(blowup_lab.__path__)
+                for name in getattr(importlib.import_module(
+                    f"blowup_lab.{info.name}"), "__all__", ())
+                if name not in used and name not in _CALLED_ELSEWHERE]
+    assert not uncalled, f"public names with no caller: {uncalled}"
+
+
 def test_imports_only_stdlib_and_numpy():
     # the runtime dependencies in pyproject.toml are numpy alone
     found = []

@@ -28,8 +28,8 @@ from . import __version__
 from .bubble import (BubbleParams, Configuration, CutoffSpec,
                      multi_bubble_field)
 from .diagnostics import isolation_ratios, order_fit
-from .functional import (PotentialField, energy, energy_split, residual_norm,
-                         single_bubble_energy_constant)
+from .functional import (PotentialField, _sample, energy, energy_split,
+                         residual_norm, single_bubble_energy_constant)
 from .geometry import (CapacityError, GeometryError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
 from .reduced import (DegenerateError, ScheduleParams, audit_bumps, build_H,
@@ -111,7 +111,7 @@ def _rule_center(model):
     A flat ball is symmetric only about its origin; there a radial rule is
     exact and the default cutoff (r0 = radius/4) stays inside the ball.
     """
-    if model.kind == "flat_ball":
+    if not model.is_compact:
         return np.zeros(model.n)
     return model.random_point(np.random.default_rng(0))
 
@@ -165,7 +165,8 @@ def _exp_expansion_sweep(cfg):
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
         # J is affine in h: the constant shift adds sigma/2 int u^2 exactly
-        half_l2 = 0.5 * float(np.sum(rule.weights * u(rule.nodes) ** 2))
+        half_l2 = 0.5 * float(np.sum(
+            rule.weights * _sample(lambda pts: u(pts) ** 2, rule.nodes)))
         rows.append((d, j0, j0 + sigma * half_l2, half_l2 / (e1 * d * d)))
     coefs = np.array([r[3] for r in rows])
     fitted = float(np.median(coefs))
@@ -376,18 +377,20 @@ def _refuse_unknown(spec, accepted, where):
 def _check_keys(cfg, keys):
     """Refuse a key that the runner would ignore, such as a misspelt one.
 
-    Checks the top level, the model spec of a known kind and the ranges;
-    the values are checked where the runner reads them.
+    Checks the top level, the model spec of a known kind and the ranges,
+    which must be objects; the values are checked where the runner reads
+    them.
     """
     _refuse_unknown(cfg, "experiment out " + keys, "config")
-    model = cfg.get("model")
-    if isinstance(model, dict):
-        kind = model.get("kind", "product_spheres")
-        if kind in _MODEL_KEYS:
-            _refuse_unknown(model, _MODEL_KEYS[kind], f"model {kind!r}")
+    for key in ("model", "delta_range", "eps_range", "dist_range"):
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(f"{key!r} must be a JSON object")
+    model = cfg.get("model", {})
+    kind = model.get("kind", "product_spheres")
+    if kind in _MODEL_KEYS:
+        _refuse_unknown(model, _MODEL_KEYS[kind], f"model {kind!r}")
     for key in ("delta_range", "eps_range", "dist_range"):
-        if isinstance(cfg.get(key), dict):
-            _refuse_unknown(cfg[key], "min max count", key)
+        _refuse_unknown(cfg.get(key, {}), "min max count", key)
 
 
 def run(config_path, out=None, quiet=False):

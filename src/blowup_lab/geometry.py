@@ -17,6 +17,7 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +90,25 @@ def _along(length, w, nw):
     return scale[..., None] * w
 
 
+def _ball_polar(base, x):
+    """:func:`_sphere_polar` on a ball: (|w|, w, |w|) with w = x - base."""
+    w = x - base
+    nw = np.linalg.norm(w, axis=-1)
+    return nw, w, nw
+
+
+def _hypot(a, b):
+    """Distance on a product from the distances on its two factors."""
+    return np.sqrt(a**2 + b**2)
+
+
+def _block_diag(a, b):
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
 def _orthonormal_complement(u):
     """Orthonormal basis of u-perp in R^d, rows (d-1, d); u must be unit."""
     d = u.shape[0]
@@ -122,6 +142,10 @@ def _xcotx(x):
 class ManifoldModel:
     """One of the supported homogeneous geometries.
 
+    Every model is a product of factors: one round sphere, two (S^p x S^q)
+    or one flat ball.  Each metric operation is written once per factor
+    type, sphere or ball, and combined over the factors.
+
     Use the classmethods :meth:`product_spheres`, :meth:`round_sphere`,
     :meth:`flat_ball` rather than the raw constructor.
     """
@@ -131,6 +155,15 @@ class ManifoldModel:
     p: int = 0
     q: int = 0
     radius: float = 0.0
+
+    def __post_init__(self):
+        # (ambient slice, dimension, is a sphere) of each factor: S^k in
+        # R^(k+1), the ball in R^n
+        sphere = self.is_compact
+        dims = (self.p, self.q) if self.p else (self.n,)
+        ends = itertools.accumulate(k + sphere for k in dims)
+        object.__setattr__(self, "_factors", tuple(
+            (slice(e - k - sphere, e), k, sphere) for k, e in zip(dims, ends)))
 
     @classmethod
     def product_spheres(cls, p, q):
@@ -156,17 +189,12 @@ class ManifoldModel:
 
     @property
     def ambient_dim(self):
-        if self.kind == "product_spheres":
-            return self.p + self.q + 2
-        if self.kind == "round_sphere":
-            return self.n + 1
-        return self.n
+        # the factors' slices tile the ambient coordinates in order
+        return self._factors[-1][0].stop
 
     @property
     def injectivity_radius(self):
-        if self.kind == "flat_ball":
-            return self.radius
-        return math.pi
+        return math.pi if self.is_compact else self.radius
 
     @property
     def is_compact(self):
@@ -174,17 +202,14 @@ class ManifoldModel:
 
     @property
     def volume(self):
-        if self.kind == "product_spheres":
-            return sphere_volume(self.p) * sphere_volume(self.q)
-        if self.kind == "round_sphere":
-            return sphere_volume(self.n)
-        return sphere_volume(self.n - 1) / self.n * self.radius**self.n
+        return math.prod(sphere_volume(k) if sphere
+                         else sphere_volume(k - 1) / k * self.radius**k
+                         for _, k, sphere in self._factors)
 
     def split(self, x):
-        """Split product-manifold ambient coordinates into the two factors."""
-        if self.kind != "product_spheres":
-            raise GeometryError("split is only defined on products")
-        return x[..., : self.p + 1], x[..., self.p + 1:]
+        """Each factor's ambient coordinates of x, as views: one slice on a
+        round sphere or a ball, two on a product."""
+        return [x[..., sl] for sl, _, _ in self._factors]
 
     def validate_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -192,45 +217,33 @@ class ManifoldModel:
         if x.shape[-1] != self.ambient_dim:
             raise GeometryError(
                 f"point has ambient dimension {x.shape[-1]}, expected {self.ambient_dim}")
-        if self.kind == "product_spheres":
-            x1, x2 = self.split(x)
-            if np.any(np.abs(_dot(x1, x1) - 1.0) > tol) or \
-               np.any(np.abs(_dot(x2, x2) - 1.0) > tol):
-                raise GeometryError("sphere components must have unit norm")
-        elif self.kind == "round_sphere":
-            if np.any(np.abs(_dot(x, x) - 1.0) > tol):
-                raise GeometryError("sphere point must have unit norm")
-        else:
-            if np.any(_dot(x, x) > (self.radius + tol) ** 2):
+        for xi, (_, _, sphere) in zip(self.split(x), self._factors):
+            if sphere:
+                if np.any(np.abs(_dot(xi, xi) - 1.0) > tol):
+                    raise GeometryError("sphere points must have unit norm")
+            elif np.any(_dot(xi, xi) > (self.radius + tol) ** 2):
                 raise GeometryError("point lies outside the ball")
         return x
 
     # -- metric operations ---------------------------------------------------
 
     def _polars(self, base, x):
-        """:func:`_sphere_polar` on each sphere factor, and the distance.
-
-        Returns (d, polars): one (angle, w, |w|) on a round sphere, two on
-        a product, whose distance is the hypotenuse of the factor angles.
-        """
-        if self.kind == "product_spheres":
-            polars = [_sphere_polar(bi, xi)
-                      for bi, xi in zip(self.split(base), self.split(x))]
-            return np.sqrt(polars[0][0]**2 + polars[1][0]**2), polars
-        polar = _sphere_polar(base, x)
-        return polar[0], [polar]
+        """The distance, the hypotenuse of the factor angles, and the polar
+        (angle, w, |w|) of x about base on each factor."""
+        polars = [(_sphere_polar if sphere else _ball_polar)(base[..., sl],
+                                                             x[..., sl])
+                  for sl, _, sphere in self._factors]
+        return functools.reduce(_hypot, [a for a, _, _ in polars]), polars
 
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.shape[-1] != self.ambient_dim or b.shape[-1] != self.ambient_dim:
             raise GeometryError("mismatched ambient dimensions")
-        if self.kind == "flat_ball":
-            return np.linalg.norm(a - b, axis=-1)
         return self._polars(a, b)[0]
 
     def factor_distances(self, a, b):
-        """Per-factor arc lengths on a product."""
+        """Per-factor distances: arc lengths on spheres, |b - a| on a ball."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         return tuple(polar[0] for polar in self._polars(a, b)[1])
@@ -238,14 +251,10 @@ class ManifoldModel:
     def exp(self, base, v):
         base = np.asarray(base, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.kind == "product_spheres":
-            b1, b2 = self.split(base)
-            v1, v2 = v[..., : self.p + 1], v[..., self.p + 1:]
-            return np.concatenate(
-                [_sphere_exp(b1, v1), _sphere_exp(b2, v2)], axis=-1)
-        if self.kind == "round_sphere":
-            return _sphere_exp(base, v)
-        return base + v
+        return np.concatenate(
+            [_sphere_exp(base[..., sl], v[..., sl]) if sphere
+             else base[..., sl] + v[..., sl]
+             for sl, _, sphere in self._factors], axis=-1)
 
     def log(self, base, target):
         v, d = self._log_and_distance(base, target)
@@ -259,29 +268,20 @@ class ManifoldModel:
         The log map is only meaningful below the injectivity radius; this
         does not check it.
         """
-        base = np.asarray(base, dtype=float)
-        target = np.asarray(target, dtype=float)
-        if self.kind == "flat_ball":
-            v = target - base
-            return v, np.linalg.norm(v, axis=-1)
-        d, polars = self._polars(base, target)
+        d, polars = self._polars(np.asarray(base, dtype=float),
+                                 np.asarray(target, dtype=float))
         parts = [_along(angle, w, nw) for angle, w, nw in polars]
         return np.concatenate(parts, axis=-1), d
 
+    def _frames(self, base):
+        """Each factor's orthonormal tangent basis at base, rows (k, width)."""
+        return [_orthonormal_complement(base[sl]) if sphere else np.eye(k)
+                for sl, k, sphere in self._factors]
+
     def tangent_frame(self, base):
         """Orthonormal basis of the tangent space, rows (n, ambient_dim)."""
-        base = np.asarray(base, dtype=float)
-        if self.kind == "product_spheres":
-            b1, b2 = self.split(base)
-            f1 = _orthonormal_complement(b1)
-            f2 = _orthonormal_complement(b2)
-            frame = np.zeros((self.n, self.ambient_dim))
-            frame[: self.p, : self.p + 1] = f1
-            frame[self.p:, self.p + 1:] = f2
-            return frame
-        if self.kind == "round_sphere":
-            return _orthonormal_complement(base)
-        return np.eye(self.n)
+        return functools.reduce(_block_diag,
+                                self._frames(np.asarray(base, dtype=float)))
 
     def distance_gradient(self, center, pts):
         """Ambient gradient of x -> d(x, center), unit length away from center.
@@ -305,66 +305,48 @@ class ManifoldModel:
         """d(pts, center) with, for order 1, its ambient gradient or, for
         order 2, its radial Laplacian coefficient (None for order 0).
 
-        On spheres and products everything comes from one projection per
-        factor, taken at ``pts``, so each factor's w points toward the
-        centre.
+        Everything comes from one polar per factor, taken at ``pts``, so
+        each factor's w points toward the centre.  The gradient is
+        sum_i r_i grad(r_i) / d, grad(r_i) being the unit vector away from
+        the centre on factor i; recombined from the angles that gave d, it
+        has length 1 to rounding.  Over m factors of dimension k_i the
+        coefficient is (m - 1 + sum_i (k_i - 1) phi(r_i)) / d, with
+        phi(r) = r cot r on a sphere and 1 on the ball.
         """
-        pts = np.asarray(pts, dtype=float)
-        center = np.asarray(center, dtype=float)
-        if self.kind == "flat_ball":
-            diff = pts - center
-            d = np.linalg.norm(diff, axis=-1)
-            if order == 0:
-                return d, None
-            if order == 1:
-                dk = d[..., None]
-                return d, np.where(dk < 1e-300, 0.0,
-                                   diff / np.where(dk < 1e-300, 1.0, dk))
-            return d, (self.n - 1) / np.where(d < 1e-300, 1.0, d)
-        d, polars = self._polars(pts, center)
+        d, polars = self._polars(np.asarray(pts, dtype=float),
+                                 np.asarray(center, dtype=float))
         if order == 0:
             return d, None
         if order == 1:
-            # grad d = (r1 grad r1 + r2 grad r2) / d, with grad r_i the unit
-            # vector away from the centre on factor i; recombined from the
-            # same angles that gave d, so |grad d| is 1 to rounding
             g = np.concatenate([_along(-r, w, nw) for r, w, nw in polars],
                                axis=-1)
             return d, _along(1.0, g, d)
-        dsafe = np.where(d < 1e-300, 1.0, d)
-        if self.kind == "round_sphere":
-            return d, (self.n - 1) * _xcotx(d) / dsafe
-        (r1, _, _), (r2, _, _) = polars
-        num = 1.0 + (self.p - 1) * _xcotx(r1) + (self.q - 1) * _xcotx(r2)
-        return d, num / dsafe
+        num = sum(((k - 1) * (_xcotx(r) if sphere else 1.0)
+                   for (r, _, _), (_, k, sphere)
+                   in zip(polars, self._factors)), len(polars) - 1)
+        return d, num / np.where(d < 1e-300, 1.0, d)
 
     # -- curvature invariants -------------------------------------------------
 
     def scalar_curvature(self, x=None):
-        if self.kind == "product_spheres":
-            return float(self.p * (self.p - 1) + self.q * (self.q - 1))
-        if self.kind == "round_sphere":
-            return float(self.n * (self.n - 1))
-        return 0.0
+        return float(sum(k * (k - 1) for _, k, sphere in self._factors
+                         if sphere))
 
     def weyl_norm_sq(self, x=None):
-        if self.kind == "product_spheres":
+        # one sphere or a ball is conformally flat
+        if len(self._factors) == 2:
             return _product_weyl_norm_sq(self.p, self.q)
         return 0.0
 
     # -- sampling -------------------------------------------------------------
 
     def random_point(self, rng):
-        if self.kind == "product_spheres":
-            x1 = rng.standard_normal(self.p + 1)
-            x2 = rng.standard_normal(self.q + 1)
-            return np.concatenate([x1 / np.linalg.norm(x1), x2 / np.linalg.norm(x2)])
-        if self.kind == "round_sphere":
-            x = rng.standard_normal(self.n + 1)
-            return x / np.linalg.norm(x)
-        v = rng.standard_normal(self.n)
-        r = self.radius * rng.uniform() ** (1.0 / self.n)
-        return r * v / np.linalg.norm(v)
+        parts = []
+        for _, k, sphere in self._factors:
+            x = rng.standard_normal(k + sphere)
+            r = 1.0 if sphere else self.radius * rng.uniform() ** (1.0 / k)
+            parts.append(r * x / np.linalg.norm(x))
+        return np.concatenate(parts)
 
     def random_tangent(self, rng, base):
         frame = self.tangent_frame(base)
@@ -590,7 +572,7 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     resolve, so not even constants would integrate.
     """
     center = model.validate_point(np.asarray(center, dtype=float))
-    if model.kind == "flat_ball" and np.any(center):
+    if not model.is_compact and np.any(center):
         raise GeometryError("a rule on a flat ball must be centred at the "
                             "origin, the ball's only centre of symmetry")
     nodes, weights = _polar_rule(model, center, finest_scale, budget, angular)
@@ -616,14 +598,13 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
-    flat = model.kind == "flat_ball"
-    if model.kind == "product_spheres":
-        split, dims = model.split, (model.p, model.q)
+    factors = model._factors
+    if len(factors) == 2:
         prof = angular or "biradial"
         if isinstance(prof, str):
             prof = _lookup_profile(_PRODUCT_PROFILES, prof, "a product")
         orders = [_resolve_orders(k - 1, prof.get(key) or "minimal")
-                  for k, key in zip(dims, ("orders_a", "orders_b"))]
+                  for (_, k, _), key in zip(factors, ("orders_a", "orders_b"))]
         # two panels of split angles, meeting at the kink of the outer
         # radius at pi/4
         psi, wpsi = np.concatenate(
@@ -634,17 +615,16 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
                  for ps, wp in zip(psi, wpsi)
                  for c, s in [(math.cos(ps), math.sin(ps))]]
     else:
-        split, dims = (lambda x: (x,)), (model.n,)
         orders = [_resolve_orders(model.n - 1, angular or "default")]
         joins = [((1.0,), 1.0)]
-    bases = split(center)
+    bases = model.split(center)
 
     dirs, wdirs = [], []
-    for i, (base, k, o) in enumerate(zip(bases, dims, orders)):
-        frame = np.eye(k) if flat else _orthonormal_complement(base)
+    for i, (frame, (_, k, _), o) in enumerate(
+            zip(model._frames(center), factors, orders)):
         loc, w = unit_sphere_rule(k - 1, o)
         if axis is not None:
-            u = frame @ split(np.asarray(axis, dtype=float))[i]
+            u = frame @ model.split(np.asarray(axis, dtype=float))[i]
             if np.linalg.norm(u) > 1e-12:
                 loc = loc @ _rotation_with_first_axis(u / np.linalg.norm(u)).T
         dirs.append(loc @ frame)
@@ -654,7 +634,7 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     # models refine the default cutoff's transition band [r0/2, r0]
     r0 = model.injectivity_radius / 4.0
     transition = (r0 / 2.0, r0) if model.is_compact else None
-    if flat:
+    if not model.is_compact:
         cdotw = dirs[0] @ center
         exit_radius = -cdotw + np.sqrt(cdotw**2 + model.radius**2
                                        - center @ center)
@@ -662,8 +642,8 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     # directions of a sphere factor share it, those of the ball are grouped
     plan = []
     for scales, wj in joins:
-        r_out = exit_radius if flat else np.full(len(dirs[0]),
-                                                 math.pi / max(scales))
+        r_out = np.full(len(dirs[0]), math.pi / max(scales)) \
+            if model.is_compact else exit_radius
         radii, group = np.unique(np.minimum(r_out, extent),
                                  return_inverse=True)
         plan += [(scales, wj, group == g,
@@ -685,18 +665,17 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
         size = math.prod(shape)
         block = nodes[at:at + size].reshape(*shape, model.ambient_dim)
         dens = wr * r ** (model.n - 1)
-        lo = 0
-        for i, (s, base, a, k) in enumerate(zip(scales, bases, facs, dims)):
+        for i, (s, base, a, (sl, k, sphere)) in enumerate(
+                zip(scales, bases, facs, factors)):
             t = r * s
-            if flat:
-                x = base + t[:, None, None] * a
-            else:
+            if sphere:
                 x = np.cos(t)[:, None, None] * base \
                     + np.sin(t)[:, None, None] * a
                 dens = dens * np.sinc(t / np.pi) ** (k - 1)
+            else:
+                x = base + t[:, None, None] * a
             others = [j + 1 for j in range(len(facs)) if j != i]
-            block[..., lo:lo + len(base)] = np.expand_dims(x, others)
-            lo += len(base)
+            block[..., sl] = np.expand_dims(x, others)
         wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0][sel])
         weights[at:at + size] = np.outer(dens * wj, wd).reshape(-1)
         at += size
@@ -738,7 +717,7 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                for i, a in enumerate(centers) for b in centers[i + 1:])
     if dmin <= 0:
         raise GeometryError("multicenter rule requires distinct centers")
-    if model.kind == "flat_ball":
+    if not model.is_compact:
         sv = np.linalg.svd(np.array(centers), compute_uv=False)
         if sv[1] > 1e-12 * sv[0]:
             raise GeometryError("a multicentre rule on a flat ball needs its "

@@ -3,11 +3,13 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowup_lab.cli import EXPERIMENTS, emit_csv, main, run
+from blowup_lab.cli import _RUNNERS, EXPERIMENTS, emit_csv, main, run
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -67,6 +69,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert key in err and f"accepted: {accepted}" in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"experiment": "expansion-sweep", "model": 5},
+        {"experiment": "expansion-sweep", "delta_range": 5},
+        {"experiment": "schedule-table", "eps_range": [1e-8, 1e-4]},
+    ])
+    def test_non_object_model_or_range(self, tmp_path, capsys, payload):
+        outdir = tmp_path / "o"
+        assert run(_write(tmp_path, payload), out=str(outdir)) == 2
+        assert "error: malformed config" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_keys_match_the_reference_table(self, experiment):
+        # the keys a runner accepts are the rows of its table in
+        # docs/config.md, so neither can drift from the other
+        text = (Path(__file__).resolve().parents[1] / "docs"
+                / "config.md").read_text()
+        section = text.split(f"\n## {experiment}\n")[1].split("\n## ")[0]
+        documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
+        assert documented == set(_RUNNERS[experiment][1].split())
 
     def test_capacity_error_exit_code(self, tmp_path):
         cfg = _write(tmp_path, {

@@ -145,10 +145,6 @@ _SEEDS = st.integers(0, 2**32 - 1)
 _SPLIT = st.floats(0.0, math.pi / 2.0)
 
 
-def _factors(model, x):
-    return model.split(x) if model.kind == "product_spheres" else (x,)
-
-
 def _draw(dims, seed, theta, psi):
     """A model, a base point and a tangent vector of length theta there.
 
@@ -198,7 +194,7 @@ class TestDistanceProperties:
         x = m.exp(base, v)
         d = float(m.distance(base, x))
         chords = [2.0 * math.asin(np.linalg.norm(a - b) / 2.0)
-                  for a, b in zip(_factors(m, base), _factors(m, x))]
+                  for a, b in zip(m.split(base), m.split(x))]
         if max(chords) <= math.pi / 2.0:
             assert d == pytest.approx(math.hypot(*chords), rel=1e-14)
         assert abs(d - theta) <= 16.0 * _EPS
@@ -223,7 +219,7 @@ def _at_angles(dims, seed, angles):
     rng = np.random.default_rng(seed)
     base = m.random_point(rng)
     parts = []
-    for b, s in zip(_factors(m, base), angles):
+    for b, s in zip(m.split(base), angles):
         u = rng.standard_normal(len(b))
         u -= (u @ b) * b
         u /= np.linalg.norm(u)
@@ -269,15 +265,13 @@ class TestProjectionAccuracy:
         m, base, x = _at_angles(dims, seed, angles)
         with mpmath.workdps(50):
             refs = [_mp_polar(a, b)[0]
-                    for a, b in zip(_factors(m, base), _factors(m, x))]
+                    for a, b in zip(m.split(base), m.split(x))]
             d_ref = mpmath.sqrt(mpmath.fsum(r * r for r in refs))
             for a, b in ((base, x), (x, base)):
                 assert abs(mpmath.mpf(float(m.distance(a, b))) - d_ref) \
                     <= _ulps8(d_ref)
-                if m.kind == "product_spheres":
-                    for got, ref in zip(m.factor_distances(a, b), refs):
-                        assert abs(mpmath.mpf(float(got)) - ref) \
-                            <= _ulps8(ref)
+                for got, ref in zip(m.factor_distances(a, b), refs):
+                    assert abs(mpmath.mpf(float(got)) - ref) <= _ulps8(ref)
 
     @_PROPERTY
     @given(dims=_DIMS, seed=_SEEDS, theta=_ANGLE, psi=_SPLIT)
@@ -289,7 +283,7 @@ class TestProjectionAccuracy:
         w = m.log(base, x)
         with mpmath.workdps(50):
             polars = [_mp_polar(a, b)
-                      for a, b in zip(_factors(m, base), _factors(m, x))]
+                      for a, b in zip(m.split(base), m.split(x))]
             ref = [t for _, vec in polars for t in vec]
             err = mpmath.sqrt(mpmath.fsum(
                 (mpmath.mpf(float(g)) - r) ** 2 for g, r in zip(w, ref)))
@@ -323,6 +317,30 @@ class TestProjectionAccuracy:
         else:
             want, scale = -(w2 + coeff * w1), np.abs(w2) + np.abs(coeff * w1)
         assert np.all(np.abs(lap - want) <= 1e-13 * scale)
+
+    @_PROPERTY
+    @given(n=st.sampled_from([6, 7]), seed=_SEEDS,
+           log_r=st.floats(-12.0, 1.5))
+    def test_flat_ball_factor(self, n, seed, log_r):
+        # the ball takes the factor loop of the spheres with w = x - base;
+        # every operation then reduces to its Euclidean closed form
+        m = ManifoldModel.flat_ball(n, 100.0)
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-20.0, 20.0, (8, n))
+        v = rng.standard_normal((8, n))
+        v *= 10.0 ** log_r / np.linalg.norm(v, axis=-1, keepdims=True)
+        b = a + v
+        d = np.linalg.norm(a - b, axis=-1)
+        assert np.array_equal(m.distance(a, b), d)
+        assert np.array_equal(m.log(a, b), b - a)
+        assert np.array_equal(m.exp(a, v), a + v)
+        assert np.array_equal(m.radial_laplacian_coeff(a, b), (n - 1) / d)
+        assert np.array_equal(m.tangent_frame(a[0]), np.eye(n))
+        # the gradient at b, away from the centre a: (1/d) (b - a), within
+        # 2 ulp of (b - a)/d
+        ref = (b - a) / d[:, None]
+        assert np.all(np.abs(m.distance_gradient(a, b) - ref)
+                      <= 2.0 * np.spacing(np.abs(ref)))
 
     def test_log_raises_at_and_beyond_injectivity_radius(self):
         s = ManifoldModel.round_sphere(4)

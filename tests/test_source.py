@@ -34,6 +34,20 @@ def test_all_names_exist():
     assert not missing, f"names in __all__ that do not exist: {missing}"
 
 
+def test_only_geometry_reads_the_model_kind():
+    # every model is a product of factors, and geometry.py alone maps a
+    # kind to them; elsewhere a kind branch would be a metric path of its
+    # own (a config's spec.get("kind") is a dict read, not an attribute)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    assert not found, f"model kind read outside geometry.py: {found}"
+
+
 # public names whose caller is outside src/ and perfbench/, with the reason
 _CALLED_ELSEWHERE = {
     # the closed-form maximum that acceptance criterion 7 checks

@@ -7,8 +7,8 @@ Usage:
 Each run writes manifest.json, one CSV per sweep, and summary.txt with
 pass/fail lines against the thresholds in the config (defaults match the
 project acceptance criteria).  Exit codes: 0 ok, 1 threshold failure
-(artifacts still written), 2 malformed config, 3 capacity exceeded,
-4 numerical or domain failure.
+(artifacts still written), 2 malformed config or unwritable out dir,
+3 capacity exceeded, 4 numerical or domain failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import os
 import resource
 import sys
@@ -30,10 +31,10 @@ from .bubble import (BubbleParams, Configuration, CutoffSpec,
 from .diagnostics import isolation_ratios, order_fit
 from .functional import (PotentialField, _sample, energy, energy_split,
                          residual_norm, single_bubble_energy_constant)
-from .geometry import (CapacityError, GeometryError, ManifoldModel,
+from .geometry import (CapacityError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
-from .reduced import (DegenerateError, ScheduleParams, audit_bumps, build_H,
-                      mu_eps, reduced_constants, reduced_limit_ratio,
+from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
+                      reduced_constants, reduced_limit_ratio,
                       schedule_configuration)
 
 
@@ -58,51 +59,106 @@ def emit_csv(path, columns, rows):
     """RFC-4180-style CSV: LF endings, header always, 17 digits for reals."""
     if len(set(columns)) != len(columns):
         raise ConfigError(f"duplicate column names in {columns}")
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(",".join(columns) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write CSV {path}: {e}") from e
-    return path
+    with open(path, "w", newline="") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _model_from_spec(spec):
-    kind = spec.get("kind", "product_spheres")
-    # a dimension or radius out of the model's range is a config value the
-    # constructor refuses, not a failure of the computation
-    try:
-        if kind == "product_spheres":
-            return ManifoldModel.product_spheres(spec.get("p", 3),
-                                                 spec.get("q", 3))
-        if kind == "round_sphere":
-            return ManifoldModel.round_sphere(spec.get("n", 6))
-        if kind == "flat_ball":
-            return ManifoldModel.flat_ball(spec.get("n", 6),
-                                           spec.get("radius", 100.0))
-    except GeometryError as e:
-        raise ConfigError(f"model {spec}: {e}") from e
-    raise ConfigError(f"unknown model kind {kind!r}")
+_BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}  # operator names
 
 
-def _geomspace(rng_spec, default_lo, default_hi, default_count, top=math.inf):
-    lo = float(rng_spec.get("min", default_lo))
-    hi = float(rng_spec.get("max", default_hi))
-    count = int(rng_spec.get("count", default_count))
-    if not (0 < lo < hi <= top) or count < 2:
-        bound = "" if top == math.inf else f" <= {top:g}"
-        raise ConfigError(f"range must satisfy 0 < min < max{bound} "
-                          f"with count >= 2")
-    return np.geomspace(lo, hi, count)
+def _number(integer=False, **bounds):
+    """Reader of a finite number within ``bounds`` (gt=0, le=1, ...), not a
+    boolean; with ``integer`` an integral one (4e6 is), read as an int."""
+    what = ("an integer" if integer else "a finite number") + " and".join(
+        f" {_BOUNDS[b]} {v:g}" for b, v in bounds.items())
+
+    def read(x, name, done):
+        if (isinstance(x, bool) or not isinstance(x, (int, float))
+                or not math.isfinite(x) or integer and x != int(x) or not all(
+                    getattr(operator, b)(x, v) for b, v in bounds.items())):
+            raise ConfigError(f"{name} must be {what}, not {json.dumps(x)}")
+        return int(x) if integer else float(x)
+    return read
 
 
-def _scale(value):
-    """A bubble scale from the config; rules resolve scales in (0, 1]."""
-    delta = float(value)
-    if not 0.0 < delta <= 1.0:
-        raise ConfigError(f"bubble scale {delta:g} must lie in (0, 1]")
-    return delta
+def _array(item, length=None):
+    """Reader of a non-empty array of ``item`` values, ``length`` of them."""
+    def read(value, name, done):
+        if not isinstance(value, list) or not value or length not in (
+                None, len(value)):
+            raise ConfigError(f"{name} must be an array of "
+                              f"{length or 'one or more'} items")
+        return [item(v, f"{name}[{i}]", done) for i, v in enumerate(value)]
+    return read
+
+
+def _range(lo, hi, count, fit=0, **top):
+    """Reader of a geometric sweep, 0 < min < max within ``top``; if its
+    values**fit are order_fit's x, four points and a decade in x."""
+    table = {"min": (lo, _number(gt=0)), "max": (hi, _number(gt=0, **top)),
+             "count": (count, _number(integer=True, ge=4 if fit else 2))}
+
+    def read(spec, name, done):
+        s = _read_config(spec, table, name, also=())
+        if not s["min"] < s["max"] or (
+                fit and fit * math.log10(s["max"] / s["min"]) < 1 - 1e-9):
+            raise ConfigError(f"{name} must have min < max" + (
+                f" and max/min >= {10 ** (1 / fit):.4g}" if fit else ""))
+        return np.geomspace(s["min"], s["max"], s["count"])
+    return read
+
+
+_DIM = _number(integer=True, ge=3)
+_MODELS = {"product_spheres": (ManifoldModel.product_spheres,
+                               {"p": (3, _DIM), "q": (3, _DIM)}),
+           "round_sphere": (ManifoldModel.round_sphere, {"n": (6, _DIM)}),
+           "flat_ball": (ManifoldModel.flat_ball,
+                         {"n": (6, _DIM), "radius": (100.0, _number(gt=0))})}
+
+
+def _model(min_dim=3):
+    """Reader of a model spec of dimension at least ``min_dim``."""
+    def read(spec, name, done):
+        kind = isinstance(spec, dict) and spec.get("kind", "product_spheres")
+        if not isinstance(kind, str) or kind not in _MODELS:
+            raise ConfigError(f"{name} must name a kind in {list(_MODELS)}")
+        make, table = _MODELS[kind]
+        model = make(**_read_config(spec, table, name, also=("kind",)))
+        if model.n < min_dim:
+            raise ConfigError(f"{name} must have dimension >= {min_dim}")
+        return model
+    return read
+
+
+def _plateau(value, name, done):
+    """Reader of residual-sweep's ``r0``: compact models fix it at inj/4."""
+    if done["model"].is_compact:
+        raise ConfigError(f"{name} is accepted only on a flat ball")
+    return _number(gt=0, lt=done["model"].radius)(value, name, done)
+
+
+def _read_config(cfg, table, where=None, also=("experiment", "out")):
+    """The values of ``table``'s keys {key: (default, reader)} in ``cfg``.
+
+    A reader takes the JSON value, its quoted key and the values read before
+    it, and returns the checked value or raises ConfigError.  A key outside
+    ``table`` and ``also`` is refused: a misspelt one would go unnoticed.
+    A None default (or null) is left to the runner."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(cfg) - set(table) - set(also))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
+                          f"in {where or 'config'}; accepted: "
+                          f"{', '.join(sorted({*table, *also}))}")
+    done = {}
+    for key, (default, reader) in table.items():
+        value = cfg.get(key, default)
+        done[key] = None if value is None and default is None else reader(
+            value, repr(key) if where is None else f"{key!r} in {where}", done)
+    return done
 
 
 def _rule_center(model):
@@ -120,17 +176,13 @@ def _rule_center(model):
 # experiment implementations; each returns (rows, columns, lines, passed)
 
 def _exp_flat_energy(cfg):
-    dims = cfg.get("dims", [6])
-    radius = float(cfg.get("radius", 100.0))
-    budget = int(cfg.get("budget", 2_000_000))
-    tol = float(cfg.get("threshold", 1e-6))
+    tol = cfg["threshold"]
     rows, lines, ok = [], [], True
-    for n in dims:
-        model = _model_from_spec({"kind": "flat_ball", "n": n,
-                                  "radius": radius})
+    for n in cfg["dims"]:
+        model = ManifoldModel.flat_ball(n, cfg["radius"])
         center = np.zeros(n)
         rule = build_quadrature(model, center, finest_scale=1.0,
-                                budget=budget, angular="radial")
+                                budget=cfg["budget"], angular="radial")
         h = PotentialField.constant(model, 0.0)
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(1.0, center),)),
@@ -147,20 +199,16 @@ def _exp_flat_energy(cfg):
 
 
 def _exp_expansion_sweep(cfg):
-    model = _model_from_spec(cfg.get("model", {}))
-    sigma = float(cfg.get("sigma", 1e-3))
-    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 7, top=1.0)
-    budget = int(cfg.get("budget", 2_000_000))
-    tol = float(cfg.get("threshold", 0.05))
+    model, sigma, tol = cfg["model"], cfg["sigma"], cfg["threshold"]
     c1 = reduced_constants(model.n)[0]
     e1 = single_bubble_energy_constant(model.n)
     center = _rule_center(model)
     cutoff = CutoffSpec.for_model(model)
     h0 = PotentialField.conformal_scalar(model)
     rows = []
-    for d in deltas:
-        rule = build_quadrature(model, center, finest_scale=d, budget=budget,
-                                angular="radial")
+    for d in cfg["delta_range"]:
+        rule = build_quadrature(model, center, finest_scale=d,
+                                budget=cfg["budget"], angular="radial")
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
@@ -178,15 +226,10 @@ def _exp_expansion_sweep(cfg):
 
 
 def _exp_interaction_sweep(cfg):
-    n = int(cfg.get("n", 6))
-    delta = _scale(cfg.get("delta", 1e-3))
-    dists = _geomspace(cfg.get("dist_range", {}), 0.02, 0.2, 6)
-    budget = int(cfg.get("budget", 4_000_000))
-    tol = float(cfg.get("threshold", 0.05))
-    model = _model_from_spec({"kind": "flat_ball", "n": n,
-                              "radius": float(cfg.get("radius", 100.0))})
+    n, delta, budget = cfg["n"], cfg["delta"], cfg["budget"]
+    model = ManifoldModel.flat_ball(n, cfg["radius"])
     rows = []
-    for d in dists:
+    for d in cfg["dist_range"]:
         c1 = np.zeros(n)
         c2 = np.zeros(n)
         c1[0], c2[0] = -d / 2.0, d / 2.0
@@ -199,7 +242,7 @@ def _exp_interaction_sweep(cfg):
         q = (delta / d) ** 2
         rows.append((d, q, split.deviation, split.interaction_prediction))
     fit = order_fit([r[1] for r in rows], [r[2] for r in rows])
-    target = (n - 2.0) / 2.0
+    target, tol = (n - 2.0) / 2.0, cfg["threshold"]
     dev = abs(fit.slope - target) / target
     ok = dev < tol
     lines = [f"[{'PASS' if ok else 'FAIL'}] interaction-sweep n={n}: slope "
@@ -209,18 +252,17 @@ def _exp_interaction_sweep(cfg):
 
 
 def _exp_residual_sweep(cfg):
-    model = _model_from_spec(cfg.get("model", {"kind": "product_spheres"}))
-    deltas = _geomspace(cfg.get("delta_range", {}), 1e-3, 1e-2, 6, top=1.0)
-    budget = int(cfg.get("budget", 2_000_000))
-    log_b = float(cfg.get("log_correction", 2.0 / 3.0 if model.n == 6 else 0.0))
-    lo, hi = cfg.get("slope_window", [1.8, 2.4] if model.n == 6 else [1.9, 2.2])
-    shift = float(cfg.get("shift", 0.0))
+    model, budget = cfg["model"], cfg["budget"]
+    log_b, window = cfg["log_correction"], cfg["slope_window"]
+    if log_b is None:
+        log_b = 2.0 / 3.0 if model.n == 6 else 0.0
+    lo, hi = window or ([1.8, 2.4] if model.n == 6 else [1.9, 2.2])
     center = _rule_center(model)
     cutoff = (CutoffSpec.for_model(model) if model.is_compact
-              else CutoffSpec(r0=float(cfg.get("r0", 1.0))))
-    h = PotentialField.conformal_scalar(model).shifted(shift)
+              else CutoffSpec(r0=1.0 if cfg["r0"] is None else cfg["r0"]))
+    h = PotentialField.conformal_scalar(model).shifted(cfg["shift"])
     rows = []
-    for d in deltas:
+    for d in cfg["delta_range"]:
         rule = build_quadrature(model, center, finest_scale=d, budget=budget,
                                 angular="radial")
         cfg_b = Configuration(bubbles=(BubbleParams(d, center),))
@@ -236,21 +278,14 @@ def _exp_residual_sweep(cfg):
 
 
 def _exp_reduced_limit(cfg):
-    model = _model_from_spec(cfg.get("model", {}))
-    eps_list = sorted(_geomspace(cfg.get("eps_range", {}), 1e-4, 1e-2, 5),
-                      reverse=True)
-    budget = int(cfg.get("budget", 4_000_000))
-    tol = float(cfg.get("threshold", 0.10))
-    t = float(cfg.get("t", 1.0))
-    seed = cfg.get("seed", None)
-    r = int(cfg.get("r", 0))
-    Hb = build_H(int(cfg.get("k", 1)), model.n, seed=seed)
+    model, t, r, budget = cfg["model"], cfg["t"], cfg["r"], cfg["budget"]
+    Hb = build_H(cfg["k"], model.n, seed=cfg["seed"])
     xi0 = _rule_center(model)
     p = Hb.maxima[0]
     # a single bump peaks at xi0, under the bubble: the integrand is radial
     angular = "radial" if Hb.k == 1 else None
     rows = []
-    for eps in eps_list:
+    for eps in sorted(cfg["eps_range"], reverse=True):
         # centre the rule on the bubble at exp_xi0(mu p), which is xi0 itself
         # for k = 1 (p = 0) and about 0.6 away from it for k > 1
         cfg_b, sch = schedule_configuration(model, xi0, [t], [p], eps, r=r)
@@ -261,7 +296,7 @@ def _exp_reduced_limit(cfg):
                                                 rule, r=r)
         dev = abs(ratio - pred) / abs(pred)
         rows.append((eps, sch.delta_eps, sch.mu_eps, ratio, pred, dev))
-    devs = [row[5] for row in rows]
+    devs, tol = [row[5] for row in rows], cfg["threshold"]
     decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)
     ok = devs[-1] < tol and decreasing >= min(3, len(devs) - 1)
     lines = [f"[{'PASS' if ok else 'FAIL'}] reduced-limit: final rel_dev "
@@ -271,11 +306,9 @@ def _exp_reduced_limit(cfg):
 
 
 def _exp_schedule_table(cfg):
-    n = int(cfg.get("n", 7))
-    r = int(cfg.get("r", 1))
-    eps_list = _geomspace(cfg.get("eps_range", {}), 1e-10, 1e-4, 7)
+    n, r = cfg["n"], cfg["r"]
     rows, ok = [], True
-    for eps in sorted(eps_list, reverse=True):
+    for eps in sorted(cfg["eps_range"], reverse=True):
         sch = ScheduleParams(n=n, eps=eps, r=r)
         mu, margins = mu_eps(sch)
         d = sch.delta_eps
@@ -293,17 +326,13 @@ def _exp_schedule_table(cfg):
 
 
 def _exp_isolation_sweep(cfg):
-    model = _model_from_spec(cfg.get("model", {}))
-    eps_list = sorted(_geomspace(cfg.get("eps_range", {}), 1e-6, 1e-3, 7),
-                      reverse=True)
-    r = int(cfg.get("r", 0))
-    seed = cfg.get("seed", None)
-    Hb = build_H(int(cfg.get("k", 2)), model.n, seed=seed)
+    model, r = cfg["model"], cfg["r"]
+    Hb = build_H(cfg["k"], model.n, seed=cfg["seed"])
     xi0 = model.random_point(np.random.default_rng(0))
     ts = [1.0] * Hb.k
     ps = list(Hb.maxima)
     rows = []
-    for eps in eps_list:
+    for eps in sorted(cfg["eps_range"], reverse=True):
         cfg_b, sch = schedule_configuration(model, xi0, ts, ps, eps, r=r)
         rep = isolation_ratios(model, [b.center for b in cfg_b.bubbles],
                                [b.delta for b in cfg_b.bubbles], xi0)
@@ -324,12 +353,9 @@ def _exp_isolation_sweep(cfg):
 
 
 def _exp_bump_audit(cfg):
-    ks = cfg.get("ks", [1, 2, 3, 5])
-    dim = int(cfg.get("dim", 6))
-    seed = cfg.get("seed", None)
     rows, ok = [], True
-    for k in ks:
-        Hb = build_H(k, dim, seed=seed)
+    for k in cfg["ks"]:
+        Hb = build_H(k, cfg["dim"], seed=cfg["seed"])
         rep = audit_bumps(Hb)
         good = rep["passed"]
         ok = ok and good
@@ -337,60 +363,66 @@ def _exp_bump_audit(cfg):
                      int(rep["far_value_ok"]), int(rep["peak_values_ok"]),
                      int(rep["unique_local_max_ok"]),
                      int(rep["separation_ok"])))
-    lines = [f"[{'PASS' if ok else 'FAIL'}] bump-audit dim={dim}: all four "
-             f"invariants and exact maxima counts for k in {list(ks)}"]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] bump-audit dim={cfg['dim']}: all "
+             f"four invariants and exact maxima counts for k in {cfg['ks']}"]
     return (rows, ("k", "sigma", "r_tilde", "n_maxima_found", "far_value_ok",
                    "peak_values_ok", "unique_local_max_ok", "separation_ok"),
             lines, ok)
 
 
-# each experiment's runner and the config keys it reads, the keys of its
-# table in docs/config.md
+# each experiment's runner and table, whose keys are those in docs/config.md
 _RUNNERS = {
-    "flat-energy": (_exp_flat_energy, "dims radius budget threshold"),
-    "expansion-sweep": (_exp_expansion_sweep,
-                        "model sigma delta_range budget threshold"),
-    "interaction-sweep": (_exp_interaction_sweep,
-                          "n radius delta dist_range budget threshold"),
-    "residual-sweep": (_exp_residual_sweep, "model delta_range budget shift "
-                       "r0 log_correction slope_window"),
-    "reduced-limit": (_exp_reduced_limit,
-                      "model k seed t r eps_range budget threshold"),
-    "schedule-table": (_exp_schedule_table, "n r eps_range"),
-    "isolation-sweep": (_exp_isolation_sweep, "model k seed r eps_range"),
-    "bump-audit": (_exp_bump_audit, "dim ks seed"),
+    "flat-energy": (_exp_flat_energy, {
+        "dims": ([6], _array(_DIM)),
+        "radius": (100.0, _number(gt=0)),
+        "budget": (2_000_000, _number(integer=True, ge=1)),
+        "threshold": (1e-6, _number(gt=0))}),
+    "expansion-sweep": (_exp_expansion_sweep, {
+        "model": ({}, _model(6)),
+        "sigma": (1e-3, _number()),
+        "delta_range": ({}, _range(1e-3, 1e-2, 7, le=1)),
+        "budget": (2_000_000, _number(integer=True, ge=1)),
+        "threshold": (0.05, _number(gt=0))}),
+    "interaction-sweep": (_exp_interaction_sweep, {
+        "n": (6, _DIM),
+        "radius": (100.0, _number(gt=0)),
+        "delta": (1e-3, _number(gt=0, le=1)),
+        "dist_range": ({}, _range(0.02, 0.2, 6, fit=2)),
+        "budget": (4_000_000, _number(integer=True, ge=1)),
+        "threshold": (0.05, _number(gt=0))}),
+    "residual-sweep": (_exp_residual_sweep, {
+        "model": ({}, _model()),
+        "delta_range": ({}, _range(1e-3, 1e-2, 6, fit=1, le=1)),
+        "budget": (2_000_000, _number(integer=True, ge=1)),
+        "shift": (0.0, _number()),
+        "r0": (None, _plateau),
+        "log_correction": (None, _number()),
+        "slope_window": (None, _array(_number(), length=2))}),
+    "reduced-limit": (_exp_reduced_limit, {
+        "model": ({}, _model(6)),
+        "k": (1, _number(integer=True, ge=1)),
+        "seed": (None, _number(integer=True, ge=0)),
+        "t": (1.0, _number(gt=0)),
+        "r": (0, _number(integer=True, ge=0)),
+        "eps_range": ({}, _range(1e-4, 1e-2, 5, lt=1)),
+        "budget": (4_000_000, _number(integer=True, ge=1)),
+        "threshold": (0.10, _number(gt=0))}),
+    "schedule-table": (_exp_schedule_table, {
+        "n": (7, _number(integer=True, ge=6)),
+        "r": (1, _number(integer=True, ge=0)),
+        "eps_range": ({}, _range(1e-10, 1e-4, 7, lt=1))}),
+    "isolation-sweep": (_exp_isolation_sweep, {
+        "model": ({}, _model(6)),
+        "k": (2, _number(integer=True, ge=1)),
+        "seed": (None, _number(integer=True, ge=0)),
+        "r": (0, _number(integer=True, ge=0)),
+        "eps_range": ({}, _range(1e-6, 1e-3, 7, lt=1))}),
+    "bump-audit": (_exp_bump_audit, {
+        "dim": (6, _number(integer=True, ge=2)),
+        "ks": ([1, 2, 3, 5], _array(_number(integer=True, ge=1))),
+        "seed": (None, _number(integer=True, ge=0))}),
 }
 EXPERIMENTS = tuple(_RUNNERS)
-_MODEL_KEYS = {"product_spheres": "kind p q", "round_sphere": "kind n",
-               "flat_ball": "kind n radius"}
-
-
-def _refuse_unknown(spec, accepted, where):
-    """ConfigError naming the keys of ``spec`` not in ``accepted``."""
-    accepted = sorted(accepted.split())
-    unknown = sorted(set(spec) - set(accepted))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} "
-                          f"in {where}; accepted: {', '.join(accepted)}")
-
-
-def _check_keys(cfg, keys):
-    """Refuse a key that the runner would ignore, such as a misspelt one.
-
-    Checks the top level, the model spec of a known kind and the ranges,
-    which must be objects; the values are checked where the runner reads
-    them.
-    """
-    _refuse_unknown(cfg, "experiment out " + keys, "config")
-    for key in ("model", "delta_range", "eps_range", "dist_range"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigError(f"{key!r} must be a JSON object")
-    model = cfg.get("model", {})
-    kind = model.get("kind", "product_spheres")
-    if kind in _MODEL_KEYS:
-        _refuse_unknown(model, _MODEL_KEYS[kind], f"model {kind!r}")
-    for key in ("delta_range", "eps_range", "dist_range"):
-        _refuse_unknown(cfg.get(key, {}), "min max count", key)
 
 
 def run(config_path, out=None, quiet=False):
@@ -402,49 +434,47 @@ def run(config_path, out=None, quiet=False):
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read config {config_path}: {e}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
+    kind = cfg.get("experiment") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in _RUNNERS:
+        print(f"error: a config is a JSON object whose \"experiment\" is one "
+              f"of {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    kind = cfg.get("experiment")
-    if kind not in _RUNNERS:
-        print(f"error: unknown experiment kind {kind!r}; choose from "
-              f"{', '.join(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    runner, keys = _RUNNERS[kind]
+    runner, table = _RUNNERS[kind]
     outdir = out or cfg.get("out", ".")
     t0 = time.perf_counter()
     try:
-        _check_keys(cfg, keys)
+        checked = _read_config(cfg, table)
+        if not isinstance(cfg.get("out", "."), str):
+            raise ConfigError("'out' must be a string")
         os.makedirs(outdir, exist_ok=True)
-        rows, columns, lines, passed = runner(cfg)
+        rows, columns, lines, passed = runner(checked)
+        emit_csv(os.path.join(outdir, f"{kind}.csv"), columns, rows)
+        with open(os.path.join(outdir, "summary.txt"), "w", newline="") as f:
+            f.write("\n".join(lines) + "\n")
+        manifest = {
+            "config": cfg,
+            "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
+            "wallclock_seconds": time.perf_counter() - t0,
+            "outputs": [f"{kind}.csv", "summary.txt"],
+            "peak_rss_mb": _peak_rss_mb(),
+            "version": __version__,
+        }
+        with open(os.path.join(outdir, "manifest.json"), "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except (ConfigError, OSError) as e:
+        why = ("malformed config" if isinstance(e, ConfigError)
+               else f"cannot write artifacts to {outdir}")
+        print(f"error: {why}: {e}", file=sys.stderr)
+        return 2
     except CapacityError as e:
         print(f"error: capacity exceeded: {e}\nhint: raise 'budget' in the "
               f"config or coarsen the sweep", file=sys.stderr)
         return 3
-    except (GeometryError, DegenerateError) as e:
-        # both derive from ValueError: caught first, they are not config errors
+    except ValueError as e:
+        # GeometryError, DegenerateError and the library's domain checks
         print(f"error: numerical or domain failure: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError, KeyError, TypeError) as e:
-        print(f"error: malformed config: {e}", file=sys.stderr)
-        return 2
-    csv_path = os.path.join(outdir, f"{kind}.csv")
-    emit_csv(csv_path, columns, rows)
-    summary_path = os.path.join(outdir, "summary.txt")
-    with open(summary_path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
-    manifest = {
-        "config": cfg,
-        "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
-        "wallclock_seconds": time.perf_counter() - t0,
-        "outputs": [os.path.basename(csv_path),
-                    os.path.basename(summary_path)],
-        "peak_rss_mb": _peak_rss_mb(),
-        "version": __version__,
-    }
-    with open(os.path.join(outdir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
     if not quiet:
         for ln in lines:
             print(ln)

@@ -84,12 +84,19 @@ class TestConfigErrors:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_keys_match_the_reference_table(self, experiment):
         # the keys a runner accepts are the rows of its table in
-        # docs/config.md, so neither can drift from the other
+        # docs/config.md, so neither can drift from the other; a default
+        # documented as one JSON literal is the table's default
         text = (Path(__file__).resolve().parents[1] / "docs"
                 / "config.md").read_text()
         section = text.split(f"\n## {experiment}\n")[1].split("\n## ")[0]
-        documented = set(re.findall(r"^\| `(\w+)` \|", section, re.M))
-        assert documented == set(_RUNNERS[experiment][1].split())
+        documented = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section,
+                                     re.M))
+        table = _RUNNERS[experiment][1]
+        assert set(documented) == set(table)
+        for key, cell in documented.items():
+            literal = re.fullmatch(r"`([^`]*)`", cell.strip())
+            if literal:
+                assert json.loads(literal[1]) == table[key][0], key
 
     def test_capacity_error_exit_code(self, tmp_path):
         cfg = _write(tmp_path, {
@@ -110,18 +117,79 @@ class TestConfigErrors:
          "malformed config"),
         # a well-formed sweep that needs more nodes than the budget
         ({"experiment": "residual-sweep", "budget": 1000,
-          "delta_range": {"min": 1e-3, "max": 1e-2, "count": 2}},
+          "delta_range": {"min": 1e-3, "max": 1e-2, "count": 4}},
          3, "capacity exceeded"),
         # the schedule's bubble scale t * delta_eps exceeds 1, outside the
         # domain of the quadrature (a GeometryError, also a ValueError)
         ({"experiment": "reduced-limit", "t": 1e6,
           "eps_range": {"min": 1e-4, "max": 1e-3, "count": 2}},
          4, "numerical or domain failure"),
+        # values that ran before the config tables checked them: NaN (which
+        # json.loads accepts), a boolean and non-integral counts; from here
+        # on the message names the key
+        ({"experiment": "flat-energy", "radius": float("nan")}, 2,
+         "malformed config: 'radius'"),
+        ({"experiment": "flat-energy", "threshold": float("nan")}, 2,
+         "malformed config: 'threshold'"),
+        ({"experiment": "flat-energy", "threshold": True}, 2,
+         "malformed config: 'threshold'"),
+        ({"experiment": "isolation-sweep", "k": 2.9}, 2,
+         "malformed config: 'k'"),
+        ({"experiment": "schedule-table", "n": 7.9}, 2,
+         "malformed config: 'n'"),
+        ({"experiment": "schedule-table", "eps_range": {"count": 2.5}}, 2,
+         "malformed config: 'count' in 'eps_range'"),
+        # compact models fix the cutoff plateau at inj/4; a flat ball's must
+        # lie inside the ball
+        ({"experiment": "residual-sweep", "r0": 0.5}, 2,
+         "malformed config: 'r0'"),
+        ({"experiment": "residual-sweep", "r0": 20.0,
+          "model": {"kind": "flat_ball", "n": 7, "radius": 10.0}}, 2,
+         "malformed config: 'r0'"),
+        # values that failed only through a TypeError, numpy or an unpacking
+        ({"experiment": "flat-energy", "dims": ["6"]}, 2,
+         "malformed config: 'dims'"),
+        ({"experiment": "reduced-limit", "seed": "x"}, 2,
+         "malformed config: 'seed'"),
+        ({"experiment": "residual-sweep", "slope_window": [1.8]}, 2,
+         "malformed config: 'slope_window'"),
+        ({"experiment": "bump-audit", "ks": 3}, 2, "malformed config: 'ks'"),
+        # eps beyond (0, 1), a model below the dimension the reduced
+        # constants need, and sweeps that give order_fit no decade or too
+        # few points
+        ({"experiment": "schedule-table", "eps_range": {"max": 2}}, 2,
+         "malformed config: 'max' in 'eps_range'"),
+        ({"experiment": "reduced-limit",
+          "model": {"kind": "round_sphere", "n": 5}}, 2,
+         "malformed config: 'model'"),
+        ({"experiment": "residual-sweep",
+          "delta_range": {"min": 2e-3, "max": 1e-2}}, 2,
+         "malformed config: 'delta_range'"),
+        ({"experiment": "interaction-sweep", "dist_range": {"count": 3}}, 2,
+         "malformed config: 'count' in 'dist_range'"),
+        # kinds that are not strings, which a dict lookup cannot hash, and
+        # an out that is not a path
+        ({"experiment": ["flat-energy"]}, 2, "a config is a JSON object"),
+        ({"experiment": "expansion-sweep", "model": {"kind": ["flat_ball"]}},
+         2, "malformed config: 'model'"),
+        ({"experiment": "bump-audit", "ks": [1], "out": 5}, 2,
+         "malformed config: 'out'"),
+        # an out dir under a regular file (the config itself)
+        ({"experiment": "bump-audit", "ks": [1], "out": "cfg.json/o"}, 2,
+         "cannot write artifacts to"),
+        # eps beyond the n = 6 schedule's branch maximum 1/(2e) is a domain
+        # failure of the schedule, not a malformed value
+        ({"experiment": "schedule-table", "n": 6, "eps_range": {"max": 0.4}},
+         4, "numerical or domain failure"),
     ])
     def test_failure_classes(self, tmp_path, capsys, payload, code, message):
+        outdir = tmp_path / str(payload.get("out", "o"))
         cfg = _write(tmp_path, payload)
-        assert run(cfg, out=str(tmp_path / "o"), quiet=True) == code
+        assert run(cfg, out=str(outdir), quiet=True) == code
         assert f"error: {message}" in capsys.readouterr().err
+        # exit 2 refuses before the out dir is made; 3 and 4 leave it empty
+        if code == 2:
+            assert not outdir.exists()
 
 
 class TestArtifacts:

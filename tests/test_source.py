@@ -48,6 +48,37 @@ def test_only_geometry_reads_the_model_kind():
     assert not found, f"model kind read outside geometry.py: {found}"
 
 
+def _cli_functions():
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_runners_read_only_checked_values():
+    # each experiment's table reads and checks its config before the run;
+    # a cfg.get in a runner would read a value no table checked
+    found = [f"{name}:{node.lineno}"
+             for name, func in _cli_functions().items()
+             if name.startswith("_exp_")
+             for node in ast.walk(func)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "get"
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == func.args.args[0].arg]
+    assert not found, f"runners reading their config with .get: {found}"
+
+
+def test_run_lets_program_errors_through():
+    # after the tables have checked the config, a TypeError or KeyError is
+    # a bug whose traceback must show, not a malformed config (exit 2)
+    handled = {node.id for handler in ast.walk(_cli_functions()["run"])
+               if isinstance(handler, ast.ExceptHandler) and handler.type
+               for node in ast.walk(handler.type)
+               if isinstance(node, ast.Name)}
+    assert not handled & {"TypeError", "KeyError"}, handled
+
+
 # public names whose caller is outside src/ and perfbench/, with the reason
 _CALLED_ELSEWHERE = {
     # the closed-form maximum that acceptance criterion 7 checks

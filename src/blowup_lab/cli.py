@@ -98,7 +98,9 @@ def _range(lo, hi, count, fit=0, **top):
     """Reader of a geometric sweep, 0 < min < max within ``top``; if its
     values**fit are order_fit's x, four points and a decade in x."""
     table = {"min": (lo, _number(gt=0)), "max": (hi, _number(gt=0, **top)),
-             "count": (count, _number(integer=True, ge=4 if fit else 2))}
+             # at most 1000 points, over 100 times the largest shipped sweep
+             "count": (count, _number(integer=True, ge=4 if fit else 2,
+                                      le=1000))}
 
     def read(spec, name, done):
         s = _read_config(spec, table, name, also=())
@@ -413,7 +415,8 @@ _RUNNERS = {
         "eps_range": ({}, _range(1e-10, 1e-4, 7, lt=1))}),
     "isolation-sweep": (_exp_isolation_sweep, {
         "model": ({}, _model(6)),
-        "k": (2, _number(integer=True, ge=1)),
+        # one bubble has no separation to grow
+        "k": (2, _number(integer=True, ge=2)),
         "seed": (None, _number(integer=True, ge=0)),
         "r": (0, _number(integer=True, ge=0)),
         "eps_range": ({}, _range(1e-6, 1e-3, 7, lt=1))}),

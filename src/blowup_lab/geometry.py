@@ -459,9 +459,9 @@ def unit_sphere_rule(m, orders):
 # polar orders on S^m by profile name: the directions of flat-ball and
 # round-sphere rules, and the factor spheres of product rules
 _SPHERE_PROFILES = {
-    "default": lambda m: [8] + [4] * (m - 2) + [8] if m > 1 else [12],
-    "minimal": lambda m: [2] * (m - 1) + [4] if m > 1 else [4],
-    "axial": lambda m: [20] + [2] * (m - 2) + [4] if m > 1 else [24],
+    "default": lambda m: [8] + [4] * (m - 2) + [8],
+    "minimal": lambda m: [2] * (m - 1) + [4],
+    "axial": lambda m: [20] + [1] * (m - 1),
     "radial": lambda m: [1] * m,
 }
 
@@ -536,7 +536,6 @@ def _radial_grid(finest_scale, r_patch, r_outer, transition):
 _PRODUCT_PROFILES = {
     "radial": dict(n_psi=24, orders_a="radial", orders_b="radial"),
     "biradial": dict(n_psi=24, orders_a="minimal", orders_b="minimal"),
-    "axial": dict(n_psi=24, orders_a="axial", orders_b="minimal"),
 }
 
 
@@ -552,12 +551,14 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     of more than ``budget`` nodes raises CapacityError, naming its size.
 
     ``angular`` selects the angular resolution.  On products it is a
-    profile name ("radial", "biradial", "axial") or a dict with keys
-    ``n_psi``, ``orders_a``, ``orders_b`` (each a list of polar orders or a
-    sphere profile name); None means "biradial".  On flat balls and round
-    spheres it is a sphere profile name ("default", "minimal", "axial",
-    "radial") or a list of polar orders; None means "default".  An unknown
-    name raises GeometryError.
+    profile name ("radial", "biradial") or a dict with keys ``n_psi``,
+    ``orders_a``, ``orders_b`` (each a list of polar orders or a sphere
+    profile name); None means "biradial".  On flat balls and round spheres
+    it is a sphere profile name ("default", "minimal", "axial", "radial")
+    or a list of polar orders; None means "default".  An unknown name
+    raises GeometryError.  "axial" puts 20 Gauss nodes on the polar angle
+    from the rule's axis and one on every other angle, so it resolves only
+    integrands invariant under rotations about that axis.
 
     "radial" keeps one angular node per sphere of directions (per factor
     sphere on products), so it is exact only for an integrand that depends
@@ -695,15 +696,19 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     only to be dropped.  Each patch, and the background about the first
     centre, turns its polar axis toward the next centre; ``patch_angular``
     and ``angular`` are their profiles, as in :func:`build_quadrature`,
-    with None meaning "axial".  The budget is split evenly over the
-    patches and the background.  Weights stay positive because the
-    partition functions are.
+    with None meaning "axial" on flat balls and round spheres and
+    "biradial" on products.  The budget is split evenly over the patches
+    and the background.  Weights stay positive because the partition
+    functions are.
 
     It needs at least two distinct centres; one centre is the job of
     :func:`build_quadrature`.  No piece is radial about its centre, so the
     "radial" profile raises GeometryError.  On a flat ball the centres must
     lie on one line through the origin, the polar axis about which every
-    piece's exit radii are symmetric, or GeometryError is raised.
+    piece's exit radii are symmetric, or GeometryError is raised.  So the
+    partition of unity is axisymmetric there, as it is for two centres on
+    a sphere; with other than two centres on a sphere "axial" raises
+    GeometryError.  The caller declares the integrand's symmetry.
     """
     if "radial" in (angular, patch_angular):
         raise GeometryError(
@@ -713,6 +718,12 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         raise GeometryError(
             "a multicentre rule needs at least two centres; use "
             "build_quadrature for one")
+    if model.kind != "product_spheres":
+        angular, patch_angular = angular or "axial", patch_angular or "axial"
+    if model.kind == "round_sphere" and len(centers) != 2 \
+            and "axial" in (angular, patch_angular):
+        raise GeometryError("the axial profile needs an axisymmetric layout; "
+                            "on a sphere that is two centres")
     dmin = min(model.distance(a, b)
                for i, a in enumerate(centers) for b in centers[i + 1:])
     if dmin <= 0:
@@ -732,21 +743,20 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     sub_budget = budget // (len(centers) + 1)
     all_nodes, all_weights, axes = [], [], []
     for idx, c in enumerate(centers):
-        try:
-            axes.append(model.log(c, centers[(idx + 1) % len(centers)]))
-        except GeometryError:
-            axes.append(None)
+        # unchecked: on a ball the chord, on a sphere zero only at the
+        # antipode, about which two bubbles are radial
+        axes.append(model._log_and_distance(
+            c, centers[(idx + 1) % len(centers)])[0])
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular or "axial", axis=axes[-1],
-                                     extent=r_i)
+                                     patch_angular, axis=axes[-1], extent=r_i)
         all_nodes.append(nodes)
         all_weights.append(weights * part(model.distance(nodes, c)))
 
     # the background integrand keeps the inter-center axis symmetry
     nodes, weights = _polar_rule(model, centers[0],
                                  min(max(r_i / 2.0, finest_scale), 1.0),
-                                 sub_budget, angular or "axial", axis=axes[0])
+                                 sub_budget, angular, axis=axes[0])
     rho = sum(part(model.distance(nodes, c)) for c in centers)
     all_nodes.append(nodes)
     all_weights.append(weights * np.clip(1.0 - rho, 0.0, None))

@@ -181,6 +181,12 @@ class TestConfigErrors:
         # failure of the schedule, not a malformed value
         ({"experiment": "schedule-table", "n": 6, "eps_range": {"max": 0.4}},
          4, "numerical or domain failure"),
+        # a count that numpy cannot allocate, and one bubble, which has no
+        # separation for isolation-sweep to watch grow
+        ({"experiment": "schedule-table", "eps_range": {"count": 1e300}}, 2,
+         "malformed config: 'count' in 'eps_range'"),
+        ({"experiment": "isolation-sweep", "k": 1}, 2,
+         "malformed config: 'k'"),
     ])
     def test_failure_classes(self, tmp_path, capsys, payload, code, message):
         outdir = tmp_path / str(payload.get("out", "o"))

@@ -310,29 +310,69 @@ class TestSplit:
         assert split.deviation > 0.0
         assert split.interaction_prediction > 0.0
 
-    def test_deviation_agrees_across_rules(self):
-        # n = 7, d = 0.2: the deviation 3.7e-6 is the difference of energies
-        # near 1.8e4, where subtracting them keeps only six digits.  Two
-        # valid rules for this axisymmetric integrand (the default axial one
-        # and one node on the trailing angles) must agree on it.
+    @staticmethod
+    def _axial_and_full_rules(m, centres, finest_scale):
+        # the default "axial" rule, one node on every angle but the polar
+        # angle from the axis, and the full grid of the same polar order
         from blowup_lab.geometry import build_multicenter_quadrature
+        k = m.n - 1
+        full = [20] + [2] * (k - 2) + [4]
+        return [build_multicenter_quadrature(m, centres, finest_scale, **kw)
+                for kw in ({}, {"angular": full, "patch_angular": full})]
+
+    def test_deviation_agrees_across_rules(self):
+        # two bubbles, the partition of unity and (on a ball) the exit radii
+        # are invariant under rotations about the line through the centres,
+        # so the trailing angles add nothing.  n = 7, d = 0.2: the deviation
+        # 3.7e-6 is the difference of energies near 1.8e4, where subtracting
+        # them keeps only six digits.
         n = 7
         m = ManifoldModel.flat_ball(n, 100.0)
         c1, c2 = np.zeros(n), np.zeros(n)
         c1[0], c2[0] = -0.1, 0.1
         cfg = Configuration(bubbles=(BubbleParams(1e-3, c1),
                                      BubbleParams(1e-3, c2)))
-        axisymmetric = [20] + [1] * (n - 2)
-        devs = []
-        for kw in ({}, {"angular": axisymmetric,
-                        "patch_angular": axisymmetric}):
-            rule = build_multicenter_quadrature(m, [c1, c2],
-                                                finest_scale=1e-3,
-                                                budget=4_000_000, **kw)
-            split = energy_split(m, PotentialField.constant(m, 0.0), cfg,
-                                 CutoffSpec.none(), rule)
-            devs.append(split.deviation)
-        assert devs[1] == pytest.approx(devs[0], rel=1e-12, abs=0.0)
+        devs = [energy_split(m, PotentialField.constant(m, 0.0), cfg,
+                             CutoffSpec.none(), rule).deviation
+                for rule in self._axial_and_full_rules(m, [c1, c2], 1e-3)]
+        assert devs[0] == pytest.approx(devs[1], rel=1e-12, abs=0.0)
+        # two centres 0.3 apart on S^6, under the cutoff and the conformal
+        # potential
+        s6 = ManifoldModel.round_sphere(6)
+        a, b = np.eye(7)[:2]
+        b = math.cos(0.3) * a + math.sin(0.3) * b
+        cfg = Configuration(bubbles=(BubbleParams(1e-2, a),
+                                     BubbleParams(1e-2, b)))
+        devs = [energy_split(s6, PotentialField.conformal_scalar(s6), cfg,
+                             CutoffSpec.for_model(s6), rule).deviation
+                for rule in self._axial_and_full_rules(s6, [a, b], 1e-2)]
+        assert devs[0] == pytest.approx(devs[1], rel=1e-12, abs=0.0)
+
+    def test_axial_rule_needs_an_axisymmetric_integrand(self):
+        # a third bubble 0.005 off the axis breaks the symmetry that the
+        # axial rule relies on: its energy is 37% off the full grid's
+        from blowup_lab.geometry import (GeometryError,
+                                         build_multicenter_quadrature)
+        n = 7
+        m = ManifoldModel.flat_ball(n, 100.0)
+        c1, c2 = np.zeros(n), np.zeros(n)
+        c1[0], c2[0] = -0.1, 0.1
+        c3 = c1 + 0.005 * np.eye(n)[1]
+        cfg = Configuration(bubbles=tuple(BubbleParams(1e-3, c)
+                                          for c in (c1, c2, c3)))
+        u = multi_bubble_field(m, cfg, CutoffSpec.none())
+        axial, full = [energy(m, PotentialField.constant(m, 0.0), u, rule)
+                       for rule in self._axial_and_full_rules(m, [c1, c2],
+                                                              1e-3)]
+        assert abs(axial / full - 1.0) > 0.1
+        # three centres on a sphere have no common axis, so the layout
+        # check refuses the axial profile
+        s6 = ManifoldModel.round_sphere(6)
+        e = np.eye(7)
+        with pytest.raises(GeometryError, match="axisymmetric"):
+            build_multicenter_quadrature(s6, [e[0], e[1], e[2]], 1e-2,
+                                         angular="axial",
+                                         patch_angular="axial")
 
     def test_split_outside_every_cutoff_is_finite(self):
         # under the default cutoff the background nodes beyond r0 of both

@@ -464,7 +464,7 @@ class TestQuadrature:
         m = _pp()
         for name in ("fine", "default"):
             with pytest.raises(GeometryError,
-                               match="choose from radial, biradial, axial"):
+                               match="choose from radial, biradial$"):
                 build_quadrature(m, _base(m), finest_scale=0.1, angular=name)
         # polar models and the factor orders of a product dict resolve
         # names through the sphere profiles
@@ -535,17 +535,34 @@ class TestQuadrature:
     def test_multicenter_budget_pays_only_for_kept_nodes(self):
         # each patch is a rule for its own ball of radius 0.01 (153,600
         # nodes), so it fits a third of the budget; a rule for the whole
-        # ball about the same centre needs 583,680
+        # ball about the same centre needs 583,680.  The orders are those
+        # of a full angular grid, 64 directions per polar angle.
         m = ManifoldModel.flat_ball(7, 100.0)
         c1, c2 = np.zeros(7), np.zeros(7)
         c1[0], c2[0] = -0.01, 0.01
+        full = [20] + [2] * 4 + [4]
         rule = build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
-                                            budget=1_300_000)
+                                            budget=1_300_000, angular=full,
+                                            patch_angular=full)
         assert rule.node_count == 640_128
         # a third of the budget no longer holds the background
         with pytest.raises(CapacityError, match="needs 414720 nodes"):
             build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
-                                         budget=1_200_000)
+                                         budget=1_200_000, angular=full,
+                                         patch_angular=full)
+
+    def test_multicenter_axis_between_distant_centres(self):
+        # centres 1.2 apart in the unit ball: the log map refuses a distance
+        # beyond the radius, but the polar axes must still follow the chord,
+        # whichever line it lies on (along e2 the frame's first vector e1
+        # was taken instead, and the weights summed to 3 volumes)
+        m = ManifoldModel.flat_ball(6, 1.0)
+        e1, e2 = np.eye(6)[:2]
+        sums = [float(np.sum(build_multicenter_quadrature(
+            m, [0.6 * e, -0.6 * e], finest_scale=1e-2).weights))
+            for e in (e1, e2)]
+        assert sums[1] == pytest.approx(sums[0], rel=1e-12)
+        assert sums[1] == pytest.approx(m.volume, rel=1e-4)
 
     def test_multicenter_patch_clipped_by_the_boundary(self):
         # the patch about 0.97 e1 has radius 0.05, so the directions toward

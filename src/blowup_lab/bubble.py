@@ -196,11 +196,10 @@ def multi_bubble_field(model, cfg, cutoff):
     return SumField([BubbleField(model, b, cutoff) for b in cfg.bubbles])
 
 
-def is_admissible(cfg, model=None):
+def is_admissible(cfg, model):
     """Check the admissibility cone; returns (ok, list of violations).
 
-    Pair separations need a model to measure distances; if the bubbles'
-    centers are plain vectors on a flat model, pass the model explicitly.
+    Pair separations are geodesic distances on ``model``.
     """
     violations = []
     deltas = [b.delta for b in cfg.bubbles]
@@ -216,13 +215,8 @@ def is_admissible(cfg, model=None):
                 violations.append({
                     "constraint": "scale_ratio", "pair": (i, j),
                     "margin": min(ratio - 1.0 / cfg.alpha, cfg.alpha - ratio)})
-            if model is not None:
-                dij = float(model.distance(cfg.bubbles[i].center,
-                                           cfg.bubbles[j].center))
-            else:
-                dij = float(np.linalg.norm(
-                    np.asarray(cfg.bubbles[i].center)
-                    - np.asarray(cfg.bubbles[j].center)))
+            dij = float(model.distance(cfg.bubbles[i].center,
+                                       cfg.bubbles[j].center))
             sep = dij**2 / (deltas[i] * deltas[j])
             if not (sep > cfg.K):
                 violations.append({

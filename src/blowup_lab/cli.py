@@ -29,8 +29,8 @@ from . import __version__
 from .bubble import (BubbleParams, Configuration, CutoffSpec,
                      multi_bubble_field)
 from .diagnostics import isolation_ratios, order_fit
-from .functional import (PotentialField, _sample, energy, energy_split,
-                         residual_norm, single_bubble_energy_constant)
+from .functional import (PotentialField, energy, energy_split, residual_norm,
+                         single_bubble_energy_constant)
 from .geometry import (CapacityError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
 from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
@@ -215,8 +215,7 @@ def _exp_expansion_sweep(cfg):
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
         # J is affine in h: the constant shift adds sigma/2 int u^2 exactly
-        half_l2 = 0.5 * float(np.sum(
-            rule.weights * _sample(lambda pts: u(pts) ** 2, rule.nodes)))
+        half_l2 = 0.5 * float(rule.integrate(lambda pts: u(pts) ** 2))
         rows.append((d, j0, j0 + sigma * half_l2, half_l2 / (e1 * d * d)))
     coefs = np.array([r[3] for r in rows])
     fitted = float(np.median(coefs))

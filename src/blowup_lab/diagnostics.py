@@ -151,9 +151,8 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
     sqrt(n(n-2)) v^(-2/(n-2)) = (delta^2 + r^2)/delta >= 2r at distance r
     from a bubble's centre, so the stencil spans the centre; it is capped
     at 0.15 min(inj, pi).  Each fit is one field call of 2n + 1 points and
-    a peak takes about three; with one grid call per candidate and one at
-    the end, criterion 11's fields with k = 1, 2, 3 peaks cost 6-7, 10 and
-    14 field calls.
+    a peak takes about three; with one grid call per candidate, criterion
+    11's fields with k = 1, 2, 3 peaks cost 5-6, 9 and 13 field calls.
     """
     n = model.n
     cap = 0.9 * min(model.injectivity_radius, math.pi) / 6.0
@@ -196,7 +195,8 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
         centers.append(c)
         scales.append(scale)
         heights.append(height)
-    v = float(np.max(remaining(grid)))
+    # the loop ends by return or break, and v is the grid maximum taken
+    # with every accepted peak removed
     return PeakReport(tuple(centers), tuple(scales), tuple(heights),
                       max(v, 0.0))
 

@@ -6,15 +6,14 @@ The central object is the energy
 
 with 2* = 2n/(n-2), together with the strong-form residual of the critical
 equation in the L^(2n/(n+2)) norm, pairwise bubble interaction scales, and
-the multi-bubble energy splitting.  All integrals are straightforward
-weighted sums over a :class:`~blowup_lab.geometry.QuadratureRule`; integrands
-are evaluated analytically (radial derivatives of the profile and cutoff),
-never by discrete differentiation.  Integrands are sampled on the rule's
-nodes in fixed blocks, so their per-node temporaries stay cache-sized on
-rules of millions of nodes, and each weighted sum is then reduced once over
-the full node array.  J is affine in h, so an h-difference is
-integrated in closed form, J_h(u) - J_h0(u) = 1/2 int (h - h0) u^2, rather
-than as the difference of two energies that agree in most of their digits.
+the multi-bubble energy splitting.  Every integral is one call of
+:meth:`~blowup_lab.geometry.QuadratureRule.integrate`, which samples the
+integrand on the rule's nodes in fixed blocks and takes the weighted sum;
+integrands are evaluated analytically (radial derivatives of the profile
+and cutoff), never by discrete differentiation.  J is affine in h, so an
+h-difference is integrated in closed form, J_h(u) - J_h0(u) =
+1/2 int (h - h0) u^2, rather than as the difference of two energies that
+agree in most of their digits.
 """
 
 from __future__ import annotations
@@ -96,23 +95,6 @@ def _density(vals, grads, hv, twostar):
     return 0.5 * quadratic - _positive_power(vals, twostar) / twostar
 
 
-# nodes per block of _sample: a block's (nodes, 8) float temporaries take
-# 2 MiB, so a few of them stay in cache
-_BLOCK = 32_768
-
-
-def _sample(integrand, nodes):
-    """``integrand`` on ``nodes``, evaluated in consecutive blocks of _BLOCK.
-
-    The integrand maps a block of points to values along its last axis;
-    the blocks' values are concatenated there.  A weighted sum over the
-    result is one reduction over the full node array, summed in the same
-    order as if the integrand had been evaluated on all nodes at once.
-    """
-    return np.concatenate([integrand(nodes[i:i + _BLOCK])
-                           for i in range(0, len(nodes), _BLOCK)], axis=-1)
-
-
 def energy(model, h, u, rule):
     """Quadrature value of J_h(u) for a field u sampled by ``jet``."""
     twostar = critical_exponent(model.n)
@@ -121,11 +103,10 @@ def energy(model, h, u, rule):
         vals, grads = u.jet(pts, 1)
         return _density(vals, grads, h(pts), twostar)
 
-    return float(np.sum(rule.weights * _sample(density, rule.nodes)))
+    return float(rule.integrate(density))
 
 
 def _check_resolution(rule, cfg):
-    # finest_scale is the smallest bubble scale the rule claims to resolve
     dmin = min(b.delta for b in cfg.bubbles)
     if rule.finest_scale > dmin * (1 + 1e-12):
         raise CapacityError(
@@ -153,14 +134,14 @@ def residual_field(model, h, cfg, cutoff):
 def residual_norm(model, h, cfg, cutoff, rule):
     """L^(2n/(n+2)) norm of the strong-form residual."""
     _check_resolution(rule, cfg)
-    res = residual_field(model, h, cfg, cutoff)
-    return lebesgue_norm(model, rule, _sample(res, rule.nodes))
+    return lebesgue_norm(model, rule, residual_field(model, h, cfg, cutoff))
 
 
-def lebesgue_norm(model, rule, values):
-    """L^p quadrature norm of a value array with p = 2n/(n+2)."""
+def lebesgue_norm(model, rule, field):
+    """L^p quadrature norm with p = 2n/(n+2) of a callable on point batches."""
     p = 2.0 * model.n / (model.n + 2.0)
-    return float(np.sum(rule.weights * np.abs(values) ** p)) ** (1.0 / p)
+    total = rule.integrate(lambda pts: np.abs(field(pts)) ** p)
+    return float(total) ** (1.0 / p)
 
 
 def interaction_term(model, b_i, b_j):
@@ -228,8 +209,7 @@ def energy_split(model, h, cfg, cutoff, rule):
                      + hv * vals[i] * vals[j] for i, j in pairs]
         return np.stack([*couplings, _power_excess(vals, powers, twostar)])
 
-    *couplings, excess = [float(np.sum(rule.weights * row))
-                          for row in _sample(pieces, rule.nodes)]
+    *couplings, excess = rule.integrate(pieces).tolist()
     cross = sum(couplings, 0.0)
 
     prediction = 0.0

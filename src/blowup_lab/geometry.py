@@ -328,11 +328,11 @@ class ManifoldModel:
 
     # -- curvature invariants -------------------------------------------------
 
-    def scalar_curvature(self, x=None):
+    def scalar_curvature(self):
         return float(sum(k * (k - 1) for _, k, sphere in self._factors
                          if sphere))
 
-    def weyl_norm_sq(self, x=None):
+    def weyl_norm_sq(self):
         # one sphere or a ball is conformally flat
         if len(self._factors) == 2:
             return _product_weyl_norm_sq(self.p, self.q)
@@ -347,10 +347,6 @@ class ManifoldModel:
             r = 1.0 if sphere else self.radius * rng.uniform() ** (1.0 / k)
             parts.append(r * x / np.linalg.norm(x))
         return np.concatenate(parts)
-
-    def random_tangent(self, rng, base):
-        frame = self.tangent_frame(base)
-        return rng.standard_normal(self.n) @ frame
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +391,21 @@ def _product_weyl_norm_sq(p, q):
 # quadrature
 
 
+# nodes per block of QuadratureRule.integrate: a block's (nodes, 8) float
+# temporaries take 2 MiB, so a few of them stay in cache
+_BLOCK = 32_768
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights realizing integration over the model."""
+    """Nodes and positive weights realizing integration over the model.
 
-    model: ManifoldModel
+    ``finest_scale`` is the smallest bubble scale the rule claims to
+    resolve: its radial grid starts at finest_scale/10 about each centre.
+    """
+
     nodes: np.ndarray
     weights: np.ndarray
-    center: np.ndarray
     finest_scale: float
 
     def __post_init__(self):
@@ -412,6 +415,21 @@ class QuadratureRule:
     @property
     def node_count(self):
         return self.nodes.shape[0]
+
+    def integrate(self, integrand):
+        """Weighted sum of ``integrand`` over the nodes.
+
+        The integrand maps a block of points to values along its last axis,
+        one row per integral; it is evaluated in consecutive blocks of
+        _BLOCK nodes, so its per-node temporaries stay cache-sized, and the
+        blocks' values are concatenated and reduced once over the full node
+        array, in the same order as if all nodes were evaluated at once.
+        Returns one value per row, a 0-d array for a single integral.
+        """
+        vals = np.concatenate([integrand(self.nodes[i:i + _BLOCK])
+                               for i in range(0, len(self.nodes), _BLOCK)],
+                              axis=-1)
+        return np.sum(self.weights * vals, axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -577,8 +595,8 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
         raise GeometryError("a rule on a flat ball must be centred at the "
                             "origin, the ball's only centre of symmetry")
     nodes, weights = _polar_rule(model, center, finest_scale, budget, angular)
-    return QuadratureRule(model=model, nodes=nodes, weights=weights,
-                          center=center, finest_scale=finest_scale)
+    return QuadratureRule(nodes=nodes, weights=weights,
+                          finest_scale=finest_scale)
 
 
 def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
@@ -764,5 +782,5 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     nodes = np.concatenate(all_nodes)
     weights = np.concatenate(all_weights)
     keep = weights > 0.0
-    return QuadratureRule(model=model, nodes=nodes[keep], weights=weights[keep],
-                          center=centers[0], finest_scale=finest_scale)
+    return QuadratureRule(nodes=nodes[keep], weights=weights[keep],
+                          finest_scale=finest_scale)

@@ -21,7 +21,7 @@ import numpy as np
 from ._smoothstep import radial_bump
 from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
-from .functional import (PotentialField, _check_resolution, _sample, energy,
+from .functional import (PotentialField, _check_resolution, energy,
                          single_bubble_energy_constant)
 from .geometry import CapacityError
 
@@ -421,9 +421,8 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):
     h = h_eps_field(model, xi0, eps, mu, Hb)
     u = multi_bubble_field(model, cfg, CutoffSpec.for_model(model))
     # h_eps and c_n R_g share their base, so h - h0 is the perturbation
-    pert_u2 = _sample(lambda pts: h.perturbation(pts) * u(pts) ** 2,
-                      rule.nodes)
-    j_diff = 0.5 * float(np.sum(rule.weights * pert_u2))
+    j_diff = 0.5 * float(rule.integrate(
+        lambda pts: h.perturbation(pts) * u(pts) ** 2))
     e1 = single_bubble_energy_constant(model.n)
     _, d_n = reduced_constants(model.n)
     weyl = model.weyl_norm_sq()

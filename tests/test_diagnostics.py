@@ -65,7 +65,7 @@ class TestIsolation:
     def test_two_peak_report(self):
         m = _pp()
         xi = _base(m)
-        v = m.random_tangent(RNG, xi)
+        v = RNG.standard_normal(m.n) @ m.tangent_frame(xi)
         v /= np.linalg.norm(v)
         other = m.exp(xi, 0.2 * v)
         rep = isolation_ratios(m, [xi, other], [1e-3, 2e-3], xi)
@@ -157,9 +157,8 @@ class TestExtractPeaks:
         with pytest.raises(ValueError, match="search_grid"):
             extract_peaks(m, lambda pts: np.ones(len(pts)), _base(m), 3)
 
-    def test_two_peaks(self):
-        m = _pp()
-        xi0 = _base(m)
+    @staticmethod
+    def _two_planted(m, xi0):
         frame = m.tangent_frame(xi0)
         ys = (0.4 * np.eye(6)[0], -0.5 * np.eye(6)[1])
         c1, c2 = (m.exp(xi0, y @ frame) for y in ys)
@@ -171,6 +170,12 @@ class TestExtractPeaks:
         grid = np.vstack([rng.uniform(-0.8, 0.8, size=(50, 6))]
                          + [y + rng.uniform(-1.5, 1.5, size=(1, 6)) * b.delta
                             for y, b in zip(ys, cfg.bubbles)])
+        return cfg, u, grid
+
+    def test_two_peaks(self):
+        m = _pp()
+        xi0 = _base(m)
+        cfg, u, grid = self._two_planted(m, xi0)
         rep = extract_peaks(m, u, xi0, k_max=4, search_grid=grid)
         assert not rep.failed
         assert rep.k == 2
@@ -178,3 +183,25 @@ class TestExtractPeaks:
         for (s, c), b in zip(got, cfg.bubbles):
             assert m.distance(c, b.center) < 0.1 * b.delta
             assert abs(s - b.delta) < 0.01 * b.delta
+
+    def test_one_grid_call_per_candidate(self):
+        # k peaks take k + 1 candidates, each one grid call; the last
+        # candidate's grid maximum is residual_sup, not sampled again
+        m = _pp()
+        xi0 = _base(m)
+        _, u, grid = self._two_planted(m, xi0)
+        calls = []
+
+        def counted(pts):
+            calls.append(len(pts))
+            return u(pts)
+
+        rep = extract_peaks(m, counted, xi0, k_max=4, search_grid=grid)
+        assert rep.k == 2
+        assert calls.count(len(grid)) == 3
+        pts = m.exp(xi0, grid @ m.tangent_frame(xi0))
+        kappa, power = math.sqrt(m.n * (m.n - 2.0)), (m.n - 2.0) / 2.0
+        rest = u(pts)
+        for c, s in zip(rep.centers, rep.scales):
+            rest = rest - (kappa * s / (s**2 + m.distance(pts, c)**2)) ** power
+        assert rep.residual_sup == max(float(np.max(rest)), 0.0)

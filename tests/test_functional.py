@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup_lab import functional
+from blowup_lab import geometry
 from blowup_lab.bubble import (
     BubbleField,
     BubbleParams,
@@ -150,8 +150,8 @@ class TestResidual:
         h = PotentialField.constant(m, 0.0)
         res = residual_norm(m, h, cfg, CutoffSpec.none(), rule)
         u = multi_bubble_field(m, cfg, CutoffSpec.none())
-        power = u(rule.nodes) ** (critical_exponent(6) - 1.0)
-        scale = lebesgue_norm(m, rule, power)
+        scale = lebesgue_norm(
+            m, rule, lambda pts: u(pts) ** (critical_exponent(6) - 1.0))
         assert res < 1e-6 * scale
 
     def test_residual_field_shape(self):
@@ -248,19 +248,19 @@ class TestLebesgueNorm:
     def test_constant_function(self):
         m = _pp()
         rule = build_quadrature(m, _base(m), finest_scale=0.1)
-        vals = np.ones(rule.node_count)
         # default exponent 2n/(n+2) = 3/2 at n = 6
         want = m.volume ** (2.0 / 3.0)
-        assert lebesgue_norm(m, rule, vals) == pytest.approx(want, rel=1e-12)
+        assert lebesgue_norm(m, rule, lambda pts: np.ones(len(pts))) \
+            == pytest.approx(want, rel=1e-12)
 
     def test_explicit_exponent(self):
         # the exponent is 2n/(n+2) in every dimension: 14/9 at n = 7
         m = ManifoldModel.flat_ball(7, 2.0)
         rule = build_quadrature(m, np.zeros(7), finest_scale=0.1,
                                 angular="radial")
-        vals = np.full(rule.node_count, 2.0)
         want = 2.0 * m.volume ** (9.0 / 14.0)
-        assert lebesgue_norm(m, rule, vals) == pytest.approx(want, rel=1e-12)
+        assert lebesgue_norm(m, rule, lambda pts: np.full(len(pts), 2.0)) \
+            == pytest.approx(want, rel=1e-12)
 
 
 def _split_identity_gap(m, h, cfg, cutoff, rule, split):
@@ -380,7 +380,7 @@ class TestSplit:
         from blowup_lab.geometry import build_multicenter_quadrature
         m = _pp()
         c1 = _base(m)
-        v = m.random_tangent(RNG, c1)
+        v = RNG.standard_normal(m.n) @ m.tangent_frame(c1)
         c2 = m.exp(c1, 0.3 * v / np.linalg.norm(v))
         cfg = Configuration(bubbles=(BubbleParams(1e-2, c1),
                                      BubbleParams(1e-2, c2)), K=10.0)
@@ -413,7 +413,7 @@ class TestSplit:
             dens, 0.5 * (7.0 + 2.0 * vals**2) - power / twostar, rtol=1e-15)
 
 
-_BLOCK = functional._BLOCK
+_BLOCK = geometry._BLOCK
 
 
 class TestBlockSampling:
@@ -434,7 +434,8 @@ class TestBlockSampling:
         delta = ScheduleParams(n=m.n, eps=self.EPS).delta_eps
         coarse = {"n_psi": 4, "orders_a": "minimal", "orders_b": "minimal"}
         rule = build_quadrature(m, xi0, finest_scale=delta, angular=coarse)
-        v = m.random_tangent(np.random.default_rng(5), xi0)
+        v = (np.random.default_rng(5).standard_normal(m.n)
+             @ m.tangent_frame(xi0))
         c2 = m.exp(xi0, 0.3 * v / np.linalg.norm(v))
         cfg = Configuration(bubbles=(BubbleParams(delta, xi0),
                                      BubbleParams(delta, c2)), K=10.0)
@@ -458,19 +459,24 @@ class TestBlockSampling:
         assert full.node_count >= count
         pick = np.sort(np.random.default_rng(count).choice(
             full.node_count, count, replace=False))
-        rule = QuadratureRule(model=m, nodes=full.nodes[pick],
-                              weights=full.weights[pick], center=xi0,
+        rule = QuadratureRule(nodes=full.nodes[pick],
+                              weights=full.weights[pick],
                               finest_scale=full.finest_scale)
         blocked = self._quantities(m, xi0, rule, cfg)
-        monkeypatch.setattr(functional, "_BLOCK", count)  # one block
+        monkeypatch.setattr(geometry, "_BLOCK", count)  # one block
         direct = self._quantities(m, xi0, rule, cfg)
         assert all(math.isfinite(q) for q in blocked)
         np.testing.assert_allclose(blocked, direct, rtol=1e-15, atol=0.0)
 
-    def test_sample_keeps_block_order(self, monkeypatch):
-        # a block size that does not divide the node count: 7 = 3 + 3 + 1
-        monkeypatch.setattr(functional, "_BLOCK", 3)
-        nodes = np.arange(14.0).reshape(7, 2)
-        got = functional._sample(lambda pts: np.stack([pts[:, 0], pts[:, 1]]),
-                                 nodes)
-        np.testing.assert_array_equal(got, nodes.T)
+    def test_integrate_keeps_block_order(self, monkeypatch):
+        # a block size that does not divide the node count: 8 = 3 + 3 + 2.
+        # Node j carries the base-8 digits j and 7 - j under weight 8^-j, so
+        # each row's sum is exact and changes if a block is dropped or moved
+        monkeypatch.setattr(geometry, "_BLOCK", 3)
+        j = np.arange(8.0)
+        rule = QuadratureRule(nodes=np.stack([j, 7.0 - j], axis=1),
+                              weights=8.0 ** -j, finest_scale=1.0)
+        got = rule.integrate(lambda pts: np.stack([pts[:, 0], pts[:, 1]]))
+        want = [sum(8.0 ** -i * d for i, d in enumerate(digits))
+                for digits in (range(8), range(7, -1, -1))]
+        np.testing.assert_array_equal(got, want)

@@ -205,7 +205,7 @@ class TestPerturbedPotential:
         eps, mu = 1e-4, 0.01
         Hb = build_H(1, 6, seed=3)
         h = h_eps_field(m, xi0, eps, mu, Hb)
-        v = m.random_tangent(RNG, xi0)
+        v = RNG.standard_normal(m.n) @ m.tangent_frame(xi0)
         far = m.exp(xi0, 2.0 * v / np.linalg.norm(v))
         assert h(far[None, :])[0] == pytest.approx(0.2 * 12.0 - eps,
                                                    rel=1e-12)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -34,18 +35,32 @@ def test_all_names_exist():
     assert not missing, f"names in __all__ that do not exist: {missing}"
 
 
-def test_only_geometry_reads_the_model_kind():
-    # every model is a product of factors, and geometry.py alone maps a
-    # kind to them; elsewhere a kind branch would be a metric path of its
-    # own (a config's spec.get("kind") is a dict read, not an attribute)
+def _reads_outside_geometry(attr):
+    """Places in the package, outside geometry.py, that read ``.attr``."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         if path.name == "geometry.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "kind"]
+                  if isinstance(node, ast.Attribute) and node.attr == attr]
+    return found
+
+
+def test_only_geometry_reads_the_model_kind():
+    # every model is a product of factors, and geometry.py alone maps a
+    # kind to them; elsewhere a kind branch would be a metric path of its
+    # own (a config's spec.get("kind") is a dict read, not an attribute)
+    found = _reads_outside_geometry("kind")
     assert not found, f"model kind read outside geometry.py: {found}"
+
+
+def test_only_geometry_reads_rule_weights():
+    # QuadratureRule.integrate is the one code path that samples an
+    # integrand and takes the weighted sum; a .weights read elsewhere in
+    # the package would be a second one
+    found = _reads_outside_geometry("weights")
+    assert not found, f"rule weights read outside geometry.py: {found}"
 
 
 def _cli_functions():
@@ -86,6 +101,17 @@ _CALLED_ELSEWHERE = {
     # the admissibility-cone check that the k-bubble reduced limit is to
     # apply to each scheduled configuration (ROADMAP item 1)
     "is_admissible",
+    # perfbench/tracing.py's _TARGETS looks these up by name, in strings
+    # the check does not read; ROADMAP item 4 deletes them
+    "BubbleField.grad", "BubbleField.laplace_beltrami",
+    "SumField.grad", "SumField.laplace_beltrami",
+    "ManifoldModel.distance_gradient", "ManifoldModel.radial_laplacian_coeff",
+    "ManifoldModel.factor_distances",
+    # the constant that rule tests sum weights to, and the reference of the
+    # quadrature self-check of ROADMAP item 3
+    "ManifoldModel.volume",
+    # acceptance criterion 4 prints it
+    "SlopeFit.prefactor",
 }
 
 
@@ -113,18 +139,36 @@ def _references(tree):
     return found
 
 
+def _public_names():
+    """(module, qualified name, name): every name in a module's __all__,
+    and the public methods and properties each such class defines."""
+    for info in pkgutil.iter_modules(blowup_lab.__path__):
+        module = importlib.import_module(f"blowup_lab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            yield info.name, name, name
+            obj = getattr(module, name)
+            if not isinstance(obj, type):
+                continue
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and (
+                        inspect.isfunction(value) or isinstance(
+                            value, (property, classmethod, staticmethod))):
+                    yield info.name, f"{name}.{attr}", attr
+
+
 def test_every_public_name_has_a_caller():
-    # a public name that only tests call is code kept alive for its tests
+    # a public name that only tests call is code kept alive for its tests.
+    # A member is matched by its name alone, so any attribute read of that
+    # name counts as its caller: ManifoldModel.log, which only tests call,
+    # passes on the .log of np.log
     paths = sorted(SRC.rglob("*.py")) + sorted(
         (SRC.parents[1] / "perfbench").glob("*.py"))
     used = set()
     for path in paths:
         used |= _references(ast.parse(path.read_text(), filename=str(path)))
-    uncalled = [f"{info.name}.{name}"
-                for info in pkgutil.iter_modules(blowup_lab.__path__)
-                for name in getattr(importlib.import_module(
-                    f"blowup_lab.{info.name}"), "__all__", ())
-                if name not in used and name not in _CALLED_ELSEWHERE]
+    uncalled = [f"{module}.{qualified}"
+                for module, qualified, name in _public_names()
+                if name not in used and qualified not in _CALLED_ELSEWHERE]
     assert not uncalled, f"public names with no caller: {uncalled}"
 
 

@@ -5,10 +5,10 @@ Usage:
     blowup-lab list-experiments
 
 Each run writes manifest.json, one CSV per sweep, and summary.txt with
-pass/fail lines against the thresholds in the config (defaults match the
-project acceptance criteria).  Exit codes: 0 ok, 1 threshold failure
-(artifacts still written), 2 malformed config or unwritable out dir,
-3 capacity exceeded, 4 numerical or domain failure.
+pass/fail lines against the fixed tolerances of the acceptance criteria;
+a config chooses what to compute, never how it is judged.  Exit codes:
+0 ok, 1 a gate failed (artifacts still written), 2 malformed config or
+unwritable out dir, 3 capacity exceeded, 4 numerical or domain failure.
 """
 
 from __future__ import annotations
@@ -83,13 +83,11 @@ def _number(integer=False, **bounds):
     return read
 
 
-def _array(item, length=None):
-    """Reader of a non-empty array of ``item`` values, ``length`` of them."""
+def _array(item):
+    """Reader of a non-empty array of ``item`` values."""
     def read(value, name, done):
-        if not isinstance(value, list) or not value or length not in (
-                None, len(value)):
-            raise ConfigError(f"{name} must be an array of "
-                              f"{length or 'one or more'} items")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be an array of one or more items")
         return [item(v, f"{name}[{i}]", done) for i, v in enumerate(value)]
     return read
 
@@ -178,7 +176,7 @@ def _rule_center(model):
 # experiment implementations; each returns (rows, columns, lines, passed)
 
 def _exp_flat_energy(cfg):
-    tol = cfg["threshold"]
+    tol = 1e-6  # criterion 1
     rows, lines, ok = [], [], True
     for n in cfg["dims"]:
         model = ManifoldModel.flat_ball(n, cfg["radius"])
@@ -201,7 +199,7 @@ def _exp_flat_energy(cfg):
 
 
 def _exp_expansion_sweep(cfg):
-    model, sigma, tol = cfg["model"], cfg["sigma"], cfg["threshold"]
+    model, sigma, tol = cfg["model"], cfg["sigma"], 0.05  # criterion 3
     c1 = reduced_constants(model.n)[0]
     e1 = single_bubble_energy_constant(model.n)
     center = _rule_center(model)
@@ -243,7 +241,7 @@ def _exp_interaction_sweep(cfg):
         q = (delta / d) ** 2
         rows.append((d, q, split.deviation, split.interaction_prediction))
     fit = order_fit([r[1] for r in rows], [r[2] for r in rows])
-    target, tol = (n - 2.0) / 2.0, cfg["threshold"]
+    target, tol = (n - 2.0) / 2.0, 0.05  # criterion 5
     dev = abs(fit.slope - target) / target
     ok = dev < tol
     lines = [f"[{'PASS' if ok else 'FAIL'}] interaction-sweep n={n}: slope "
@@ -254,10 +252,8 @@ def _exp_interaction_sweep(cfg):
 
 def _exp_residual_sweep(cfg):
     model, budget = cfg["model"], cfg["budget"]
-    log_b, window = cfg["log_correction"], cfg["slope_window"]
-    if log_b is None:
-        log_b = 2.0 / 3.0 if model.n == 6 else 0.0
-    lo, hi = window or ([1.8, 2.4] if model.n == 6 else [1.9, 2.2])
+    # criterion 6: a delta^2 log(1/delta)^(2/3) residual at n = 6
+    log_b, lo, hi = (2.0 / 3.0, 1.8, 2.4) if model.n == 6 else (0.0, 1.9, 2.2)
     center = _rule_center(model)
     cutoff = (CutoffSpec.for_model(model) if model.is_compact
               else CutoffSpec(r0=1.0 if cfg["r0"] is None else cfg["r0"]))
@@ -297,11 +293,11 @@ def _exp_reduced_limit(cfg):
                                                 rule, r=r)
         dev = abs(ratio - pred) / abs(pred)
         rows.append((eps, sch.delta_eps, sch.mu_eps, ratio, pred, dev))
-    devs, tol = [row[5] for row in rows], cfg["threshold"]
+    devs, tol = [row[5] for row in rows], 0.10  # criterion 10
     decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)
-    ok = devs[-1] < tol and decreasing >= min(3, len(devs) - 1)
+    ok = devs[-1] < tol and decreasing >= 3
     lines = [f"[{'PASS' if ok else 'FAIL'}] reduced-limit: final rel_dev "
-             f"{devs[-1]:.3e} (< {tol:g}), {decreasing} consecutive decreases"]
+             f"{devs[-1]:.3e} (< {tol:g}), {decreasing} decreases"]
     return (rows, ("eps", "delta_eps", "mu_eps", "ratio", "predicted",
                    "rel_deviation"), lines, ok)
 
@@ -376,29 +372,24 @@ _RUNNERS = {
     "flat-energy": (_exp_flat_energy, {
         "dims": ([6], _array(_DIM)),
         "radius": (100.0, _number(gt=0)),
-        "budget": (2_000_000, _number(integer=True, ge=1)),
-        "threshold": (1e-6, _number(gt=0))}),
+        "budget": (2_000_000, _number(integer=True, ge=1))}),
     "expansion-sweep": (_exp_expansion_sweep, {
         "model": ({}, _model(6)),
         "sigma": (1e-3, _number()),
         "delta_range": ({}, _range(1e-3, 1e-2, 7, le=1)),
-        "budget": (2_000_000, _number(integer=True, ge=1)),
-        "threshold": (0.05, _number(gt=0))}),
+        "budget": (2_000_000, _number(integer=True, ge=1))}),
     "interaction-sweep": (_exp_interaction_sweep, {
         "n": (6, _DIM),
         "radius": (100.0, _number(gt=0)),
         "delta": (1e-3, _number(gt=0, le=1)),
         "dist_range": ({}, _range(0.02, 0.2, 6, fit=2)),
-        "budget": (4_000_000, _number(integer=True, ge=1)),
-        "threshold": (0.05, _number(gt=0))}),
+        "budget": (4_000_000, _number(integer=True, ge=1))}),
     "residual-sweep": (_exp_residual_sweep, {
         "model": ({}, _model()),
         "delta_range": ({}, _range(1e-3, 1e-2, 6, fit=1, le=1)),
         "budget": (2_000_000, _number(integer=True, ge=1)),
         "shift": (0.0, _number()),
-        "r0": (None, _plateau),
-        "log_correction": (None, _number()),
-        "slope_window": (None, _array(_number(), length=2))}),
+        "r0": (None, _plateau)}),
     "reduced-limit": (_exp_reduced_limit, {
         "model": ({}, _model(6)),
         "k": (1, _number(integer=True, ge=1)),
@@ -406,8 +397,7 @@ _RUNNERS = {
         "t": (1.0, _number(gt=0)),
         "r": (0, _number(integer=True, ge=0)),
         "eps_range": ({}, _range(1e-4, 1e-2, 5, lt=1)),
-        "budget": (4_000_000, _number(integer=True, ge=1)),
-        "threshold": (0.10, _number(gt=0))}),
+        "budget": (4_000_000, _number(integer=True, ge=1))}),
     "schedule-table": (_exp_schedule_table, {
         "n": (7, _number(integer=True, ge=6)),
         "r": (1, _number(integer=True, ge=0)),

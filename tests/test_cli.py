@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowup_lab.cli import _RUNNERS, EXPERIMENTS, emit_csv, main, run
+from blowup_lab.cli import (_RUNNERS, EXPERIMENTS, _read_config, emit_csv,
+                            main, run)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -53,9 +56,9 @@ class TestConfigErrors:
         assert run(cfg, out=str(tmp_path)) == 2
 
     @pytest.mark.parametrize("payload, key, accepted", [
-        # a misspelt threshold would otherwise run at the default 1e-6
-        ({"experiment": "flat-energy", "thresold": 1e-30}, "'thresold'",
-         "budget, dims, experiment, out, radius, threshold"),
+        # a misspelt radius would otherwise run at the default 100
+        ({"experiment": "flat-energy", "radus": 10.0}, "'radus'",
+         "budget, dims, experiment, out, radius"),
         ({"experiment": "expansion-sweep",
           "model": {"kind": "product_spheres", "n": 7}}, "'n'",
          "kind, p, q"),
@@ -80,6 +83,13 @@ class TestConfigErrors:
         assert run(_write(tmp_path, payload), out=str(outdir)) == 2
         assert "error: malformed config" in capsys.readouterr().err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_are_accepted(self, path):
+        # every shipped config passes its experiment's table, unrun
+        cfg = json.loads(path.read_text())
+        _read_config(cfg, _RUNNERS[cfg["experiment"]][1])
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_keys_match_the_reference_table(self, experiment):
@@ -129,10 +139,10 @@ class TestConfigErrors:
         # on the message names the key
         ({"experiment": "flat-energy", "radius": float("nan")}, 2,
          "malformed config: 'radius'"),
-        ({"experiment": "flat-energy", "threshold": float("nan")}, 2,
-         "malformed config: 'threshold'"),
-        ({"experiment": "flat-energy", "threshold": True}, 2,
-         "malformed config: 'threshold'"),
+        ({"experiment": "expansion-sweep", "sigma": float("nan")}, 2,
+         "malformed config: 'sigma'"),
+        ({"experiment": "flat-energy", "budget": True}, 2,
+         "malformed config: 'budget'"),
         ({"experiment": "isolation-sweep", "k": 2.9}, 2,
          "malformed config: 'k'"),
         ({"experiment": "schedule-table", "n": 7.9}, 2,
@@ -151,8 +161,9 @@ class TestConfigErrors:
          "malformed config: 'dims'"),
         ({"experiment": "reduced-limit", "seed": "x"}, 2,
          "malformed config: 'seed'"),
-        ({"experiment": "residual-sweep", "slope_window": [1.8]}, 2,
-         "malformed config: 'slope_window'"),
+        # an empty array would pass vacuously, with no row to gate
+        ({"experiment": "flat-energy", "dims": []}, 2,
+         "malformed config: 'dims'"),
         ({"experiment": "bump-audit", "ks": 3}, 2, "malformed config: 'ks'"),
         # eps beyond (0, 1), a model below the dimension the reduced
         # constants need, and sweeps that give order_fit no decade or too
@@ -187,6 +198,15 @@ class TestConfigErrors:
          "malformed config: 'count' in 'eps_range'"),
         ({"experiment": "isolation-sweep", "k": 1}, 2,
          "malformed config: 'k'"),
+        # the criteria fix the gates: a config cannot loosen or tighten one
+        *(({"experiment": experiment, key: 1.0}, 2,
+           f"malformed config: unknown key(s) {key!r}")
+          for experiment, key in [
+              ("flat-energy", "threshold"), ("expansion-sweep", "threshold"),
+              ("interaction-sweep", "threshold"),
+              ("reduced-limit", "threshold"),
+              ("residual-sweep", "log_correction"),
+              ("residual-sweep", "slope_window")]),
     ])
     def test_failure_classes(self, tmp_path, capsys, payload, code, message):
         outdir = tmp_path / str(payload.get("out", "o"))
@@ -238,22 +258,36 @@ class TestArtifacts:
 
     def test_threshold_failure_still_writes_artifacts(self, tmp_path,
                                                       capsys):
-        # impossible threshold: exit 1 but CSV and summary exist
+        # a ball of radius 10 truncates the bubble's tail: rel_dev 2.9e-3
+        # fails criterion 1's 1e-6, so exit 1, but CSV and summary exist
         outdir = tmp_path / "fail"
         cfg = _write(tmp_path, {
-            "experiment": "flat-energy", "dims": [6], "threshold": 1e-18})
+            "experiment": "flat-energy", "dims": [6], "radius": 10})
         assert run(cfg, out=str(outdir), quiet=True) == 1
         assert (outdir / "flat-energy.csv").exists()
         assert "[FAIL]" in (outdir / "summary.txt").read_text()
 
-
     def test_reduced_limit_centres_rule_on_the_bubble(self, tmp_path):
         # k = 2: the bubble sits about 0.6 from xi0, where a rule centred on
-        # xi0 does not resolve it
+        # xi0 does not resolve it; four points allow criterion 10's three
+        # decreases
         cfg = _write(tmp_path, {
             "experiment": "reduced-limit", "k": 2, "seed": 3,
-            "eps_range": {"min": 1e-4, "max": 1e-2, "count": 3}})
+            "eps_range": {"min": 1e-4, "max": 1e-2, "count": 4}})
         assert run(cfg, out=str(tmp_path / "o"), quiet=True) == 0
+
+    def test_reduced_limit_needs_three_decreases(self, tmp_path):
+        # two points give one decrease: the final deviation meets the 10%
+        # gate, yet criterion 10 also asks for three decreases
+        outdir = tmp_path / "o"
+        cfg = _write(tmp_path, {
+            "experiment": "reduced-limit",
+            "eps_range": {"min": 1e-4, "max": 1e-2, "count": 2}})
+        assert run(cfg, out=str(outdir), quiet=True) == 1
+        with open(outdir / "reduced-limit.csv") as f:
+            final = list(csv.DictReader(f))[-1]
+        assert float(final["rel_deviation"]) < 0.10
+        assert "1 decreases" in (outdir / "summary.txt").read_text()
 
     @pytest.mark.parametrize("spec", [{"kind": "round_sphere", "n": 6},
                                       {"kind": "flat_ball", "n": 6}])

@@ -184,9 +184,9 @@ class TestExtractPeaks:
             assert m.distance(c, b.center) < 0.1 * b.delta
             assert abs(s - b.delta) < 0.01 * b.delta
 
-    def test_one_grid_call_per_candidate(self):
-        # k peaks take k + 1 candidates, each one grid call; the last
-        # candidate's grid maximum is residual_sup, not sampled again
+    def test_one_grid_call_per_extraction(self):
+        # the grid is sampled once and each accepted peak subtracted from
+        # it; the last candidate's grid maximum is residual_sup
         m = _pp()
         xi0 = _base(m)
         _, u, grid = self._two_planted(m, xi0)
@@ -198,7 +198,7 @@ class TestExtractPeaks:
 
         rep = extract_peaks(m, counted, xi0, k_max=4, search_grid=grid)
         assert rep.k == 2
-        assert calls.count(len(grid)) == 3
+        assert calls.count(len(grid)) == 1
         pts = m.exp(xi0, grid @ m.tangent_frame(xi0))
         kappa, power = math.sqrt(m.n * (m.n - 2.0)), (m.n - 2.0) / 2.0
         rest = u(pts)

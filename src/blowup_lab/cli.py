@@ -92,12 +92,13 @@ def _array(item):
     return read
 
 
-def _range(lo, hi, count, fit=0, **top):
-    """Reader of a geometric sweep, 0 < min < max within ``top``; if its
-    values**fit are order_fit's x, four points and a decade in x."""
+def _range(lo, hi, count, fit=0, least=2, **top):
+    """Reader of a geometric sweep of at least ``least`` points, 0 < min <
+    max within ``top``; if its values**fit are order_fit's x, four points
+    and a decade in x."""
     table = {"min": (lo, _number(gt=0)), "max": (hi, _number(gt=0, **top)),
              # at most 1000 points, over 100 times the largest shipped sweep
-             "count": (count, _number(integer=True, ge=4 if fit else 2,
+             "count": (count, _number(integer=True, ge=4 if fit else least,
                                       le=1000))}
 
     def read(spec, name, done):
@@ -396,7 +397,8 @@ _RUNNERS = {
         "seed": (None, _number(integer=True, ge=0)),
         "t": (1.0, _number(gt=0)),
         "r": (0, _number(integer=True, ge=0)),
-        "eps_range": ({}, _range(1e-4, 1e-2, 5, lt=1)),
+        # criterion 10's three decreases need four points
+        "eps_range": ({}, _range(1e-4, 1e-2, 5, least=4, lt=1)),
         "budget": (4_000_000, _number(integer=True, ge=1))}),
     "schedule-table": (_exp_schedule_table, {
         "n": (7, _number(integer=True, ge=6)),

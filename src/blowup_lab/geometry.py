@@ -16,6 +16,7 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -450,27 +451,39 @@ def unit_sphere_rule(m, orders):
     and a trailing azimuthal count.  The rule integrates constants exactly
     at any orders; the polar resolution of the FIRST angle (measured from
     the +e1 axis) controls accuracy for axially symmetric integrands.
+    Rules are cached by their orders, so the arrays returned are shared
+    and read-only.
     """
     if len(orders) != m:
         raise GeometryError(f"need {m} orders for S^{m}")
+    # from a list: tuple(generator) allocates 10 slots and shrinks them,
+    # which parks a tuple on CPython's free list on every call
+    return _unit_sphere_rule(m, tuple([int(o) for o in orders]))
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_sphere_rule(m, orders):
     if m == 1:
-        L = int(orders[0])
+        L = orders[0]
         ang = 2.0 * math.pi * (np.arange(L) + 0.5) / L
-        return np.column_stack([np.cos(ang), np.sin(ang)]), \
-            np.full(L, 2.0 * math.pi / L)
-    th, wth = gauss_segment(0.0, math.pi, int(orders[0]))
-    sub_nodes, sub_w = unit_sphere_rule(m - 1, orders[1:])
-    wth = wth * np.sin(th) ** (m - 1)
-    # rescale to the exact sine moment so constants (and hence radial
-    # integrands) are integrated exactly at any order
-    moment = math.sqrt(math.pi) * math.gamma(0.5 * m) \
-        / math.gamma(0.5 * (m + 1))
-    wth = wth * (moment / np.sum(wth))
-    nodes = np.concatenate([
-        np.column_stack([np.full(len(sub_nodes), math.cos(t)),
-                         math.sin(t) * sub_nodes])
-        for t in th])
-    weights = np.concatenate([w * sub_w for w in wth])
+        nodes = np.column_stack([np.cos(ang), np.sin(ang)])
+        weights = np.full(L, 2.0 * math.pi / L)
+    else:
+        th, wth = gauss_segment(0.0, math.pi, orders[0])
+        sub_nodes, sub_w = _unit_sphere_rule(m - 1, orders[1:])
+        wth = wth * np.sin(th) ** (m - 1)
+        # rescale to the exact sine moment so constants (and hence radial
+        # integrands) are integrated exactly at any order
+        moment = math.sqrt(math.pi) * math.gamma(0.5 * m) \
+            / math.gamma(0.5 * (m + 1))
+        wth = wth * (moment / np.sum(wth))
+        nodes = np.concatenate([
+            np.column_stack([np.full(len(sub_nodes), math.cos(t)),
+                             math.sin(t) * sub_nodes])
+            for t in th])
+        weights = np.concatenate([w * sub_w for w in wth])
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights
 
 
@@ -503,52 +516,72 @@ def _resolve_orders(m, spec):
 _INNER_ORDER, _ANNULUS_ORDER, _OUTER_ORDER = 8, 16, 24
 
 
-def _radial_grid(finest_scale, r_patch, r_outer, transition):
-    """Radial nodes graded geometrically (ratio 2) near the center.
+def _split_band(panel, transition):
+    """``panel`` (a, b, k) with its part inside ``transition`` subdivided.
 
-    Covers [0, r_outer]: an innermost segment [0, finest/10], geometric
-    annuli out to ``r_patch``, then geometric panels to ``r_outer``.
     ``transition`` is None or a band (a, b) where the integrand is smooth
-    but not analytic (the e^(-1/t) cutoff profile); panels there are
-    subdivided, since Gauss rules converge only root-exponentially on such
-    functions.
+    but not analytic (the e^(-1/t) cutoff profile); Gauss rules converge
+    only root-exponentially on such functions, so the panel's part in the
+    band is cut into at least two panels, about 8 per band width.
+    """
+    a, b, k = panel
+    if transition is None:
+        return [panel]
+    ta, tb = transition
+    lo_c, hi_c = max(a, ta), min(b, tb)
+    if hi_c <= lo_c:
+        return [panel]
+    parts = max(2, int(math.ceil(8.0 * (hi_c - lo_c) / (tb - ta))))
+    edges = np.linspace(lo_c, hi_c, parts + 1)
+    return ([(a, lo_c, k)] if a < lo_c else []) \
+        + [(e0, e1, k) for e0, e1 in zip(edges, edges[1:])] \
+        + ([(hi_c, b, k)] if hi_c < b else [])
+
+
+def _radial_grids(finest_scale, r_patch, radii, transition, segment):
+    """Radial nodes and weights on [0, r] for each outer radius r in
+    ``radii``, graded geometrically (ratio 2) near the center.
+
+    The panels are an innermost segment [0, finest/10], geometric annuli
+    out to ``r_patch``, then geometric panels outward; those inside
+    ``transition`` are subdivided (:func:`_split_band`).  All outer radii
+    share these panel edges: the grid for r keeps every panel that ends
+    below r (by more than a relative 1e-14) and cuts the next one at r.
+    So the whole panels are evaluated and joined once for all radii, and
+    each grid adds only its last panel(s).  ``segment(a, b, k)`` gives a
+    panel's Gauss nodes and weights; a memoized one evaluates a last panel
+    that several grids share once too.
     """
     s0 = finest_scale / 10.0
-    segs = []
-    lo = 0.0
-    hi = min(s0, r_outer)
-    segs.append((lo, hi, _INNER_ORDER))
-    r = hi
-    while r < min(r_patch, r_outer) * (1 - 1e-14):
-        nxt = min(2.0 * r, r_patch, r_outer)
-        segs.append((r, nxt, _ANNULUS_ORDER))
-        r = nxt
-    while r < r_outer * (1 - 1e-14):
-        nxt = min(2.0 * r, r_outer)
-        segs.append((r, nxt, _OUTER_ORDER))
-        r = nxt
-    if transition is not None:
-        ta, tb = transition
-        refined = []
-        for a, b, k in segs:
-            lo_c, hi_c = max(a, ta), min(b, tb)
-            if hi_c <= lo_c:
-                refined.append((a, b, k))
-                continue
-            if a < lo_c:
-                refined.append((a, lo_c, k))
-            parts = max(2, int(math.ceil(8.0 * (hi_c - lo_c) / (tb - ta))))
-            edges = np.linspace(lo_c, hi_c, parts + 1)
-            refined.extend((e0, e1, k) for e0, e1 in zip(edges, edges[1:]))
-            if hi_c < b:
-                refined.append((hi_c, b, k))
-        segs = refined
-    xs, ws = [], []
-    for a, b, k in segs:
-        x, w = gauss_segment(a, b, k)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    stops = [r * (1 - 1e-14) for r in radii]
+    edges, orders = [0.0, s0], [_INNER_ORDER]
+    while edges[-1] < max(stops):
+        inside = edges[-1] < r_patch * (1 - 1e-14)
+        edges.append(min(2.0 * edges[-1], r_patch) if inside
+                     else 2.0 * edges[-1])
+        orders.append(_ANNULUS_ORDER if inside else _OUTER_ORDER)
+    # the panel each grid ends with: the first whose end is not below the
+    # grid's stop
+    last = [bisect.bisect_left(edges, stop) - 1 for stop in stops]
+
+    def gauss(panels):
+        # lists, not zip(*generator), for the reason in unit_sphere_rule
+        pieces = [segment(*p) for p in panels]
+        return (np.concatenate([x for x, _ in pieces]),
+                np.concatenate([w for _, w in pieces]))
+
+    # the whole panels of the grids, and the node count up to each end
+    shared = [_split_band(p, transition)
+              for p in zip(edges[:max(last)], edges[1:], orders)]
+    ends = np.cumsum([0] + [sum(k for *_, k in panels) for panels in shared])
+    x_in, w_in = gauss(sum(shared, [])) if shared else (np.empty(0),) * 2
+    grids = []
+    for r, j in zip(radii, last):
+        x, w = gauss(_split_band((edges[j], min(edges[j + 1], r), orders[j]),
+                                 transition))
+        grids.append((np.concatenate([x_in[:ends[j]], x]),
+                      np.concatenate([w_in[:ends[j]], w])))
+    return grids
 
 
 _PRODUCT_PROFILES = {
@@ -600,7 +633,7 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
 
 
 def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
-                extent=math.inf):
+                extent=math.inf, segment=None):
     """Nodes and weights of a geodesic-polar rule about ``center``.
 
     Every model is a join of spheres of directions: one on a ball or a
@@ -614,6 +647,9 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     on the ball, cut at ``extent``.  ``axis``, a tangent vector at
     ``center``, turns each factor's polar axis toward its projection on
     that factor; with None it is the first vector of the factor's frame.
+    ``segment`` gives the Gauss rule of a radial panel; the rules of one
+    build pass it memoized, so that their pieces evaluate a shared panel
+    once, and None memoizes it for this rule alone.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -659,15 +695,20 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
                                        - center @ center)
     # one radial grid per join angle and distinct outer radius: the
     # directions of a sphere factor share it, those of the ball are grouped
+    # by exit radius.  All grids are cut from one set of panels.
     plan = []
     for scales, wj in joins:
         r_out = np.full(len(dirs[0]), math.pi / max(scales)) \
             if model.is_compact else exit_radius
         radii, group = np.unique(np.minimum(r_out, extent),
                                  return_inverse=True)
-        plan += [(scales, wj, group == g,
-                  *_radial_grid(finest_scale, min(r0, extent), float(r),
-                                transition)) for g, r in enumerate(radii)]
+        plan += [(scales, wj, group == g, float(r))
+                 for g, r in enumerate(radii)]
+    grids = _radial_grids(finest_scale, min(r0, extent),
+                          [r for *_, r in plan], transition,
+                          segment or functools.cache(gauss_segment))
+    plan = [(scales, wj, sel, *grid)
+            for (scales, wj, sel, _), grid in zip(plan, grids)]
     count = sum(len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan) \
         * math.prod(len(d) for d in dirs[1:])
     if count > budget:
@@ -759,6 +800,8 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         return step_jet(2.0 * (r_i - d) / r_i)[0]
 
     sub_budget = budget // (len(centers) + 1)
+    # the pieces' radial panels, each evaluated once
+    segment = functools.cache(gauss_segment)
     all_nodes, all_weights, axes = [], [], []
     for idx, c in enumerate(centers):
         # unchecked: on a ball the chord, on a sphere zero only at the
@@ -767,14 +810,16 @@ def build_multicenter_quadrature(model, centers, finest_scale,
             c, centers[(idx + 1) % len(centers)])[0])
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular, axis=axes[-1], extent=r_i)
+                                     patch_angular, axis=axes[-1], extent=r_i,
+                                     segment=segment)
         all_nodes.append(nodes)
         all_weights.append(weights * part(model.distance(nodes, c)))
 
     # the background integrand keeps the inter-center axis symmetry
     nodes, weights = _polar_rule(model, centers[0],
                                  min(max(r_i / 2.0, finest_scale), 1.0),
-                                 sub_budget, angular, axis=axes[0])
+                                 sub_budget, angular, axis=axes[0],
+                                 segment=segment)
     rho = sum(part(model.distance(nodes, c)) for c in centers)
     all_nodes.append(nodes)
     all_weights.append(weights * np.clip(1.0 - rho, 0.0, None))

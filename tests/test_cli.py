@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blowup_lab import cli
 from blowup_lab.cli import (_RUNNERS, EXPERIMENTS, _read_config, emit_csv,
                             main, run)
 
@@ -132,7 +133,7 @@ class TestConfigErrors:
         # the schedule's bubble scale t * delta_eps exceeds 1, outside the
         # domain of the quadrature (a GeometryError, also a ValueError)
         ({"experiment": "reduced-limit", "t": 1e6,
-          "eps_range": {"min": 1e-4, "max": 1e-3, "count": 2}},
+          "eps_range": {"min": 1e-4, "max": 1e-3, "count": 4}},
          4, "numerical or domain failure"),
         # values that ran before the config tables checked them: NaN (which
         # json.loads accepts), a boolean and non-integral counts; from here
@@ -276,18 +277,22 @@ class TestArtifacts:
             "eps_range": {"min": 1e-4, "max": 1e-2, "count": 4}})
         assert run(cfg, out=str(tmp_path / "o"), quiet=True) == 0
 
-    def test_reduced_limit_needs_three_decreases(self, tmp_path):
-        # two points give one decrease: the final deviation meets the 10%
-        # gate, yet criterion 10 also asks for three decreases
-        outdir = tmp_path / "o"
-        cfg = _write(tmp_path, {
-            "experiment": "reduced-limit",
-            "eps_range": {"min": 1e-4, "max": 1e-2, "count": 2}})
-        assert run(cfg, out=str(outdir), quiet=True) == 1
-        with open(outdir / "reduced-limit.csv") as f:
-            final = list(csv.DictReader(f))[-1]
-        assert float(final["rel_deviation"]) < 0.10
-        assert "1 decreases" in (outdir / "summary.txt").read_text()
+    def test_reduced_limit_needs_three_decreases(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # criterion 10 asks for three decreases, which fewer than four
+        # points cannot give: the sweep is refused before any rule is built
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a rule was built")
+        monkeypatch.setattr(cli, "build_quadrature", no_rule)
+        for count in (2, 3):
+            outdir = tmp_path / str(count)
+            cfg = _write(tmp_path, {
+                "experiment": "reduced-limit",
+                "eps_range": {"min": 1e-4, "max": 1e-2, "count": count}})
+            assert run(cfg, out=str(outdir), quiet=True) == 2
+            assert "malformed config: 'count' in 'eps_range' must be an " \
+                "integer >= 4" in capsys.readouterr().err
+            assert not outdir.exists()
 
     @pytest.mark.parametrize("spec", [{"kind": "round_sphere", "n": 6},
                                       {"kind": "flat_ball", "n": 6}])

@@ -1,5 +1,6 @@
 """Geometry layer: distances, exponential maps, curvature, quadrature."""
 
+import functools
 import math
 
 import mpmath
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowup_lab import geometry
 from blowup_lab.bubble import BubbleField, BubbleParams, CutoffSpec, _profile
 from blowup_lab.geometry import (
     CapacityError,
     GeometryError,
     ManifoldModel,
     _polar_rule,
+    _radial_grids,
+    _split_band,
     build_quadrature,
     build_multicenter_quadrature,
     gauss_segment,
@@ -589,3 +593,105 @@ class TestQuadrature:
         with pytest.raises(GeometryError, match="one line through the origin"):
             build_multicenter_quadrature(
                 m, [first * e1, first * e1 + 0.1 * e2], finest_scale=1e-2)
+
+
+def _grid_alone(finest_scale, r_patch, r_outer, transition):
+    """One radial grid walked panel by panel on its own: innermost order 8,
+    annuli inside the patch 16, panels beyond it 24."""
+    panels = [(0.0, min(finest_scale / 10.0, r_outer), 8)]
+    r = panels[-1][1]
+    while r < min(r_patch, r_outer) * (1 - 1e-14):
+        panels.append((r, min(2.0 * r, r_patch, r_outer), 16))
+        r = panels[-1][1]
+    while r < r_outer * (1 - 1e-14):
+        panels.append((r, min(2.0 * r, r_outer), 24))
+        r = panels[-1][1]
+    pieces = [gauss_segment(*p) for panel in panels
+              for p in _split_band(panel, transition)]
+    return tuple(np.concatenate(z) for z in zip(*pieces))
+
+
+def _two_bubble_centres(n, separation):
+    axis = np.random.default_rng(0).standard_normal(n)
+    axis /= np.linalg.norm(axis)
+    return [-0.5 * separation * axis, 0.5 * separation * axis]
+
+
+def _psi_radii():
+    # the outer radii pi / max(cos psi, sin psi) of a product's join angles
+    psi = np.concatenate([gauss_segment(0.0, math.pi / 4.0, 24)[0],
+                          gauss_segment(math.pi / 4.0, math.pi / 2.0, 24)[0]])
+    return [math.pi / max(math.cos(p), math.sin(p)) for p in psi]
+
+
+def _exit_radii():
+    # exit radii of 20 rays from 0.01 e1 in a ball of radius 100
+    c = 0.01 * np.cos(gauss_segment(0.0, math.pi, 20)[0])
+    return [float(r) for r in -c + np.sqrt(c**2 + 100.0**2 - 0.01**2)]
+
+
+# an edge s0 * 2^6 of the grids with finest scale 1e-3
+_EDGE = 1e-3 / 10.0 * 2**6
+
+
+def _near_edges():
+    # a patch of extent 0.01 < r0: its edges are s0 * 2^j up to 6.4e-3,
+    # then 0.01.  Radii within 1e-14 relative above and below an edge (the
+    # grid stops at the edge, or cuts the panel just short of it), one
+    # whose stop r (1 - 1e-14) is the edge 3.2e-3 itself, one inside the
+    # innermost panel, one mid-panel and the extent itself
+    return [0.01, _EDGE * (1 + 5e-15), _EDGE / 2 * (1 - 5e-15),
+            _EDGE / 2 / (1 - 1e-14), 5e-5, 0.005, _EDGE]
+
+
+class TestSharedBuildWork:
+    @pytest.mark.parametrize("finest, r_patch, radii, transition", [
+        (1e-3, math.pi / 4.0, _psi_radii(), (math.pi / 8.0, math.pi / 4.0)),
+        (5e-3, 25.0, _exit_radii(), None),
+        (1e-3, 0.01, _near_edges(), None),
+        # the last annulus ends at an edge 1e-14 short of the patch
+        (1e-3, _EDGE * (1 + 5e-15), [_EDGE * (1 + 5e-15), 0.05], None),
+    ], ids=["compact-band", "flat-ball", "edges-and-patch", "patch-edge"])
+    def test_shared_panels_match_a_grid_built_alone(
+            self, finest, r_patch, radii, transition):
+        grids = _radial_grids(finest, r_patch, radii, transition,
+                              functools.cache(gauss_segment))
+        for r, (x, w) in zip(radii, grids):
+            x_alone, w_alone = _grid_alone(finest, r_patch, r, transition)
+            assert np.array_equal(x, x_alone) and np.array_equal(w, w_alone)
+
+    def test_direction_rules_are_cached_and_read_only(self):
+        nodes, weights = unit_sphere_rule(5, [20, 1, 1, 1, 1])
+        again = unit_sphere_rule(5, (20, 1, 1, 1, 1))
+        assert again[0] is nodes and again[1] is weights
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_multicenter_quadrature(
+            ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
+            finest_scale=1e-3),
+        lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=1e-3,
+                                 angular="radial"),
+    ], ids=["two-bubble", "S3xS3-radial"])
+    def test_rule_built_twice_is_identical(self, build):
+        first, second = build(), build()
+        assert np.array_equal(first.nodes, second.nodes)
+        assert np.array_equal(first.weights, second.weights)
+
+    def test_each_panel_evaluated_once_per_build(self, monkeypatch):
+        # a two-bubble rule cuts 22 radial grids (two patches and 20 rays
+        # of the background) from 47 distinct Gauss panels
+        m = ManifoldModel.flat_ball(6, 100.0)
+        centres = _two_bubble_centres(6, 0.02)
+        rule = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
+        calls = []
+
+        def counted(a, b, k):
+            calls.append((a, b, k))
+            return gauss_segment(a, b, k)
+        monkeypatch.setattr(geometry, "gauss_segment", counted)
+        again = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
+        assert calls and len(calls) == len(set(calls))
+        assert np.array_equal(again.nodes, rule.nodes)

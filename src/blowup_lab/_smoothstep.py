@@ -10,33 +10,28 @@ import numpy as np
 __all__ = ["step_jet", "radial_bump"]
 
 
-def _f(t):
-    """exp(-1/t) for t > 0, identically 0 for t <= 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def step_jet(t, order=0):
     """Smooth step s and its first ``order`` derivatives, as a tuple.
 
     s = 0 for t <= 0, s = 1 for t >= 1 and increasing in between; the
-    derivatives vanish outside (0, 1).  All come from one pair
-    u = f(t), v = f(1 - t) with f(t) = exp(-1/t), s = u / (u + v).
+    derivatives vanish outside (0, 1), and a NaN t gives s = NaN with
+    derivatives 0.  All come from one pair u = f(t), v = f(1 - t) with
+    f(t) = exp(-1/t), s = u / (u + v), taken only inside the band (0, 1).
     """
     t = np.asarray(t, dtype=float)
-    u = _f(t)
-    v = _f(1.0 - t)
-    with np.errstate(invalid="ignore"):
-        s = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, u / (u + v)))
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    # 1/t overflows for a subnormal t; exp(-inf) is then 0
+    with np.errstate(over="ignore", under="ignore"):
+        u = np.exp(-1.0 / ti)
+        v = np.exp(-1.0 / (1.0 - ti))
+    P = u + v
+    # 0 below the band and 1 above it (t - 1 >= 0 exactly when t >= 1),
+    # NaN at NaN; an array even for a 0-d t, so the band can be written
+    s = np.heaviside(t - 1.0, 1.0, out=np.empty_like(t))
+    s[inside] = u / P
     if order == 0:
         return (s,)
-    inside = (t > 0.0) & (t < 1.0)
-    ti, u, v = t[inside], u[inside], v[inside]
-    P = u + v
     # 1/t is set to 0 where u = exp(-1/t) has underflowed to 0, so that the
     # terms u (1/t)^j are 0 there rather than 0 * inf; likewise 1/(1-t) and v
     it = np.divide(1.0, ti, out=np.zeros_like(ti), where=u > 0.0)

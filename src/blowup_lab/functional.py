@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bubble import BubbleField, multi_bubble_field
-from .geometry import CapacityError
+from .geometry import CapacityError, _rowsum
 
 __all__ = [
     "PotentialField",
@@ -91,7 +91,7 @@ def _positive_power(vals, twostar):
 
 def _density(vals, grads, hv, twostar):
     """Energy density 1/2 (|grad u|^2 + h u^2) - u_+^(2*)/2* of J_h."""
-    quadratic = np.sum(grads * grads, axis=-1) + hv * vals**2
+    quadratic = _rowsum(grads * grads) + hv * vals**2
     return 0.5 * quadratic - _positive_power(vals, twostar) / twostar
 
 
@@ -205,7 +205,7 @@ def energy_split(model, h, cfg, cutoff, rule):
         vals, grads = zip(*(f.jet(pts, 1) for f in fields))
         powers = [_positive_power(v, twostar) for v in vals]
         # the 1/2 in the energy cancels the (i, j)/(j, i) symmetry factor
-        couplings = [np.sum(grads[i] * grads[j], axis=-1)
+        couplings = [_rowsum(grads[i] * grads[j])
                      + hv * vals[i] * vals[j] for i, j in pairs]
         return np.stack([*couplings, _power_excess(vals, powers, twostar)])
 

@@ -51,8 +51,27 @@ def sphere_volume(m):
 
 
 def _dot(a, b):
-    # einsum: a numpy reduce over a length-4 axis costs more than the products
+    # einsum: a numpy reduce over a length-4 axis costs more than the
+    # products.  It adds in its own order, so its bits are not _rowsum's
+    # (a * b): every sphere-factor dot product stays on this one path
     return np.einsum("...i,...i->...", a, b)
+
+
+def _rowsum(a):
+    """np.add.reduce(a, axis=-1), bit for bit, in fewer passes on short rows.
+
+    numpy sums a row of fewer than 8 entries in order from +0.0 (so a row
+    of -0.0 sums to +0.0), which column-by-column adds repeat; longer rows
+    go to numpy, whose pairwise order they would not.  np.linalg.norm is
+    np.sqrt(_rowsum(a * a)).
+    """
+    k = a.shape[-1]
+    if not 0 < k < 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0] + 0.0
+    for j in range(1, k):
+        out += a[..., j]
+    return out
 
 
 def _sphere_polar(base, x):
@@ -71,7 +90,8 @@ def _sphere_polar(base, x):
     antipodal side is needed.
     """
     c = _dot(x, base)
-    w = x - c[..., None] * base
+    w = np.multiply(c[..., None], base)
+    np.subtract(x, w, out=w)
     nw = np.sqrt(_dot(w, w))
     return np.arctan2(nw, c), w, nw
 
@@ -94,7 +114,7 @@ def _along(length, w, nw):
 def _ball_polar(base, x):
     """:func:`_sphere_polar` on a ball: (|w|, w, |w|) with w = x - base."""
     w = x - base
-    nw = np.linalg.norm(w, axis=-1)
+    nw = np.sqrt(_rowsum(w * w))
     return nw, w, nw
 
 
@@ -131,8 +151,12 @@ def _xcotx(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x**2 / 3.0 - x**4 / 45.0,
-                    xs * np.cos(xs) / np.sin(xs))
+    # into an array, so that a 0-d x can take the series too
+    out = np.divide(xs * np.cos(xs), np.sin(xs), out=np.empty_like(xs))
+    if small.any():
+        xm = x[small]
+        out[small] = 1.0 - xm**2 / 3.0 - xm**4 / 45.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +342,10 @@ class ManifoldModel:
                                  np.asarray(center, dtype=float))
         if order == 0:
             return d, None
+        if order == 1 and not self.is_compact:
+            # on the ball r = |w| = d, so the general path's first scaling
+            # is by exactly -1
+            return d, _along(-1.0, polars[0][1], d)
         if order == 1:
             g = np.concatenate([_along(-r, w, nw) for r, w, nw in polars],
                                axis=-1)
@@ -802,7 +830,7 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     sub_budget = budget // (len(centers) + 1)
     # the pieces' radial panels, each evaluated once
     segment = functools.cache(gauss_segment)
-    all_nodes, all_weights, axes = [], [], []
+    pieces, axes = [], []
     for idx, c in enumerate(centers):
         # unchecked: on a ball the chord, on a sphere zero only at the
         # antipode, about which two bubbles are radial
@@ -812,8 +840,7 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
                                      patch_angular, axis=axes[-1], extent=r_i,
                                      segment=segment)
-        all_nodes.append(nodes)
-        all_weights.append(weights * part(model.distance(nodes, c)))
+        pieces.append((nodes, weights * part(model.distance(nodes, c))))
 
     # the background integrand keeps the inter-center axis symmetry
     nodes, weights = _polar_rule(model, centers[0],
@@ -821,11 +848,11 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                                  sub_budget, angular, axis=axes[0],
                                  segment=segment)
     rho = sum(part(model.distance(nodes, c)) for c in centers)
-    all_nodes.append(nodes)
-    all_weights.append(weights * np.clip(1.0 - rho, 0.0, None))
+    pieces.append((nodes, weights * np.clip(1.0 - rho, 0.0, None)))
 
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
-    keep = weights > 0.0
-    return QuadratureRule(nodes=nodes[keep], weights=weights[keep],
-                          finest_scale=finest_scale)
+    # each piece keeps its nodes of positive weight before the one join
+    keep = [w > 0.0 for _, w in pieces]
+    return QuadratureRule(
+        nodes=np.concatenate([x[k] for (x, _), k in zip(pieces, keep)]),
+        weights=np.concatenate([w[k] for (_, w), k in zip(pieces, keep)]),
+        finest_scale=finest_scale)

@@ -23,7 +23,7 @@ from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
 from .functional import (PotentialField, _check_resolution, energy,
                          single_bubble_energy_constant)
-from .geometry import CapacityError
+from .geometry import CapacityError, _rowsum
 
 __all__ = [
     "ReducedEnergyParams",
@@ -83,7 +83,8 @@ class BumpFunction:
         y = np.asarray(y, dtype=float)
         out = np.full(y.shape[:-1], -1.0)
         for p, a in zip(self.maxima, self.amplitudes):
-            s = np.linalg.norm(y - p, axis=-1) / self.sigma
+            z = y - p
+            s = np.sqrt(_rowsum(z * z)) / self.sigma
             out = out + a * radial_bump(s)
         return out
 

@@ -30,6 +30,31 @@ def _base(model):
     return x
 
 
+def _step_jet_everywhere(t, order):
+    # the step as it was before it exponentiated only inside (0, 1):
+    # u = exp(-1/t) and v = exp(-1/(1 - t)) on every t, zero outside
+    t = np.asarray(t, dtype=float)
+    u, v = np.zeros_like(t), np.zeros_like(t)
+    u[t > 0] = np.exp(-1.0 / t[t > 0])
+    v[1.0 - t > 0] = np.exp(-1.0 / (1.0 - t)[1.0 - t > 0])
+    s = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, u / (u + v)))
+    inside = (t > 0.0) & (t < 1.0)
+    ti, u, v = t[inside], u[inside], v[inside]
+    P = u + v
+    it = np.divide(1.0, ti, out=np.zeros_like(ti), where=u > 0.0)
+    is_ = np.divide(1.0, 1.0 - ti, out=np.zeros_like(ti), where=v > 0.0)
+    u1, v1 = u * it**2, -v * is_**2
+    P1 = u1 + v1
+    d1 = np.zeros_like(t)
+    d1[inside] = (u1 * P - u * P1) / P**2
+    u2 = u * (it**4 - 2.0 * it**3)
+    v2 = v * (is_**4 - 2.0 * is_**3)
+    d2 = np.zeros_like(t)
+    d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
+                  - 2.0 * P1 * (u1 * P - u * P1) / P**3)
+    return (s, d1, d2)[:order + 1]
+
+
 class TestCutoff:
     def test_plateau_and_support(self):
         cut = CutoffSpec(r0=1.0)
@@ -52,6 +77,26 @@ class TestCutoff:
         # (1/t)^4 at 1e-80, so the derivatives must be 0 there, not 0 * inf
         for q in step_jet(np.array([1e-300, 1e-80]), 2):
             np.testing.assert_array_equal(q, 0.0)
+
+    @pytest.mark.parametrize("t", [
+        np.array([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324,
+                  1 - 1e-16, 1e-3, 0.5, 1 / 745, 1 - 1 / 745, 2.0, -3.0]),
+        np.linspace(-0.5, 1.5, 400).reshape(20, 20),
+        np.empty(0),
+        0.3, 0.0, 1.0, np.nan, np.array(0.7), np.array(-np.inf)])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_step_jet_exponentiates_only_in_the_band(self, t, order):
+        # the band-only step gives the values of the formula it replaced,
+        # 0-d arrays for a scalar t, and NaN (with derivatives 0) at NaN
+        with np.errstate(all="ignore"):
+            want = _step_jet_everywhere(t, order)
+        got = step_jet(t, order)
+        assert len(got) == len(want) == order + 1
+        for g, w in zip(got, want):
+            assert isinstance(g, np.ndarray) and g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.signbit(g) & ~np.isnan(g),
+                                  np.signbit(w) & ~np.isnan(w))
 
     def test_none_is_identity(self):
         cut = CutoffSpec.none()

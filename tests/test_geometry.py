@@ -14,8 +14,10 @@ from blowup_lab.geometry import (
     CapacityError,
     GeometryError,
     ManifoldModel,
+    _along,
     _polar_rule,
     _radial_grids,
+    _rowsum,
     _split_band,
     build_quadrature,
     build_multicenter_quadrature,
@@ -24,6 +26,7 @@ from blowup_lab.geometry import (
     sphere_volume,
     unit_sphere_rule,
     weyl_tensor_from_riemann,
+    _xcotx,
 )
 
 RNG = np.random.default_rng(42)
@@ -695,3 +698,87 @@ class TestSharedBuildWork:
         again = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
         assert calls and len(calls) == len(set(calls))
         assert np.array_equal(again.nodes, rule.nodes)
+
+
+def _same_bits(a, b):
+    """Same type, shape and values, zeros with the same sign (NaN == NaN)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~np.isnan(a),
+                               np.signbit(b) & ~np.isnan(b)))
+
+
+def _xcotx_in_one_expression(x):
+    # the formula _xcotx evaluated before it took the series only where
+    # |x| < 1e-4
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x**2 / 3.0 - x**4 / 45.0,
+                    xs * np.cos(xs) / np.sin(xs))
+
+
+def _rows(width):
+    # magnitudes over 40 decades, and -0.0 often enough that some rows
+    # hold nothing else
+    x = RNG.standard_normal((500, width)) \
+        * 10.0 ** RNG.integers(-20, 20, (500, width))
+    x[RNG.random(x.shape) < 0.4] = -0.0
+    x[RNG.random(x.shape) < 0.05] = 0.0
+    return x
+
+
+class TestPerNodeKernels:
+    """The per-node kernels give the bits of the numpy calls they replace.
+
+    Every CSV digit rests on these: a numpy release that sums short rows
+    in another order fails here, not silently in the outputs.
+    """
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_rowsum_is_numpy_sum_and_norm(self, width):
+        wide = _rows(2 * width)
+        for a in (np.ascontiguousarray(wide[:, :width]),  # C-contiguous
+                  wide[:, :width],                        # a factor slice
+                  wide[:, ::2],                           # strided columns
+                  wide[0, :width],                        # one point
+                  wide[:0, :width],                       # no rows
+                  wide[:, :width].reshape(20, 25, width)):
+            assert _same_bits(_rowsum(a), np.add.reduce(a, axis=-1))
+            assert _same_bits(np.sqrt(_rowsum(a * a)),
+                              np.linalg.norm(a, axis=-1))
+
+    def test_rowsum_of_negative_zeros_is_positive_zero(self):
+        a = np.full((3, 4), -0.0)
+        assert not np.signbit(_rowsum(a)).any()
+
+    def test_xcotx_series_only_where_small(self):
+        x = np.array([0.0, -0.0, 1e-4 * (1 - 1e-15), 1e-4, -1e-4 * (1 - 1e-15),
+                      -1e-4, 3e-5, 1e-300, math.pi / 2, -math.pi / 2, 1.0,
+                      3.0])
+        assert _same_bits(_xcotx(x), _xcotx_in_one_expression(x))
+        for scalar in (0.0, 5e-5, 1e-4, math.pi / 2):
+            got = _xcotx(scalar)
+            assert _same_bits(got, _xcotx_in_one_expression(scalar))
+            assert got.shape == ()
+
+    def test_single_point_laplacian_coefficient(self):
+        m = _pp()
+        c = _base(m)
+        x = m.exp(c, 5e-5 * m.tangent_frame(c)[0]
+                  + 0.3 * m.tangent_frame(c)[4])
+        assert _same_bits(m.radial_laplacian_coeff(c, x),
+                          m.radial_laplacian_coeff(c, x[None])[0])
+
+    @pytest.mark.parametrize("n", [3, 6, 7])
+    def test_ball_gradient_is_the_general_path(self, n):
+        m = ManifoldModel.flat_ball(n, 100.0)
+        c = RNG.uniform(-1.0, 1.0, n)
+        pts = np.vstack([RNG.uniform(-2.0, 2.0, (300, n)), c, c + 1e-301])
+        d, g = m._distance_jet(c, pts, 1)
+        _, polars = m._polars(pts, c)
+        general = _along(1.0, np.concatenate(
+            [_along(-r, w, nw) for r, w, nw in polars], axis=-1), d)
+        assert np.array_equal(g, general)
+        assert _same_bits(g, general)

@@ -133,11 +133,34 @@ def _model(min_dim=3):
     return read
 
 
+def _seed(value, name, done):
+    """Reader of a bump-family seed: null, left to build_H, or an integer."""
+    return None if value is None else _number(integer=True, ge=0)(
+        value, name, done)
+
+
 def _plateau(value, name, done):
-    """Reader of residual-sweep's ``r0``: compact models fix it at inj/4."""
+    """Reader of residual-sweep's ``r0``: compact models fix it at inj/4; a
+    flat ball's, 1.0 by default, must lie inside the ball."""
     if done["model"].is_compact:
-        raise ConfigError(f"{name} is accepted only on a flat ball")
+        if value is not None:
+            raise ConfigError(f"{name} is accepted only on a flat ball")
+        return None
+    if value is None:
+        value, name = 1.0, f"{name} (default 1.0)"
     return _number(gt=0, lt=done["model"].radius)(value, name, done)
+
+
+def _separations(value, name, done):
+    """Reader of interaction-sweep's ``dist_range``: each separation d
+    exceeds ``delta``, so that order_fit's x = (delta/d)^2 lies in (0, 1),
+    and keeps both centres, at distance d/2 from the origin, in the ball."""
+    dists = _range(0.02, 0.2, 6, fit=2)(value, name, done)
+    if not done["delta"] < dists[0] or not dists[-1] / 2.0 < done["radius"]:
+        raise ConfigError(
+            f"{name} must have min > 'delta' = {done['delta']:g} and max < "
+            f"2 * 'radius' = {2.0 * done['radius']:g}")
+    return dists
 
 
 def _read_config(cfg, table, where=None, also=("experiment", "out")):
@@ -145,8 +168,7 @@ def _read_config(cfg, table, where=None, also=("experiment", "out")):
 
     A reader takes the JSON value, its quoted key and the values read before
     it, and returns the checked value or raises ConfigError.  A key outside
-    ``table`` and ``also`` is refused: a misspelt one would go unnoticed.
-    A None default (or null) is left to the runner."""
+    ``table`` and ``also`` is refused: a misspelt one would go unnoticed."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(cfg) - set(table) - set(also))
@@ -156,9 +178,8 @@ def _read_config(cfg, table, where=None, also=("experiment", "out")):
                           f"{', '.join(sorted({*table, *also}))}")
     done = {}
     for key, (default, reader) in table.items():
-        value = cfg.get(key, default)
-        done[key] = None if value is None and default is None else reader(
-            value, repr(key) if where is None else f"{key!r} in {where}", done)
+        done[key] = reader(cfg.get(key, default), repr(key) if where is None
+                           else f"{key!r} in {where}", done)
     return done
 
 
@@ -257,7 +278,7 @@ def _exp_residual_sweep(cfg):
     log_b, lo, hi = (2.0 / 3.0, 1.8, 2.4) if model.n == 6 else (0.0, 1.9, 2.2)
     center = _rule_center(model)
     cutoff = (CutoffSpec.for_model(model) if model.is_compact
-              else CutoffSpec(r0=1.0 if cfg["r0"] is None else cfg["r0"]))
+              else CutoffSpec(r0=cfg["r0"]))
     h = PotentialField.conformal_scalar(model).shifted(cfg["shift"])
     rows = []
     for d in cfg["delta_range"]:
@@ -383,7 +404,7 @@ _RUNNERS = {
         "n": (6, _DIM),
         "radius": (100.0, _number(gt=0)),
         "delta": (1e-3, _number(gt=0, le=1)),
-        "dist_range": ({}, _range(0.02, 0.2, 6, fit=2)),
+        "dist_range": ({}, _separations),
         "budget": (4_000_000, _number(integer=True, ge=1))}),
     "residual-sweep": (_exp_residual_sweep, {
         "model": ({}, _model()),
@@ -394,7 +415,7 @@ _RUNNERS = {
     "reduced-limit": (_exp_reduced_limit, {
         "model": ({}, _model(6)),
         "k": (1, _number(integer=True, ge=1)),
-        "seed": (None, _number(integer=True, ge=0)),
+        "seed": (None, _seed),
         "t": (1.0, _number(gt=0)),
         "r": (0, _number(integer=True, ge=0)),
         # criterion 10's three decreases need four points
@@ -408,13 +429,13 @@ _RUNNERS = {
         "model": ({}, _model(6)),
         # one bubble has no separation to grow
         "k": (2, _number(integer=True, ge=2)),
-        "seed": (None, _number(integer=True, ge=0)),
+        "seed": (None, _seed),
         "r": (0, _number(integer=True, ge=0)),
         "eps_range": ({}, _range(1e-6, 1e-3, 7, lt=1))}),
     "bump-audit": (_exp_bump_audit, {
         "dim": (6, _number(integer=True, ge=2)),
         "ks": ([1, 2, 3, 5], _array(_number(integer=True, ge=1))),
-        "seed": (None, _number(integer=True, ge=0))}),
+        "seed": (None, _seed)}),
 }
 EXPERIMENTS = tuple(_RUNNERS)
 

@@ -30,7 +30,6 @@ class SlopeFit:
     slope: float
     intercept: float
     residual_rms: float
-    log_correction: float = 0.0
 
     @property
     def prefactor(self):
@@ -65,8 +64,7 @@ def order_fit(xs, ys, log_correction=0.0):
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - A @ coef
     return SlopeFit(slope=float(coef[0]), intercept=float(coef[1]),
-                    residual_rms=float(np.sqrt(np.mean(resid**2))),
-                    log_correction=log_correction)
+                    residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,6 @@ def audit_bumps(Hb):
         "peak_values_ok": peak_ok,
         "unique_local_max_ok": bool(unique_ok),
         "separation_ok": bool(sep_ok),
-        "resolution": res,
     }
 
 

@@ -6,26 +6,26 @@ numbers.  Tolerances are pinned; do not loosen them to make a failure go
 away.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
-import pytest
 
+from blowup_lab import cli
 from blowup_lab.bubble import (BubbleParams, Configuration, CutoffSpec,
                                multi_bubble_field)
-from blowup_lab.diagnostics import (extract_peaks, isolation_ratios,
-                                    order_fit)
-from blowup_lab.functional import (PotentialField, critical_exponent, energy,
-                                   energy_split, lebesgue_norm, residual_norm,
+from blowup_lab.diagnostics import extract_peaks, order_fit
+from blowup_lab.functional import (PotentialField, critical_exponent,
+                                   lebesgue_norm, residual_norm,
                                    single_bubble_energy_constant)
-from blowup_lab.geometry import (ManifoldModel, build_multicenter_quadrature,
-                                 build_quadrature)
-from blowup_lab.reduced import (BumpFunction, ReducedEnergyParams,
-                                ScheduleParams, audit_bumps, build_H,
+from blowup_lab.geometry import ManifoldModel, build_quadrature
+from blowup_lab.reduced import (ReducedEnergyParams, ScheduleParams, build_H,
                                 delta_eps, F_n_critical, F_n_eval, mu_eps,
-                                reduced_constants, reduced_limit_ratio,
-                                schedule_configuration)
+                                reduced_constants)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(num, ok, detail):
@@ -34,52 +34,27 @@ def _report(num, ok, detail):
     assert ok, line
 
 
-# ---------------------------------------------------------------------------
-# shared product-sphere delta sweep (criteria 3, 4 and the n = 6 half of 6);
-# one bubble at the rule centre under a constant potential is radial, so the
-# rules carry one angular node per factor sphere
-
-@pytest.fixture(scope="module")
-def product_sweep():
-    model = ManifoldModel.product_spheres(3, 3)
-    center = model.random_point(np.random.default_rng(0))
-    cutoff = CutoffSpec.for_model(model)
-    h0 = PotentialField.conformal_scalar(model)
-    deltas = np.geomspace(1e-3, 1e-2, 6)
-    rows = []
-    for d in deltas:
-        rule = build_quadrature(model, center, finest_scale=d,
-                                budget=2_000_000, angular="radial")
-        cfg = Configuration(bubbles=(BubbleParams(d, center),))
-        u = multi_bubble_field(model, cfg, cutoff)
-        j0 = energy(model, h0, u, rule)
-        half_l2 = 0.5 * float(np.sum(rule.weights * u(rule.nodes) ** 2))
-        res = residual_norm(model, h0, cfg, cutoff, rule)
-        rows.append((d, j0, half_l2, res))
-    return {"model": model, "rows": rows}
+def _run(name, tolerance, **override):
+    """Run configs/<name>.json, ``override`` applied, as the CLI does: the
+    checked config, the CSV columns as arrays by name, and whether it passed
+    with a summary line naming ``tolerance``, so neither side loosens alone."""
+    cfg = {**json.loads((CONFIGS / f"{name}.json").read_text()), **override}
+    runner, table = cli._RUNNERS[cfg["experiment"]]
+    checked = cli._read_config(cfg, table)
+    rows, columns, lines, passed = runner(checked)
+    return (checked, dict(zip(columns, map(np.array, zip(*rows)))),
+            passed and any(tolerance in line for line in lines))
 
 
 def test_criterion_1_flat_energy_constant():
-    # J_0(W_{1,0}) on a large flat ball matches the closed-form bubble
-    # energy to 1e-6 in under 10 s per dimension.
-    tol = 1e-6
-    ok = True
-    details = []
-    for n in (6, 7, 8):
-        model = ManifoldModel.flat_ball(n, 100.0)
-        center = np.zeros(n)
+    # J_0(W_{1,0}) on a large flat ball matches E1 to 1e-6 in < 10 s per n.
+    tol, ok, details = 1e-6, True, []
+    for n in json.loads((CONFIGS / "flat_energy.json").read_text())["dims"]:
         t0 = time.perf_counter()
-        rule = build_quadrature(model, center, finest_scale=1.0,
-                                budget=2_000_000, angular="radial")
-        h = PotentialField.constant(model, 0.0)
-        u = multi_bubble_field(
-            model, Configuration(bubbles=(BubbleParams(1.0, center),)),
-            CutoffSpec.none())
-        j = energy(model, h, u, rule)
+        _, cols, passed = _run("flat_energy", f"(< {tol:g})", dims=[n])
         dt = time.perf_counter() - t0
-        e1 = single_bubble_energy_constant(n)
-        dev = abs(j - e1) / e1
-        ok = ok and dev < tol and dt < 10.0
+        dev = cols["rel_deviation"][0]
+        ok = ok and passed and dev < tol and dt < 10.0
         details.append(f"n={n} rel_dev={dev:.3e} ({dt:.1f}s)")
     _report(1, ok, "flat bubble energy vs closed form, "
             + ", ".join(details) + f" (tol {tol:g}, < 10 s each)")
@@ -103,97 +78,56 @@ def test_criterion_2_exact_solution_residual():
     _report(2, ok, f"exact-solution residual {r:.3e} < 1e-6 * {scale:.6g}")
 
 
-def test_criterion_3_energy_expansion_coefficient(product_sweep):
-    # A sigma shift of the potential moves the energy by
-    # E1 * c1 * sigma * delta^2 with c1 = 5/4 in dimension 6.  J is affine
-    # in h, so the shift is exactly sigma/2 int u^2, and c1 is fitted from
-    # 1/2 int u^2 / (E1 delta^2) without differencing two energies.
-    model = product_sweep["model"]
-    e1 = single_bubble_energy_constant(model.n)
-    c1 = reduced_constants(model.n)[0]
-    coefs = [half_l2 / (e1 * d * d)
-             for d, _, half_l2, _ in product_sweep["rows"]]
-    fitted = float(np.median(coefs))
+def test_criterion_3_energy_expansion_coefficient():
+    # A shift sigma of h adds exactly sigma/2 int u^2 to J, which is affine
+    # in h; c1_estimate divides it by E1 sigma delta^2 (c1 = 5/4 at n = 6).
+    tol = 0.05
+    cfg, cols, passed = _run("expansion_sweep", f"(< {tol:g})")
+    c1 = reduced_constants(cfg["model"].n)[0]
+    fitted = float(np.median(cols["c1_estimate"]))
     dev = abs(fitted - c1) / c1
-    ok = dev < 0.05
-    _report(3, ok, f"fitted c1={fitted:.6g} vs {c1:g}, rel_dev={dev:.3e} "
-            f"(< 5%)")
+    _report(3, passed and dev < tol, f"fitted c1={fitted:.6g} vs {c1:g}, "
+            f"rel_dev={dev:.3e} (< 5%)")
 
 
-def test_criterion_4_quartic_deviation_order(product_sweep):
-    # The relative deviation J_0/E1 - 1 decays like delta^4 ln(1/delta);
-    # the slope after dividing out the logarithm is gated, the prefactor
-    # comparison against d_6 |W|^2 = |W|^2 / 64 is reported only.
-    model = product_sweep["model"]
-    e1 = single_bubble_energy_constant(model.n)
-    xs = [d for d, _, _, _ in product_sweep["rows"]]
-    ys = [abs(j0 / e1 - 1.0) for _, j0, _, _ in product_sweep["rows"]]
-    fit = order_fit(xs, ys, log_correction=1.0)
-    ok = 3.7 <= fit.slope <= 4.3
-    d6_target = model.weyl_norm_sq() / 64.0
-    _report(4, ok, f"log-corrected slope {fit.slope:.4f} in [3.7, 4.3]; "
-            f"prefactor {fit.prefactor:.4g} vs |W|^2/64 = {d6_target:.4g} "
-            f"(informational)")
+def test_criterion_4_quartic_deviation_order():
+    # J_0/E1 - 1 decays like delta^4 ln(1/delta): the runner gates only
+    # criterion 3, so this slope is gated here alone; its prefactor is not.
+    cfg, cols, passed = _run("expansion_sweep", "")
+    e1 = single_bubble_energy_constant(cfg["model"].n)
+    fit = order_fit(cols["delta"], np.abs(cols["J_base"] / e1 - 1.0),
+                    log_correction=1.0)
+    _report(4, passed and 3.7 <= fit.slope <= 4.3,
+            f"log-corrected slope {fit.slope:.4f} in [3.7, 4.3]; "
+            f"prefactor {fit.prefactor:.4g} vs |W|^2/64 = "
+            f"{cfg['model'].weyl_norm_sq() / 64.0:.4g} (informational)")
 
 
 def test_criterion_5_two_bubble_interaction():
-    # The deviation of the two-bubble energy from the sum of single-bubble
-    # energies scales like (delta^2/d^2)^((n-2)/2).
-    ok = True
-    details = []
-    delta = 1e-3
-    dists = np.geomspace(0.02, 0.2, 6)
-    for n in (6, 7):
-        model = ManifoldModel.flat_ball(n, 100.0)
-        xs, ys = [], []
-        for d in dists:
-            c1 = np.zeros(n)
-            c2 = np.zeros(n)
-            c1[0], c2[0] = -d / 2.0, d / 2.0
-            cfg = Configuration(bubbles=(BubbleParams(delta, c1),
-                                         BubbleParams(delta, c2)))
-            rule = build_multicenter_quadrature(model, [c1, c2],
-                                                finest_scale=delta,
-                                                budget=4_000_000)
-            split = energy_split(model, PotentialField.constant(model, 0.0),
-                                 cfg, CutoffSpec.none(), rule)
-            xs.append((delta / d) ** 2)
-            ys.append(split.deviation)
-        fit = order_fit(xs, ys)
-        target = (n - 2.0) / 2.0
-        dev = abs(fit.slope - target) / target
-        ok = ok and dev < 0.05
-        details.append(f"n={n} slope {fit.slope:.4f} vs {target:g}")
+    # The two-bubble energy deviation scales like (delta^2/d^2)^((n-2)/2).
+    tol, ok, details = 0.05, True, []
+    for name in ("interaction_sweep", "interaction_sweep_n7"):
+        cfg, cols, passed = _run(name, f"(< {tol:g})")
+        fit = order_fit(cols["delta2_over_d2"], cols["deviation"])
+        target = (cfg["n"] - 2.0) / 2.0
+        ok = ok and passed and abs(fit.slope - target) / target < tol
+        details.append(f"n={cfg['n']} slope {fit.slope:.4f} vs {target:g}")
     _report(5, ok, ", ".join(details) + " (rel dev < 5%)")
 
 
-def test_criterion_6_residual_decay(product_sweep):
-    # Single-bubble residual orders: delta^2 (ln 1/delta)^(2/3) on the
-    # 6-dimensional product, delta^2 on a flat ball with a constant shift
-    # in dimension 7.
-    xs = [d for d, _, _, _ in product_sweep["rows"]]
-    ys = [res for _, _, _, res in product_sweep["rows"]]
-    fit6 = order_fit(xs, ys, log_correction=2.0 / 3.0)
-    ok6 = 1.8 <= fit6.slope <= 2.4
-
-    model = ManifoldModel.flat_ball(7, 100.0)
-    center = np.zeros(7)
-    # wide cutoff: the cutoff-commutator term decays like delta^(5/2)
-    # and contaminates the delta^2 window when r0 is small
-    cutoff = CutoffSpec(r0=4.0)
-    h = PotentialField.conformal_scalar(model).shifted(0.5)
-    xs7, ys7 = [], []
-    for d in np.geomspace(1e-3, 1e-2, 6):
-        rule = build_quadrature(model, center, finest_scale=d,
-                                budget=2_000_000, angular="radial")
-        cfg = Configuration(bubbles=(BubbleParams(d, center),))
-        xs7.append(d)
-        ys7.append(residual_norm(model, h, cfg, cutoff, rule))
-    fit7 = order_fit(xs7, ys7)
-    ok7 = 1.9 <= fit7.slope <= 2.2
-    _report(6, ok6 and ok7,
-            f"n=6 log-corrected slope {fit6.slope:.4f} in [1.8, 2.4]; "
-            f"n=7 slope {fit7.slope:.4f} in [1.9, 2.2]")
+def test_criterion_6_residual_decay():
+    # Residual orders: delta^2 (ln 1/delta)^(2/3) on the 6-dimensional
+    # product, delta^2 on a shifted 7-ball (r0 = 4 mutes a delta^(5/2) term).
+    ok, details = True, []
+    for name, log_b, lo, hi in (("residual_sweep", 2.0 / 3.0, 1.8, 2.4),
+                                ("residual_sweep_n7", 0.0, 1.9, 2.2)):
+        cfg, cols, passed = _run(name, f"window [{lo}, {hi}]")
+        fit = order_fit(cols["delta"], cols["residual_norm"],
+                        log_correction=log_b)
+        ok = ok and passed and lo <= fit.slope <= hi
+        details.append(f"n={cfg['model'].n} {'log-corrected ' * bool(log_b)}"
+                       f"slope {fit.slope:.4f} in [{lo}, {hi}]")
+    _report(6, ok, "; ".join(details))
 
 
 def test_criterion_7_reduced_maximum_closed_form():
@@ -263,38 +197,25 @@ def test_criterion_8_schedules():
 def test_criterion_9_bump_family_invariants():
     # build_H output passes the audit (far value, peak values, unique local
     # maxima under a sigma/20 scan, separation) with exactly k maxima.
-    ok = True
-    details = []
-    for k in (1, 2, 3, 5):
-        Hb = build_H(k, 6, seed=11)
-        rep = audit_bumps(Hb)
-        good = rep["passed"] and rep["n_maxima_found"] == k
-        ok = ok and good
-        details.append(f"k={k}: {rep['n_maxima_found']} maxima, "
-                       f"audit {'ok' if rep['passed'] else 'FAILED'}")
-    _report(9, ok, "; ".join(details))
+    _, cols, passed = _run("bump_audit", "exact maxima counts")
+    good = np.all([cols["n_maxima_found"] == cols["k"], cols["far_value_ok"],
+                   cols["peak_values_ok"], cols["unique_local_max_ok"],
+                   cols["separation_ok"]], axis=0)
+    _report(9, passed and good.all(), "; ".join(
+        f"k={k}: {m} maxima, audit {'ok' if g else 'FAILED'}"
+        for k, m, g in zip(cols["k"], cols["n_maxima_found"], good)))
 
 
 def test_criterion_10_reduced_energy_limit():
     # The normalized energy of the scheduled one-bubble configuration
     # converges to F_6(t, p) as eps -> 0.
-    model = ManifoldModel.product_spheres(3, 3)
-    Hb = build_H(1, model.n, seed=7)
-    xi0 = model.random_point(np.random.default_rng(0))
-    p = Hb.maxima[0]
-    devs = []
-    # k = 1: the bump peaks at xi0 under the bubble, so the integrand is radial
-    for eps in np.geomspace(1e-2, 1e-4, 5):
-        sch = ScheduleParams(n=model.n, eps=float(eps))
-        rule = build_quadrature(model, xi0, finest_scale=sch.delta_eps,
-                                budget=4_000_000, angular="radial")
-        ratio, pred, _, _ = reduced_limit_ratio(model, xi0, [1.0], [p],
-                                                float(eps), Hb, rule)
-        devs.append(abs(ratio - pred) / abs(pred))
-    decreasing = sum(1 for a, b in zip(devs, devs[1:]) if b < a)
-    ok = devs[-1] < 0.10 and decreasing >= 3
-    _report(10, ok, f"final rel_dev {devs[-1]:.3e} (< 10%), "
-            f"{decreasing} decreases along eps 1e-2 -> 1e-4")
+    tol = 0.10
+    _, cols, passed = _run("reduced_limit", f"(< {tol:g})")
+    devs = cols["rel_deviation"]
+    decreasing = int(np.sum(np.diff(devs) < 0))
+    _report(10, passed and devs[-1] < tol and decreasing >= 3,
+            f"final rel_dev {devs[-1]:.3e} (< 10%), {decreasing} decreases "
+            f"along eps {cols['eps'][0]:g} -> {cols['eps'][-1]:g}")
 
 
 def test_criterion_11_peak_extraction_suite():
@@ -347,21 +268,10 @@ def test_criterion_11_peak_extraction_suite():
 def test_criterion_12_isolation_along_schedule():
     # Along the two-bubble schedule the separation-to-scale ratio grows
     # strictly as eps -> 0 while both bubbles stay within 2 mu of xi0.
-    model = ManifoldModel.product_spheres(3, 3)
-    Hb = build_H(2, model.n, seed=3)
-    xi0 = model.random_point(np.random.default_rng(0))
-    ts = [1.0, 1.0]
-    ps = list(Hb.maxima)
-    ratios, inside = [], True
-    for eps in np.geomspace(1e-3, 1e-6, 7):
-        cfg, sch = schedule_configuration(model, xi0, ts, ps, float(eps))
-        rep = isolation_ratios(model, [b.center for b in cfg.bubbles],
-                               [b.delta for b in cfg.bubbles], xi0)
-        ratios.append(rep.min_sep_over_scale)
-        inside = inside and (float(np.max(rep.dist_to_reference))
-                             <= 2.0 * sch.mu_eps)
-    increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    ok = increasing and inside
-    _report(12, ok, f"sep/delta strictly increasing over a decade of eps: "
-            f"{increasing} ({ratios[0]:.3g} -> {ratios[-1]:.3g}); "
-            f"dist to xi0 <= 2 mu: {inside}")
+    _, cols, passed = _run("isolation_sweep", "dist-to-xi0 <= 2*mu")
+    ratios = cols["min_sep_over_delta"]
+    increasing = bool(np.all(np.diff(ratios) > 0))
+    inside = bool(np.all(cols["max_dist_to_xi0"] <= 2.0 * cols["mu_eps"]))
+    _report(12, passed and increasing and inside, f"sep/delta strictly "
+            f"increasing as eps falls: {increasing} ({ratios[0]:.3g} -> "
+            f"{ratios[-1]:.3g}); dist to xi0 <= 2 mu: {inside}")

@@ -208,6 +208,17 @@ class TestConfigErrors:
               ("reduced-limit", "threshold"),
               ("residual-sweep", "log_correction"),
               ("residual-sweep", "slope_window")]),
+        # a flat ball's default r0 = 1 is checked as a given one is
+        ({"experiment": "residual-sweep",
+          "model": {"kind": "flat_ball", "n": 7, "radius": 1.0}}, 2,
+         "malformed config: 'r0'"),
+        # a separation of at most delta puts (delta/d)^2 outside the fit's
+        # (0, 1); one of 2 * radius or more puts a centre outside the ball
+        ({"experiment": "interaction-sweep",
+          "dist_range": {"min": 1e-3, "max": 2e-2, "count": 4}}, 2,
+         "malformed config: 'dist_range'"),
+        ({"experiment": "interaction-sweep", "radius": 0.1}, 2,
+         "malformed config: 'dist_range'"),
     ])
     def test_failure_classes(self, tmp_path, capsys, payload, code, message):
         outdir = tmp_path / str(payload.get("out", "o"))

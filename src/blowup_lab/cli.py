@@ -33,9 +33,9 @@ from .functional import (PotentialField, energy, energy_split, residual_norm,
                          single_bubble_energy_constant)
 from .geometry import (CapacityError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
-from .reduced import (ScheduleParams, audit_bumps, build_H, mu_eps,
-                      reduced_constants, reduced_limit_ratio,
-                      schedule_configuration)
+from .reduced import (ScheduleParams, _back_substitution_residual,
+                      audit_bumps, build_H, mu_eps, reduced_constants,
+                      reduced_limit_ratio, schedule_configuration)
 
 
 class ConfigError(ValueError):
@@ -331,10 +331,7 @@ def _exp_schedule_table(cfg):
         sch = ScheduleParams(n=n, eps=eps, r=r)
         mu, margins = mu_eps(sch)
         d = sch.delta_eps
-        if n >= 7:
-            resid = abs(d - math.sqrt(eps)) / math.sqrt(eps)
-        else:
-            resid = abs(d * d * math.log(1.0 / d) - eps) / eps
+        resid = _back_substitution_residual(n, eps, d)
         ok = ok and resid <= 1e-14 and all(v < 1.0 for v in margins.values())
         rows.append((eps, d, mu, margins["lower_bound_over_mu"],
                      margins["eps_over_mu_r"], margins["mu"], resid))

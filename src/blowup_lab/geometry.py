@@ -17,9 +17,12 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,9 +423,45 @@ def _product_weyl_norm_sq(p, q):
 # quadrature
 
 
-# nodes per block of QuadratureRule.integrate: a block's (nodes, 8) float
-# temporaries take 2 MiB, so a few of them stay in cache
+# nodes in flight in QuadratureRule.integrate, over all its block workers:
+# a block's (nodes, 8) float temporaries take 2 MiB, so a few stay in cache
 _BLOCK = 32_768
+_MAX_WORKERS = 4
+
+
+@functools.cache
+def _worker_count():
+    """One block worker per CPU this process may run on, at most 4."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+_in_worker = threading.local()
+
+
+def _mark_worker():
+    _in_worker.active = True
+
+
+@functools.cache
+def _block_pool(workers):
+    """Process-wide block workers, started at the first multi-block integral.
+
+    A block worker runs a nested integral's blocks inline, so it never
+    waits on the pool it belongs to.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="integrate",
+                              initializer=_mark_worker)
+
+
+# a forked child holds none of the parent's worker threads, so it starts
+# workers of its own rather than wait on a pool that nothing serves
+os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
 @dataclass(frozen=True)
@@ -449,16 +488,31 @@ class QuadratureRule:
         """Weighted sum of ``integrand`` over the nodes.
 
         The integrand maps a block of points to values along its last axis,
-        one row per integral; it is evaluated in consecutive blocks of
-        _BLOCK nodes, so its per-node temporaries stay cache-sized, and the
-        blocks' values are concatenated and reduced once over the full node
-        array, in the same order as if all nodes were evaluated at once.
-        Returns one value per row, a 0-d array for a single integral.
+        one row per integral.  It is evaluated on consecutive blocks of
+        _BLOCK // workers nodes, one block per worker thread at a time (numpy
+        releases the GIL in its loops), so the nodes in flight and their
+        temporaries stay within _BLOCK.  Each block runs in a copy of the
+        caller's context, so np.errstate reaches it.  The blocks' values are
+        concatenated in node order and reduced once over the full node
+        array, as if all nodes were evaluated at once, so the result does
+        not depend on the worker count.  Returns one value per row, a 0-d
+        array for a single integral.
         """
-        vals = np.concatenate([integrand(self.nodes[i:i + _BLOCK])
-                               for i in range(0, len(self.nodes), _BLOCK)],
-                              axis=-1)
-        return np.sum(self.weights * vals, axis=-1)
+        workers = _worker_count()
+        size = _BLOCK // workers
+        blocks = [self.nodes[i:i + size]
+                  for i in range(0, len(self.nodes), size)]
+        if len(blocks) > 1 and not getattr(_in_worker, "active", False):
+            contexts = [contextvars.copy_context() for _ in blocks]
+            parts = list(_block_pool(workers).map(
+                contextvars.Context.run, contexts,
+                itertools.repeat(integrand), blocks))
+        else:
+            parts = [integrand(block) for block in blocks]
+        vals = np.concatenate(parts, axis=-1)
+        # vals is this call's own array, so it takes the weights in place
+        np.multiply(self.weights, vals, out=vals)
+        return np.sum(vals, axis=-1)
 
 
 @functools.lru_cache(maxsize=64)

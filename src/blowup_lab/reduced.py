@@ -182,6 +182,13 @@ def delta_eps(n, eps):
     return d
 
 
+def _back_substitution_residual(n, eps, d):
+    """Relative residual of d = delta(eps) in its defining relation."""
+    if n >= 7:
+        return abs(d - math.sqrt(eps)) / math.sqrt(eps)
+    return abs(d * d * math.log(1.0 / d) - eps) / eps
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Pinned parameter schedule at a given eps.
@@ -350,6 +357,9 @@ def audit_bumps(Hb):
     }
 
 
+_FRAME_ROWS = 4096
+
+
 def h_eps_field(model, xi0, eps, mu, Hb):
     """Perturbed potential  c_n R_g + eps * H(log_xi0(.) / mu).
 
@@ -370,8 +380,15 @@ def h_eps_field(model, xi0, eps, mu, Hb):
         out = np.full(len(pts), -eps)
         near = d < min(2.5 * mu, 0.9 * model.injectivity_radius)
         if np.any(near):
-            # coordinates of log_xi0 in the tangent frame, in units of mu
-            out[near] = eps * Hb(v[near] @ frame.T / mu)
+            # coordinates of log_xi0 in the tangent frame, in units of mu.
+            # The product goes in chunks of _FRAME_ROWS: on more rows
+            # OpenBLAS starts threads of its own, which take the CPUs of
+            # QuadratureRule.integrate's block workers.  Each row's bits
+            # do not depend on the chunk it is in
+            w = v[near]
+            coords = np.concatenate([w[i:i + _FRAME_ROWS] @ frame.T
+                                     for i in range(0, len(w), _FRAME_ROWS)])
+            out[near] = eps * Hb(coords / mu)
         return out[0] if single else out
 
     return PotentialField(model=model, base=base, perturbation=pert)

@@ -7,7 +7,6 @@ away.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -21,7 +20,8 @@ from blowup_lab.functional import (PotentialField, critical_exponent,
                                    lebesgue_norm, residual_norm,
                                    single_bubble_energy_constant)
 from blowup_lab.geometry import ManifoldModel, build_quadrature
-from blowup_lab.reduced import (ReducedEnergyParams, ScheduleParams, build_H,
+from blowup_lab.reduced import (ReducedEnergyParams, ScheduleParams,
+                                _back_substitution_residual, build_H,
                                 delta_eps, F_n_critical, F_n_eval, mu_eps,
                                 reduced_constants)
 
@@ -171,11 +171,7 @@ def test_criterion_8_schedules():
         n = int(rng.integers(6, 11))
         eps = float(10.0 ** rng.uniform(-12.0, -1.0))
         d = delta_eps(n, eps)
-        if n >= 7:
-            resid = abs(d - math.sqrt(eps)) / math.sqrt(eps)
-        else:
-            resid = abs(d * d * math.log(1.0 / d) - eps) / eps
-        worst = max(worst, resid)
+        worst = max(worst, _back_substitution_residual(n, eps, d))
     ok_back = worst <= 1e-14
 
     ok_margin = True

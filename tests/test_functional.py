@@ -1,6 +1,10 @@
 """Energy functional: constants, residuals, splitting."""
 
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +31,8 @@ from blowup_lab.functional import (
     _density,
     _positive_power,
 )
-from blowup_lab.geometry import ManifoldModel, QuadratureRule, build_quadrature
+from blowup_lab.geometry import (CapacityError, GeometryError, ManifoldModel,
+                                 QuadratureRule, _rowsum, build_quadrature)
 from blowup_lab.reduced import (ScheduleParams, build_H, h_eps_field,
                                 reduced_limit_ratio, schedule_configuration)
 
@@ -419,10 +424,10 @@ _BLOCK = geometry._BLOCK
 class TestBlockSampling:
     """Integrands sampled block by block equal one full-array evaluation.
 
-    The rules hold one node, exactly one block, one block and one node, and
-    two and a half blocks, which the block size does not divide.  Their
-    nodes are drawn from one coarse S^3 x S^3 rule at the eps = 1e-2
-    schedule; accuracy is not tested.
+    The rules hold one node, exactly _BLOCK nodes (the nodes in flight), one
+    node more, and two and a half times _BLOCK, which no block size
+    divides.  Their nodes are drawn from one coarse S^3 x S^3 rule at the
+    eps = 1e-2 schedule; accuracy is not tested.
     """
 
     EPS = 1e-2
@@ -463,7 +468,8 @@ class TestBlockSampling:
                               weights=full.weights[pick],
                               finest_scale=full.finest_scale)
         blocked = self._quantities(m, xi0, rule, cfg)
-        monkeypatch.setattr(geometry, "_BLOCK", count)  # one block
+        # one block, evaluated inline, at any worker count
+        monkeypatch.setattr(geometry, "_BLOCK", geometry._MAX_WORKERS * count)
         direct = self._quantities(m, xi0, rule, cfg)
         assert all(math.isfinite(q) for q in blocked)
         np.testing.assert_allclose(blocked, direct, rtol=1e-15, atol=0.0)
@@ -472,7 +478,7 @@ class TestBlockSampling:
         # a block size that does not divide the node count: 8 = 3 + 3 + 2.
         # Node j carries the base-8 digits j and 7 - j under weight 8^-j, so
         # each row's sum is exact and changes if a block is dropped or moved
-        monkeypatch.setattr(geometry, "_BLOCK", 3)
+        monkeypatch.setattr(geometry, "_BLOCK", 3 * geometry._worker_count())
         j = np.arange(8.0)
         rule = QuadratureRule(nodes=np.stack([j, 7.0 - j], axis=1),
                               weights=8.0 ** -j, finest_scale=1.0)
@@ -480,3 +486,128 @@ class TestBlockSampling:
         want = [sum(8.0 ** -i * d for i, d in enumerate(digits))
                 for digits in (range(8), range(7, -1, -1))]
         np.testing.assert_array_equal(got, want)
+
+
+class TestBlockWorkers:
+    """Multi-block integrals on the block workers, forced to two of them.
+
+    Node j's first coordinate is j, so an integrand knows its block.
+    """
+
+    WORKERS = 2
+
+    @pytest.fixture
+    def rule(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: self.WORKERS)
+        monkeypatch.setattr(geometry, "_BLOCK", 64)  # blocks of 32 nodes
+        rng = np.random.default_rng(20)
+        j = np.arange(150.0)  # 4 full blocks and one of 22 nodes
+        nodes = np.column_stack([j, rng.standard_normal((150, 5))])
+        return QuadratureRule(nodes=nodes, weights=rng.uniform(0.5, 2.0, 150),
+                              finest_scale=1.0)
+
+    @staticmethod
+    def _values(pts):
+        x = pts[:, 1:]
+        return np.stack([np.exp(-_rowsum(x * x)), np.sin(x[:, 0]) * x[:, 1]])
+
+    def _inline(self, rule):
+        size = geometry._BLOCK // self.WORKERS
+        vals = np.concatenate([self._values(rule.nodes[i:i + size])
+                               for i in range(0, rule.node_count, size)],
+                              axis=-1)
+        return np.sum(rule.weights * vals, axis=-1)
+
+    @staticmethod
+    def _block(pts):
+        return int(pts[0, 0]) // (geometry._BLOCK // TestBlockWorkers.WORKERS)
+
+    def test_pool_matches_inline_blocks(self, rule):
+        got = rule.integrate(self._values)
+        np.testing.assert_array_equal(got, self._inline(rule))
+
+    def test_first_block_finishing_last_keeps_node_order(self, rule):
+        # block 0 waits until the last block is done, which the other
+        # worker reaches only after blocks 1 to 3
+        last = rule.node_count // 32
+        last_done = threading.Event()
+        finished = []
+
+        def integrand(pts):
+            block = self._block(pts)
+            if block == 0 and not last_done.wait(timeout=30):
+                raise TimeoutError("the last block never ran")
+            vals = self._values(pts)
+            finished.append(block)
+            if block == last:
+                last_done.set()
+            return vals
+
+        got = rule.integrate(integrand)
+        assert finished[-1] == 0 and sorted(finished) == list(range(last + 1))
+        np.testing.assert_array_equal(got, self._inline(rule))
+
+    @pytest.mark.parametrize("error", [CapacityError, GeometryError])
+    def test_middle_block_error_reaches_caller(self, rule, error):
+        def integrand(pts):
+            if self._block(pts) == 2:
+                raise error("block 2")
+            return self._values(pts)
+
+        with pytest.raises(error, match="block 2"):
+            rule.integrate(integrand)
+
+    def test_caller_errstate_reaches_workers(self, rule):
+        threads = set()
+
+        def integrand(pts):
+            threads.add(threading.current_thread())
+            return 1.0 / (0.0 * pts[:, 1])
+
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                rule.integrate(integrand)
+        assert threading.main_thread() not in threads
+
+    def test_nested_integral_completes(self, rule):
+        inner = []
+
+        def integrand(pts):
+            inner.append(rule.integrate(self._values))
+            return self._values(pts)
+
+        result = []
+        caller = threading.Thread(
+            target=lambda: result.append(rule.integrate(integrand)))
+        caller.start()
+        caller.join(timeout=30)
+        if caller.is_alive():  # deadlocked: free the workers, then fail
+            geometry._block_pool(self.WORKERS).shutdown(wait=False,
+                                                        cancel_futures=True)
+            geometry._block_pool.cache_clear()
+        assert not caller.is_alive()
+        want = self._inline(rule)
+        np.testing.assert_array_equal(result[0], want)
+        assert len(inner) == 5
+        for got in inner:
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_integrates(self, rule):
+        want = rule.integrate(self._values)  # the parent's workers run
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(not np.array_equal(rule.integrate(self._values),
+                                              want))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while ((done := os.waitpid(pid, os.WNOHANG))[0] == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        if done[0] == 0:  # the child hangs: end it, then fail
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0

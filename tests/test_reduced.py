@@ -11,6 +11,7 @@ from blowup_lab.reduced import (
     DegenerateError,
     ReducedEnergyParams,
     ScheduleParams,
+    _back_substitution_residual,
     audit_bumps,
     build_H,
     delta_eps,
@@ -109,6 +110,17 @@ class TestSchedules:
     def test_delta_eps_high_dim_is_sqrt(self):
         assert delta_eps(7, 1e-8) == pytest.approx(1e-4, rel=1e-14)
         assert delta_eps(9, 4e-6) == pytest.approx(2e-3, rel=1e-14)
+
+    def test_back_substitution_residual_closed_forms(self):
+        # the one residual that criterion 8 and the schedule-table runner
+        # gate: |d - sqrt(eps)| / sqrt(eps) for n >= 7, and
+        # |d^2 ln(1/d) - eps| / eps for n = 6
+        assert _back_substitution_residual(7, 0.25, 0.5) == 0.0
+        assert _back_substitution_residual(9, 0.04, 0.21) == pytest.approx(
+            0.05, rel=1e-12)
+        assert _back_substitution_residual(6, 0.02, 0.1) == pytest.approx(
+            0.5 * math.log(10.0) - 1.0, rel=1e-12)
+        assert _back_substitution_residual(6, 1e-3, delta_eps(6, 1e-3)) <= 1e-14
 
     def test_delta_eps_domain_n6(self):
         # d^2 ln(1/d) cannot exceed 1/(2e) on the valid branch

@@ -184,7 +184,8 @@ def _read_config(cfg, table, where=None, also=("experiment", "out")):
 
 
 def _rule_center(model):
-    """Seeded random point on compact models, the origin on flat balls.
+    """A run's reference point: a seeded random point on compact models,
+    the origin on flat balls.
 
     A flat ball is symmetric only about its origin; there a radial rule is
     exact and the default cutoff (r0 = radius/4) stays inside the ball.
@@ -335,8 +336,12 @@ def _exp_schedule_table(cfg):
         ok = ok and resid <= 1e-14 and all(v < 1.0 for v in margins.values())
         rows.append((eps, d, mu, margins["lower_bound_over_mu"],
                      margins["eps_over_mu_r"], margins["mu"], resid))
+    # criterion 8: each margin decreases strictly as eps falls
+    ok = ok and all(b < a for prev, row in zip(rows, rows[1:])
+                    for a, b in zip(prev[3:6], row[3:6]))
     lines = [f"[{'PASS' if ok else 'FAIL'}] schedule-table n={n} r={r}: "
-             f"back-substitution residual <= 1e-14, margins < 1"]
+             f"back-substitution residual <= 1e-14, margins < 1 and "
+             f"decreasing"]
     return (rows, ("eps", "delta_eps", "mu_eps", "margin_lower_over_mu",
                    "margin_eps_over_mu_r", "margin_mu", "residual"), lines, ok)
 
@@ -344,7 +349,7 @@ def _exp_schedule_table(cfg):
 def _exp_isolation_sweep(cfg):
     model, r = cfg["model"], cfg["r"]
     Hb = build_H(cfg["k"], model.n, seed=cfg["seed"])
-    xi0 = model.random_point(np.random.default_rng(0))
+    xi0 = _rule_center(model)
     ts = [1.0] * Hb.k
     ps = list(Hb.maxima)
     rows = []

@@ -16,7 +16,6 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 
 from __future__ import annotations
 
-import bisect
 import contextvars
 import functools
 import itertools
@@ -620,50 +619,40 @@ def _split_band(panel, transition):
         + ([(hi_c, b, k)] if hi_c < b else [])
 
 
-def _radial_grids(finest_scale, r_patch, radii, transition, segment):
-    """Radial nodes and weights on [0, r] for each outer radius r in
-    ``radii``, graded geometrically (ratio 2) near the center.
+# a rule takes at most about 50 distinct panels: this holds a few rules
+@functools.lru_cache(maxsize=256)
+def _panel(a, b, k):
+    """:func:`gauss_segment` on [a, b], cached: the radial grids of a rule
+    share their inner panels.  The arrays returned are shared and
+    read-only."""
+    x, w = gauss_segment(a, b, k)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _radial_grid(finest_scale, r_patch, r, transition):
+    """Radial nodes and weights on [0, r], graded geometrically (ratio 2)
+    near the center.
 
     The panels are an innermost segment [0, finest/10], geometric annuli
-    out to ``r_patch``, then geometric panels outward; those inside
-    ``transition`` are subdivided (:func:`_split_band`).  All outer radii
-    share these panel edges: the grid for r keeps every panel that ends
-    below r (by more than a relative 1e-14) and cuts the next one at r.
-    So the whole panels are evaluated and joined once for all radii, and
-    each grid adds only its last panel(s).  ``segment(a, b, k)`` gives a
-    panel's Gauss nodes and weights; a memoized one evaluates a last panel
-    that several grids share once too.
+    out to ``r_patch``, then geometric panels outward, the last cut at r;
+    those inside ``transition`` are subdivided (:func:`_split_band`).  The
+    first panel that reaches r (1 - 1e-14) is the last, so no sliver panel
+    follows it.
     """
-    s0 = finest_scale / 10.0
-    stops = [r * (1 - 1e-14) for r in radii]
-    edges, orders = [0.0, s0], [_INNER_ORDER]
-    while edges[-1] < max(stops):
-        inside = edges[-1] < r_patch * (1 - 1e-14)
+    stop, patch = r * (1 - 1e-14), r_patch * (1 - 1e-14)
+    edges, orders = [0.0, finest_scale / 10.0], [_INNER_ORDER]
+    while edges[-1] < stop:
+        inside = edges[-1] < patch
         edges.append(min(2.0 * edges[-1], r_patch) if inside
                      else 2.0 * edges[-1])
         orders.append(_ANNULUS_ORDER if inside else _OUTER_ORDER)
-    # the panel each grid ends with: the first whose end is not below the
-    # grid's stop
-    last = [bisect.bisect_left(edges, stop) - 1 for stop in stops]
-
-    def gauss(panels):
-        # lists, not zip(*generator), for the reason in unit_sphere_rule
-        pieces = [segment(*p) for p in panels]
-        return (np.concatenate([x for x, _ in pieces]),
-                np.concatenate([w for _, w in pieces]))
-
-    # the whole panels of the grids, and the node count up to each end
-    shared = [_split_band(p, transition)
-              for p in zip(edges[:max(last)], edges[1:], orders)]
-    ends = np.cumsum([0] + [sum(k for *_, k in panels) for panels in shared])
-    x_in, w_in = gauss(sum(shared, [])) if shared else (np.empty(0),) * 2
-    grids = []
-    for r, j in zip(radii, last):
-        x, w = gauss(_split_band((edges[j], min(edges[j + 1], r), orders[j]),
-                                 transition))
-        grids.append((np.concatenate([x_in[:ends[j]], x]),
-                      np.concatenate([w_in[:ends[j]], w])))
-    return grids
+    edges[-1] = min(edges[-1], r)
+    # from a list, not a generator, for the reason in unit_sphere_rule
+    xs, ws = zip(*[_panel(*p) for panel in zip(edges, edges[1:], orders)
+                   for p in _split_band(panel, transition)])
+    return np.concatenate(xs), np.concatenate(ws)
 
 
 _PRODUCT_PROFILES = {
@@ -715,7 +704,7 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
 
 
 def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
-                extent=math.inf, segment=None):
+                extent=math.inf):
     """Nodes and weights of a geodesic-polar rule about ``center``.
 
     Every model is a join of spheres of directions: one on a ball or a
@@ -729,9 +718,6 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     on the ball, cut at ``extent``.  ``axis``, a tangent vector at
     ``center``, turns each factor's polar axis toward its projection on
     that factor; with None it is the first vector of the factor's frame.
-    ``segment`` gives the Gauss rule of a radial panel; the rules of one
-    build pass it memoized, so that their pieces evaluate a shared panel
-    once, and None memoizes it for this rule alone.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -777,20 +763,17 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
                                        - center @ center)
     # one radial grid per join angle and distinct outer radius: the
     # directions of a sphere factor share it, those of the ball are grouped
-    # by exit radius.  All grids are cut from one set of panels.
+    # by exit radius
     plan = []
     for scales, wj in joins:
         r_out = np.full(len(dirs[0]), math.pi / max(scales)) \
             if model.is_compact else exit_radius
         radii, group = np.unique(np.minimum(r_out, extent),
                                  return_inverse=True)
-        plan += [(scales, wj, group == g, float(r))
+        plan += [(scales, wj, group == g,
+                  *_radial_grid(finest_scale, min(r0, extent), float(r),
+                                transition))
                  for g, r in enumerate(radii)]
-    grids = _radial_grids(finest_scale, min(r0, extent),
-                          [r for *_, r in plan], transition,
-                          segment or functools.cache(gauss_segment))
-    plan = [(scales, wj, sel, *grid)
-            for (scales, wj, sel, _), grid in zip(plan, grids)]
     count = sum(len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan) \
         * math.prod(len(d) for d in dirs[1:])
     if count > budget:
@@ -882,8 +865,6 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         return step_jet(2.0 * (r_i - d) / r_i)[0]
 
     sub_budget = budget // (len(centers) + 1)
-    # the pieces' radial panels, each evaluated once
-    segment = functools.cache(gauss_segment)
     pieces, axes = [], []
     for idx, c in enumerate(centers):
         # unchecked: on a ball the chord, on a sphere zero only at the
@@ -892,15 +873,13 @@ def build_multicenter_quadrature(model, centers, finest_scale,
             c, centers[(idx + 1) % len(centers)])[0])
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular, axis=axes[-1], extent=r_i,
-                                     segment=segment)
+                                     patch_angular, axis=axes[-1], extent=r_i)
         pieces.append((nodes, weights * part(model.distance(nodes, c))))
 
     # the background integrand keeps the inter-center axis symmetry
     nodes, weights = _polar_rule(model, centers[0],
                                  min(max(r_i / 2.0, finest_scale), 1.0),
-                                 sub_budget, angular, axis=axes[0],
-                                 segment=segment)
+                                 sub_budget, angular, axis=axes[0])
     rho = sum(part(model.distance(nodes, c)) for c in centers)
     pieces.append((nodes, weights * np.clip(1.0 - rho, 0.0, None)))
 

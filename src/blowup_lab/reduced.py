@@ -399,7 +399,8 @@ def schedule_configuration(model, xi0, ts, ps, eps, r=0):
 
     delta_i = t_i * delta(eps) and xi_i = exp_xi0(mu(eps) * p_i) with p_i in
     tangent-frame coordinates.  The admissibility cone is the default one
-    with separation bound K = 10.
+    with separation bound K = 10.  A centre off the model (outside a flat
+    ball) raises GeometryError.
     """
     sch = ScheduleParams(n=model.n, eps=eps, r=r)
     d_eps = sch.delta_eps
@@ -408,7 +409,7 @@ def schedule_configuration(model, xi0, ts, ps, eps, r=0):
     bubbles = []
     for t, p in zip(ts, ps):
         v = mu * np.asarray(p, dtype=float) @ frame
-        center = model.exp(xi0, v)
+        center = model.validate_point(model.exp(xi0, v))
         bubbles.append(BubbleParams(delta=t * d_eps, center=center))
     return Configuration(bubbles=tuple(bubbles), K=10.0), sch
 

@@ -20,9 +20,9 @@ from blowup_lab.functional import (PotentialField, critical_exponent,
                                    lebesgue_norm, residual_norm,
                                    single_bubble_energy_constant)
 from blowup_lab.geometry import ManifoldModel, build_quadrature
-from blowup_lab.reduced import (ReducedEnergyParams, ScheduleParams,
+from blowup_lab.reduced import (ReducedEnergyParams,
                                 _back_substitution_residual, build_H,
-                                delta_eps, F_n_critical, F_n_eval, mu_eps,
+                                delta_eps, F_n_critical, F_n_eval,
                                 reduced_constants)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -164,7 +164,7 @@ def test_criterion_7_reduced_maximum_closed_form():
 def test_criterion_8_schedules():
     # delta(eps) back-substitutes into its defining relation to 1e-14, and
     # every smallness margin of the mu schedule stays below 1 and decreases
-    # along eps = 10^-j.
+    # along eps = 10^-j, j = 4..12, for (n, r) = (7, 1) and (6, 0).
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(100):
@@ -172,22 +172,23 @@ def test_criterion_8_schedules():
         eps = float(10.0 ** rng.uniform(-12.0, -1.0))
         d = delta_eps(n, eps)
         worst = max(worst, _back_substitution_residual(n, eps, d))
-    ok_back = worst <= 1e-14
+    ok, details = worst <= 1e-14, []
 
-    ok_margin = True
-    for n, r in ((6, 0), (7, 1)):
-        prev = None
-        for j in range(4, 13):
-            _, margins = mu_eps(ScheduleParams(n=n, eps=10.0 ** (-j), r=r))
-            vals = [margins[k] for k in sorted(margins)]
-            ok_margin = ok_margin and all(v < 1.0 for v in vals)
-            if prev is not None:
-                ok_margin = ok_margin and all(b < a for a, b
-                                              in zip(prev, vals))
-            prev = vals
-    _report(8, ok_back and ok_margin,
-            f"back-substitution max rel residual {worst:.2e} (<= 1e-14); "
-            f"margins < 1 and decreasing for eps = 10^-j, j = 4..12")
+    for name in ("schedule_table", "schedule_table_n6"):
+        cfg, cols, passed = _run(name, "margins < 1 and decreasing")
+        margins = np.array([cols["margin_lower_over_mu"],
+                            cols["margin_eps_over_mu_r"], cols["margin_mu"]])
+        # the runner walks the sweep from the largest eps down
+        decades = np.allclose(cols["eps"], 10.0 ** -np.arange(4.0, 13.0),
+                              rtol=1e-12, atol=0.0)
+        ok = (ok and passed and decades and np.all(margins < 1.0)
+              and np.all(np.diff(margins, axis=1) < 0)
+              and np.all(cols["residual"] <= 1e-14))
+        details.append(f"n={cfg['n']} r={cfg['r']} largest margin "
+                       f"{margins.max():.3g}")
+    _report(8, ok, f"back-substitution max rel residual {worst:.2e} "
+            f"(<= 1e-14); margins < 1 and decreasing for eps = 10^-j, "
+            f"j = 4..12: " + ", ".join(details))
 
 
 def test_criterion_9_bump_family_invariants():

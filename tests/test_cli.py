@@ -305,6 +305,19 @@ class TestArtifacts:
                 "integer >= 4" in capsys.readouterr().err
             assert not outdir.exists()
 
+    def test_isolation_sweep_keeps_centres_in_the_ball(self, tmp_path,
+                                                       capsys):
+        # on a flat ball the reference point is the origin; the scheduled
+        # centres lie 0.75 mu, about 0.59, from it: inside a ball of
+        # radius 1, outside one of radius 0.5
+        for radius, code in ((1.0, 0), (0.5, 4)):
+            cfg = _write(tmp_path, {
+                "experiment": "isolation-sweep", "k": 2, "seed": 3,
+                "model": {"kind": "flat_ball", "n": 6, "radius": radius}})
+            assert run(cfg, out=str(tmp_path / str(radius)),
+                       quiet=True) == code
+        assert "outside the ball" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", [{"kind": "round_sphere", "n": 6},
                                       {"kind": "flat_ball", "n": 6}])
     def test_expansion_sweep_on_polar_models(self, tmp_path, spec):

@@ -1,6 +1,5 @@
 """Geometry layer: distances, exponential maps, curvature, quadrature."""
 
-import functools
 import math
 
 import mpmath
@@ -16,7 +15,8 @@ from blowup_lab.geometry import (
     ManifoldModel,
     _along,
     _polar_rule,
-    _radial_grids,
+    _panel,
+    _radial_grid,
     _rowsum,
     _split_band,
     build_quadrature,
@@ -657,19 +657,23 @@ class TestSharedBuildWork:
     ], ids=["compact-band", "flat-ball", "edges-and-patch", "patch-edge"])
     def test_shared_panels_match_a_grid_built_alone(
             self, finest, r_patch, radii, transition):
-        grids = _radial_grids(finest, r_patch, radii, transition,
-                              functools.cache(gauss_segment))
-        for r, (x, w) in zip(radii, grids):
+        for r in radii:
+            x, w = _radial_grid(finest, r_patch, r, transition)
             x_alone, w_alone = _grid_alone(finest, r_patch, r, transition)
             assert np.array_equal(x, x_alone) and np.array_equal(w, w_alone)
 
     def test_direction_rules_are_cached_and_read_only(self):
-        nodes, weights = unit_sphere_rule(5, [20, 1, 1, 1, 1])
-        again = unit_sphere_rule(5, (20, 1, 1, 1, 1))
-        assert again[0] is nodes and again[1] is weights
-        for a in (nodes, weights):
-            with pytest.raises(ValueError):
-                a[0] = 0.0
+        # the directions and the radial Gauss panels alike
+        for rule, args, again_args in (
+                (unit_sphere_rule, (5, [20, 1, 1, 1, 1]),
+                 (5, (20, 1, 1, 1, 1))),
+                (_panel, (1e-4, 2e-4, 16), (1e-4, 2e-4, 16))):
+            nodes, weights = rule(*args)
+            again = rule(*again_args)
+            assert again[0] is nodes and again[1] is weights
+            for a in (nodes, weights):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     @pytest.mark.parametrize("build", [
         lambda: build_multicenter_quadrature(
@@ -695,6 +699,7 @@ class TestSharedBuildWork:
             calls.append((a, b, k))
             return gauss_segment(a, b, k)
         monkeypatch.setattr(geometry, "gauss_segment", counted)
+        geometry._panel.cache_clear()
         again = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
         assert calls and len(calls) == len(set(calls))
         assert np.array_equal(again.nodes, rule.nodes)

@@ -812,18 +812,18 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                                  patch_angular=None):
     """Composite rule resolving concentration at several centers at once.
 
-    A smooth partition of unity splits the integral into one well-resolved
-    polar patch per center plus a coarse background piece; each piece is
-    integrated by a rule centered where its integrand lives, so the combined
-    node set integrates fields with spikes at every center.  Each patch is
-    a polar rule for the ball its localizer lives on, so no node is built
-    only to be dropped.  Each patch, and the background about the first
-    centre, turns its polar axis toward the next centre; ``patch_angular``
-    and ``angular`` are their profiles, as in :func:`build_quadrature`,
-    with None meaning "axial" on flat balls and round spheres and
-    "biradial" on products.  The budget is split evenly over the patches
-    and the background.  Weights stay positive because the partition
-    functions are.
+    A smooth partition of unity splits the integral into one piece per
+    centre, each a polar rule about its centre graded down to
+    ``finest_scale`` and turned toward the next centre.  Each other centre
+    has a localizer, 1 within r/2 and 0 beyond r = min(dmin/2, inj/4), and
+    a rule for that ball.  The first centre's piece is a rule for the
+    whole model, weighted by 1 minus the other localizers, whose
+    supports are disjoint: no weight is negative, and only its nodes
+    where another localizer is 1 (weight 0) are dropped.  ``angular`` is
+    the first centre's profile and ``patch_angular`` the other pieces', as
+    in :func:`build_quadrature`, with None meaning "axial" on flat balls
+    and round spheres and "biradial" on products.  The budget is split
+    evenly over the pieces.
 
     It needs at least two distinct centres; one centre is the job of
     :func:`build_quadrature`.  No piece is radial about its centre, so the
@@ -864,24 +864,21 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         # 0 beyond r_i
         return step_jet(2.0 * (r_i - d) / r_i)[0]
 
-    sub_budget = budget // (len(centers) + 1)
-    pieces, axes = [], []
-    for idx, c in enumerate(centers):
-        # unchecked: on a ball the chord, on a sphere zero only at the
-        # antipode, about which two bubbles are radial
-        axes.append(model._log_and_distance(
-            c, centers[(idx + 1) % len(centers)])[0])
+    sub_budget = budget // len(centers)
+    # unchecked: on a ball the chord, on a sphere zero only at the
+    # antipode, about which two bubbles are radial
+    axes = [model._log_and_distance(c, centers[(i + 1) % len(centers)])[0]
+            for i, c in enumerate(centers)]
+    # the first piece: 1 - rho >= 0, as the localizers' supports are disjoint
+    nodes, weights = _polar_rule(model, centers[0], finest_scale, sub_budget,
+                                 angular, axis=axes[0])
+    rho = sum(part(model.distance(nodes, c)) for c in centers[1:])
+    pieces = [(nodes, weights * (1.0 - rho))]
+    for c, axis in zip(centers[1:], axes[1:]):
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular, axis=axes[-1], extent=r_i)
+                                     patch_angular, axis=axis, extent=r_i)
         pieces.append((nodes, weights * part(model.distance(nodes, c))))
-
-    # the background integrand keeps the inter-center axis symmetry
-    nodes, weights = _polar_rule(model, centers[0],
-                                 min(max(r_i / 2.0, finest_scale), 1.0),
-                                 sub_budget, angular, axis=axes[0])
-    rho = sum(part(model.distance(nodes, c)) for c in centers)
-    pieces.append((nodes, weights * np.clip(1.0 - rho, 0.0, None)))
 
     # each piece keeps its nodes of positive weight before the one join
     keep = [w > 0.0 for _, w in pieces]

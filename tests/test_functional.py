@@ -380,8 +380,8 @@ class TestSplit:
                                          patch_angular="axial")
 
     def test_split_outside_every_cutoff_is_finite(self):
-        # under the default cutoff the background nodes beyond r0 of both
-        # centres carry no bubble at all, so the largest value there is 0
+        # under the default cutoff the nodes beyond r0 of both centres
+        # carry no bubble at all, so the largest value there is 0
         from blowup_lab.geometry import build_multicenter_quadrature
         m = _pp()
         c1 = _base(m)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup_lab import geometry
+from blowup_lab._smoothstep import step_jet
 from blowup_lab.bubble import BubbleField, BubbleParams, CutoffSpec, _profile
 from blowup_lab.geometry import (
     CapacityError,
@@ -541,23 +542,28 @@ class TestQuadrature:
         assert np.all(weights > 0.0)
 
     def test_multicenter_budget_pays_only_for_kept_nodes(self):
-        # each patch is a rule for its own ball of radius 0.01 (153,600
-        # nodes), so it fits a third of the budget; a rule for the whole
-        # ball about the same centre needs 583,680.  The orders are those
-        # of a full angular grid, 64 directions per polar angle.
+        # the budget is split evenly over the two pieces.  The patch is a
+        # rule for its own ball of radius 0.01 (153,600 nodes); the first
+        # centre's piece, a rule for the whole ball, needs 455,680.  Its
+        # 1,920 nodes within 0.005 of the other centre have weight 0 and are
+        # dropped, so 455,680 + 153,600 - 1,920 = 607,360 are kept, and the
+        # rule fits every budget of 2 x 455,680 = 911,360 or more.  The
+        # orders are those of a full angular grid, 64 directions per polar
+        # angle.
         m = ManifoldModel.flat_ball(7, 100.0)
         c1, c2 = np.zeros(7), np.zeros(7)
         c1[0], c2[0] = -0.01, 0.01
         full = [20] + [2] * 4 + [4]
-        rule = build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
-                                            budget=1_300_000, angular=full,
-                                            patch_angular=full)
-        assert rule.node_count == 640_128
-        # a third of the budget no longer holds the background
-        with pytest.raises(CapacityError, match="needs 414720 nodes"):
-            build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-3,
-                                         budget=1_200_000, angular=full,
-                                         patch_angular=full)
+
+        def build(budget):
+            return build_multicenter_quadrature(
+                m, [c1, c2], finest_scale=1e-3, budget=budget, angular=full,
+                patch_angular=full)
+        assert build(1_300_000).node_count == 607_360
+        assert build(911_360).node_count == 607_360
+        # one node less, and half the budget (455,679) misses by one
+        with pytest.raises(CapacityError, match="needs 455680 nodes"):
+            build(911_359)
 
     def test_multicenter_axis_between_distant_centres(self):
         # centres 1.2 apart in the unit ball: the log map refuses a distance
@@ -573,11 +579,12 @@ class TestQuadrature:
         assert sums[1] == pytest.approx(m.volume, rel=1e-4)
 
     def test_multicenter_patch_clipped_by_the_boundary(self):
-        # the patch about 0.97 e1 has radius 0.05, so the directions toward
-        # the boundary end at the unit sphere before the patch does
+        # the patch about the second centre, 0.97 e1, has radius 0.05, so
+        # the directions toward the boundary end at the unit sphere before
+        # the patch does
         m = ManifoldModel.flat_ball(6, 1.0)
         e1 = np.eye(6)[0]
-        rule = build_multicenter_quadrature(m, [0.97 * e1, 0.87 * e1],
+        rule = build_multicenter_quadrature(m, [0.87 * e1, 0.97 * e1],
                                             finest_scale=1e-2)
         r = np.linalg.norm(rule.nodes, axis=-1)
         assert np.all(r < 1.0)
@@ -585,6 +592,43 @@ class TestQuadrature:
         assert np.all(rule.weights > 0.0)
         assert float(np.sum(rule.weights)) == pytest.approx(m.volume,
                                                             rel=1e-9)
+
+    def test_multicenter_three_collinear_centres(self):
+        # three localizers on one line in the unit 6-ball: the first
+        # centre's piece is weighted 1 minus the other two, which must
+        # stay positive.  The sum of weights misses the volume by
+        # -1.4238e-7, within the -1.4255e-7 of a rule built from a patch
+        # per centre plus a clipped background piece.
+        m = ManifoldModel.flat_ball(6, 1.0)
+        e1 = np.eye(6)[0]
+        rule = build_multicenter_quadrature(
+            m, [-0.3 * e1, 0.0 * e1, 0.25 * e1], finest_scale=1e-2)
+        assert np.all(rule.weights > 0.0)
+        assert abs(float(np.sum(rule.weights)) / m.volume - 1.0) <= 1.4255e-7
+
+    def test_multicenter_three_scheduled_centres_on_a_product(self):
+        # the k = 3 reduced-limit layout on S^3 x S^3 at eps = 1e-3, one
+        # bubble at each maximum of a three-bump H (408,576 nodes).  The
+        # pinned sum and ratio are those of a rule built from a patch per
+        # centre plus a background piece (454,144 nodes): the ratio agrees
+        # to 1.7e-9, and the sum misses the volume by the same -1.736282e-4
+        # (to 4e-8 of it), the error of the n_psi = 4 angular grid.
+        from blowup_lab.reduced import (build_H, reduced_limit_ratio,
+                                        schedule_configuration)
+        m = _pp()
+        xi0 = m.random_point(np.random.default_rng(0))
+        Hb = build_H(3, 6, seed=3)
+        ts, eps = [1.0] * 3, 1e-3
+        cfg, sch = schedule_configuration(m, xi0, ts, Hb.maxima, eps)
+        coarse = dict(n_psi=4, orders_a="minimal", orders_b="minimal")
+        rule = build_multicenter_quadrature(
+            m, [b.center for b in cfg.bubbles], finest_scale=sch.delta_eps,
+            angular=coarse, patch_angular=coarse)
+        assert np.all(rule.weights > 0.0)
+        dev = float(np.sum(rule.weights)) / m.volume - 1.0
+        assert dev == pytest.approx(-1.736282e-4, rel=1e-6)
+        ratio = reduced_limit_ratio(m, xi0, ts, Hb.maxima, eps, Hb, rule)[0]
+        assert ratio == pytest.approx(4.343808996954145, rel=1e-8)
 
     @pytest.mark.parametrize("first", [0.3, 0.97])
     def test_multicenter_flat_centres_off_one_line_rejected(self, first):
@@ -688,8 +732,8 @@ class TestSharedBuildWork:
         assert np.array_equal(first.weights, second.weights)
 
     def test_each_panel_evaluated_once_per_build(self, monkeypatch):
-        # a two-bubble rule cuts 22 radial grids (two patches and 20 rays
-        # of the background) from 47 distinct Gauss panels
+        # a two-bubble rule cuts 21 radial grids (one patch and 20 rays of
+        # the first centre's rule) from 42 distinct Gauss panels
         m = ManifoldModel.flat_ball(6, 100.0)
         centres = _two_bubble_centres(6, 0.02)
         rule = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
@@ -703,6 +747,44 @@ class TestSharedBuildWork:
         again = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
         assert calls and len(calls) == len(set(calls))
         assert np.array_equal(again.nodes, rule.nodes)
+
+    @pytest.mark.parametrize("separation, dropped", [(0.02, 30), (0.2, 44)])
+    def test_multicenter_builds_each_centre_once(self, monkeypatch,
+                                                 separation, dropped):
+        # one polar rule per centre, and the first centre's is the whole
+        # ball's: its direction set is built once, and the only nodes built
+        # to be dropped are its nodes where the other centre's localizer is
+        # 1, so their weight is exactly 0
+        m = ManifoldModel.flat_ball(6, 100.0)
+        centres = _two_bubble_centres(6, separation)
+        r_i = float(m.distance(*centres)) / 2.0
+        built = []
+
+        def counted(model, center, *args, **kw):
+            nodes, weights = _polar_rule(model, center, *args, **kw)
+            built.append((center, kw.get("extent", math.inf), len(weights)))
+            return nodes, weights
+        monkeypatch.setattr(geometry, "_polar_rule", counted)
+        rule = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
+        assert [(tuple(c), e) for c, e, _ in built] \
+            == [(tuple(centres[0]), math.inf), (tuple(centres[1]), r_i)]
+        assert sum(n for _, _, n in built) - rule.node_count == dropped
+
+        nodes, weights = _polar_rule(
+            m, centres[0], 1e-3, 2_000_000, "axial",
+            axis=centres[1] - centres[0])
+        d = m.distance(nodes, centres[1])
+        # the localizer 1 within r_i/2, and rounded to 1 a little beyond
+        one = step_jet(2.0 * (r_i - d) / r_i)[0] == 1.0
+        assert np.count_nonzero(one) == dropped
+        assert np.all(d[one] < 0.52 * r_i)
+        kept = ~one
+        first = np.count_nonzero(kept)
+        assert np.array_equal(rule.nodes[:first], nodes[kept])
+        # bit-identical where the other localizer is 0
+        far = d[kept] >= r_i
+        assert np.count_nonzero(far) > 0.9 * first
+        assert np.array_equal(rule.weights[:first][far], weights[kept][far])
 
 
 def _same_bits(a, b):

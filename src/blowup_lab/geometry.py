@@ -655,10 +655,18 @@ def _radial_grid(finest_scale, r_patch, r, transition):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+# factor orders by profile name: the symmetry the caller declares.  The
+# number of split angles belongs to the layout, so each builder sets it
 _PRODUCT_PROFILES = {
-    "radial": dict(n_psi=24, orders_a="radial", orders_b="radial"),
-    "biradial": dict(n_psi=24, orders_a="minimal", orders_b="minimal"),
+    "radial": dict(orders_a="radial", orders_b="radial"),
+    "biradial": dict(orders_a="minimal", orders_b="minimal"),
 }
+
+# Gauss split angles per panel of a product rule, per builder: the smallest
+# order in {2, 4, 8, 12, 16, 24} that keeps every gated quantity within
+# 1e-9 relative of 24 and, about one centre, sum(w)/vol - 1 within 1e-12
+# (the sweep in BENCH_23.json; the builders' docstrings give the reasons)
+_N_PSI_ONE_CENTRE, _N_PSI_MULTICENTRE = 12, 24
 
 
 def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
@@ -675,12 +683,17 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     ``angular`` selects the angular resolution.  On products it is a
     profile name ("radial", "biradial") or a dict with keys ``n_psi``,
     ``orders_a``, ``orders_b`` (each a list of polar orders or a sphere
-    profile name); None means "biradial".  On flat balls and round spheres
-    it is a sphere profile name ("default", "minimal", "axial", "radial")
-    or a list of polar orders; None means "default".  An unknown name
-    raises GeometryError.  "axial" puts 20 Gauss nodes on the polar angle
-    from the rule's axis and one on every other angle, so it resolves only
-    integrands invariant under rotations about that axis.
+    profile name); None means "biradial".  A name fixes the factor orders,
+    and the split angle between the factors takes 12 Gauss nodes on each
+    of its two panels, unless a dict gives ``n_psi``: measured on the
+    scheduled bubbles of the reduced limit, the ratio and the residual
+    norm stay within 1e-14 relative of 24 split angles and the weights sum
+    to the volume within 5e-14, while 8 miss it by 4.7e-9.  On flat balls
+    and round spheres it is a sphere profile name ("default", "minimal",
+    "axial", "radial") or a list of polar orders; None means "default".
+    An unknown name raises GeometryError.  "axial" puts 20 Gauss nodes on
+    the polar angle from the rule's axis and one on every other angle, so
+    it resolves only integrands invariant under rotations about that axis.
 
     "radial" keeps one angular node per sphere of directions (per factor
     sphere on products), so it is exact only for an integrand that depends
@@ -698,13 +711,14 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     if not model.is_compact and np.any(center):
         raise GeometryError("a rule on a flat ball must be centred at the "
                             "origin, the ball's only centre of symmetry")
-    nodes, weights = _polar_rule(model, center, finest_scale, budget, angular)
+    nodes, weights = _polar_rule(model, center, finest_scale, budget, angular,
+                                 _N_PSI_ONE_CENTRE)
     return QuadratureRule(nodes=nodes, weights=weights,
                           finest_scale=finest_scale)
 
 
-def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
-                extent=math.inf):
+def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
+                axis=None, extent=math.inf):
     """Nodes and weights of a geodesic-polar rule about ``center``.
 
     Every model is a join of spheres of directions: one on a ball or a
@@ -713,9 +727,11 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
     For each join angle and each distinct outer radius one radial grid is
     mapped factor by factor, c + t a on the ball and cos(t) c + sin(t) a on
     a sphere factor, and broadcast over the factors' directions with weight
-    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs.  The outer radius is
-    pi / max(cos psi, sin psi) on sphere factors and each ray's exit radius
-    on the ball, cut at ``extent``.  ``axis``, a tangent vector at
+    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs.  The split angles are
+    ``n_psi`` Gauss nodes on each of two panels, unless a dict ``angular``
+    gives its own ``n_psi``; the other models have none.  The outer radius
+    is pi / max(cos psi, sin psi) on sphere factors and each ray's exit
+    radius on the ball, cut at ``extent``.  ``axis``, a tangent vector at
     ``center``, turns each factor's polar axis toward its projection on
     that factor; with None it is the first vector of the factor's frame.
     """
@@ -731,7 +747,7 @@ def _polar_rule(model, center, finest_scale, budget, angular, axis=None,
         # two panels of split angles, meeting at the kink of the outer
         # radius at pi/4
         psi, wpsi = np.concatenate(
-            [gauss_segment(lo, hi, int(prof.get("n_psi", 24))) for lo, hi
+            [gauss_segment(lo, hi, int(prof.get("n_psi", n_psi))) for lo, hi
              in ((0.0, math.pi / 4.0), (math.pi / 4.0, math.pi / 2.0))],
             axis=1)
         joins = [((c, s), wp * c ** (model.p - 1) * s ** (model.q - 1))
@@ -822,8 +838,12 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     where another localizer is 1 (weight 0) are dropped.  ``angular`` is
     the first centre's profile and ``patch_angular`` the other pieces', as
     in :func:`build_quadrature`, with None meaning "axial" on flat balls
-    and round spheres and "biradial" on products.  The budget is split
-    evenly over the pieces.
+    and round spheres and "biradial" on products.  On products each piece
+    takes 24 split angles per panel unless a dict gives ``n_psi``: the
+    first piece holds the other centres' bubbles and localizers off its
+    own centre, and on the scheduled k = 2 layout 16 split angles move the
+    reduced-limit ratio by 2.4e-8 relative and 12 by 4.6e-7, where 48
+    moves it by 6.1e-10.  The budget is split evenly over the pieces.
 
     It needs at least two distinct centres; one centre is the job of
     :func:`build_quadrature`.  No piece is radial about its centre, so the
@@ -871,13 +891,14 @@ def build_multicenter_quadrature(model, centers, finest_scale,
             for i, c in enumerate(centers)]
     # the first piece: 1 - rho >= 0, as the localizers' supports are disjoint
     nodes, weights = _polar_rule(model, centers[0], finest_scale, sub_budget,
-                                 angular, axis=axes[0])
+                                 angular, _N_PSI_MULTICENTRE, axis=axes[0])
     rho = sum(part(model.distance(nodes, c)) for c in centers[1:])
     pieces = [(nodes, weights * (1.0 - rho))]
     for c, axis in zip(centers[1:], axes[1:]):
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular, axis=axis, extent=r_i)
+                                     patch_angular, _N_PSI_MULTICENTRE,
+                                     axis=axis, extent=r_i)
         pieces.append((nodes, weights * part(model.distance(nodes, c))))
 
     # each piece keeps its nodes of positive weight before the one join

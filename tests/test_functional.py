@@ -178,9 +178,11 @@ class TestResidual:
         assert 0.0 < res < 1.0
 
 
-# each model with a profile that keeps a full angular grid
+# each model with a profile that keeps a full angular grid; on S^3 x S^3
+# with 24 split angles per panel, twice the single-centre default
 _FULL = {
-    "S3xS3": (ManifoldModel.product_spheres(3, 3), "biradial"),
+    "S3xS3": (ManifoldModel.product_spheres(3, 3),
+              dict(n_psi=24, orders_a="minimal", orders_b="minimal")),
     "S6": (ManifoldModel.round_sphere(6), "minimal"),
     "B7": (ManifoldModel.flat_ball(7, 100.0), "minimal"),
 }
@@ -247,6 +249,30 @@ class TestRadialProfile:
                 rule.weights * h.perturbation(rule.nodes)
                 * u(rule.nodes) ** 2)))
         assert abs(vals[1] - vals[0]) > 1e-5 * abs(vals[0])
+
+
+class TestSplitAngles:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_one_centre_default_matches_24_split_angles(self, eps):
+        # reduced_limit_k2's rule, one centre at the first bubble: the
+        # default's 12 split angles per panel against 24 (BENCH_23.json
+        # measures the ratios within 1.7e-15 and the residual norms within
+        # 7.8e-15 of each other on this layout)
+        m = ManifoldModel.product_spheres(3, 3)
+        xi0 = m.random_point(np.random.default_rng(0))
+        Hb = build_H(2, m.n, seed=3)
+        p = Hb.maxima[0]
+        h0 = PotentialField.conformal_scalar(m)
+        vals = []
+        for angular in (None, _FULL["S3xS3"][1]):
+            cfg, sch = schedule_configuration(m, xi0, [1.0], [p], eps)
+            rule = build_quadrature(m, cfg.bubbles[0].center,
+                                    finest_scale=sch.delta_eps,
+                                    budget=4_000_000, angular=angular)
+            ratio = reduced_limit_ratio(m, xi0, [1.0], [p], eps, Hb, rule)[0]
+            vals.append([ratio, residual_norm(m, h0, cfg,
+                                              CutoffSpec.for_model(m), rule)])
+        np.testing.assert_allclose(vals[0], vals[1], rtol=1e-9, atol=0.0)
 
 
 class TestLebesgueNorm:

@@ -438,7 +438,7 @@ class TestQuadrature:
             axis = (np.random.default_rng(0).standard_normal(model.n)
                     @ model.tangent_frame(base))
             _, w = _polar_rule(model, base, 0.1, 2_000_000, angular,
-                               axis=axis)
+                               geometry._N_PSI_ONE_CENTRE, axis=axis)
         else:
             w = build_quadrature(model, base, finest_scale=0.1,
                                  angular=angular).weights
@@ -459,12 +459,13 @@ class TestQuadrature:
             build_quadrature(m, _base(m), finest_scale=1e-4, budget=1000)
 
     def test_capacity_message_names_the_planned_rule(self):
-        # the message reports the node count of the rule that was asked for
+        # the message reports the node count of the rule that was asked for:
+        # 480 radial nodes on each of 2 x 12 split angles
         m = _pp()
         rule = build_quadrature(m, _base(m), finest_scale=1e-4,
                                 angular="radial")
         need = rule.node_count
-        assert need == 23040
+        assert need == 11520
         with pytest.raises(CapacityError, match=f"needs {need} nodes"):
             build_quadrature(m, _base(m), finest_scale=1e-4,
                              budget=need - 1, angular="radial")
@@ -535,21 +536,21 @@ class TestQuadrature:
             c[0] = 0.9
         angular = "biradial" if model.kind == "product_spheres" else "minimal"
         nodes, weights = _polar_rule(model, c, 1e-2, 2_000_000, angular,
-                                     extent=0.05)
+                                     geometry._N_PSI_MULTICENTRE, extent=0.05)
         d = model.distance(nodes, c)
         assert np.all(d < 0.05)
         assert np.max(d) > 0.049
         assert np.all(weights > 0.0)
 
-    def test_multicenter_budget_pays_only_for_kept_nodes(self):
+    def test_multicenter_budget_split_over_pieces(self):
         # the budget is split evenly over the two pieces.  The patch is a
         # rule for its own ball of radius 0.01 (153,600 nodes); the first
-        # centre's piece, a rule for the whole ball, needs 455,680.  Its
-        # 1,920 nodes within 0.005 of the other centre have weight 0 and are
-        # dropped, so 455,680 + 153,600 - 1,920 = 607,360 are kept, and the
-        # rule fits every budget of 2 x 455,680 = 911,360 or more.  The
-        # orders are those of a full angular grid, 64 directions per polar
-        # angle.
+        # centre's piece, a rule for the whole ball, needs 455,680, and the
+        # budget pays for all of them, though its 1,920 nodes within 0.005
+        # of the other centre have weight 0 and are dropped.  So
+        # 455,680 + 153,600 - 1,920 = 607,360 are kept, and the rule fits
+        # every budget of 2 x 455,680 = 911,360 or more.  The orders are
+        # those of a full angular grid, 64 directions per polar angle.
         m = ManifoldModel.flat_ball(7, 100.0)
         c1, c2 = np.zeros(7), np.zeros(7)
         c1[0], c2[0] = -0.01, 0.01
@@ -664,6 +665,16 @@ def _two_bubble_centres(n, separation):
     return [-0.5 * separation * axis, 0.5 * separation * axis]
 
 
+def _product_centres():
+    # two centres 0.36 apart on S^3 x S^3, off both factor axes
+    base = _base(_pp())
+    frame = _pp().tangent_frame(base)
+    return [base, _pp().exp(base, 0.3 * frame[0] + 0.2 * frame[3])]
+
+
+_BIRADIAL_24 = dict(n_psi=24, orders_a="minimal", orders_b="minimal")
+
+
 def _psi_radii():
     # the outer radii pi / max(cos psi, sin psi) of a product's join angles
     psi = np.concatenate([gauss_segment(0.0, math.pi / 4.0, 24)[0],
@@ -719,15 +730,22 @@ class TestSharedBuildWork:
                 with pytest.raises(ValueError):
                     a[0] = 0.0
 
-    @pytest.mark.parametrize("build", [
-        lambda: build_multicenter_quadrature(
+    @pytest.mark.parametrize("build, again", [
+        (lambda: build_multicenter_quadrature(
             ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
-            finest_scale=1e-3),
-        lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=1e-3,
-                                 angular="radial"),
-    ], ids=["two-bubble", "S3xS3-radial"])
-    def test_rule_built_twice_is_identical(self, build):
-        first, second = build(), build()
+            finest_scale=1e-3), None),
+        (lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=1e-3,
+                                  angular="radial"), None),
+        # a multicentre product rule takes 24 split angles per panel, so
+        # "biradial" by name is the dict that gives 24
+        (lambda: build_multicenter_quadrature(
+            _pp(), _product_centres(), finest_scale=0.1),
+         lambda: build_multicenter_quadrature(
+            _pp(), _product_centres(), finest_scale=0.1,
+            angular=_BIRADIAL_24, patch_angular=_BIRADIAL_24)),
+    ], ids=["two-bubble", "S3xS3-radial", "S3xS3-multicentre-24-splits"])
+    def test_rule_built_twice_is_identical(self, build, again):
+        first, second = build(), (again or build)()
         assert np.array_equal(first.nodes, second.nodes)
         assert np.array_equal(first.weights, second.weights)
 
@@ -772,7 +790,7 @@ class TestSharedBuildWork:
 
         nodes, weights = _polar_rule(
             m, centres[0], 1e-3, 2_000_000, "axial",
-            axis=centres[1] - centres[0])
+            geometry._N_PSI_MULTICENTRE, axis=centres[1] - centres[0])
         d = m.distance(nodes, centres[1])
         # the localizer 1 within r_i/2, and rounded to 1 a little beyond
         one = step_jet(2.0 * (r_i - d) / r_i)[0] == 1.0

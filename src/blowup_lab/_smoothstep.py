@@ -7,7 +7,7 @@ smoothsteps).  All functions are vectorized over numpy arrays.
 
 import numpy as np
 
-__all__ = ["step_jet", "radial_bump"]
+__all__ = ["step_jet", "plateau_jet", "radial_bump"]
 
 
 def step_jet(t, order=0):
@@ -49,6 +49,15 @@ def step_jet(t, order=0):
     d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
                   - 2.0 * P1 * (u1 * P - u * P1) / P**3)
     return s, d1, d2
+
+
+def plateau_jet(r, r0, order=0):
+    """Radial plateau, 1 on [0, r0/2] and 0 on [r0, inf), and its first
+    ``order`` derivatives in r, as a tuple: step_jet(2 (r0 - r) / r0)."""
+    s = step_jet(2.0 * (r0 - r) / r0, order)
+    # the step argument falls at the rate 2/r0
+    return s[:1] + tuple(sk * c for sk, c in
+                         zip(s[1:], (-2.0 / r0, 4.0 / r0**2)))
 
 
 def radial_bump(s):

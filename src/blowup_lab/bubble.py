@@ -49,10 +49,7 @@ class CutoffSpec:
         r = np.asarray(r, dtype=float)
         if not math.isfinite(self.r0):
             return (np.ones_like(r),) + (np.zeros_like(r),) * order
-        s = _smoothstep.step_jet(2.0 * (self.r0 - r) / self.r0, order)
-        # the step argument falls at the rate 2/r0
-        return s[:1] + tuple(sk * c for sk, c in
-                             zip(s[1:], (-2.0 / self.r0, 4.0 / self.r0**2)))
+        return _smoothstep.plateau_jet(r, self.r0, order)
 
     @classmethod
     def none(cls):
@@ -100,15 +97,18 @@ class Configuration:
         return len(self.bubbles)
 
 
-def _profile(n, delta, d):
-    """Flat extremal profile and its first two radial derivatives."""
+def _profile(n, delta, d, order=0):
+    """Flat extremal profile at distance d and its first ``order`` radial
+    derivatives, as a tuple."""
     m = (n - 2) / 2.0
-    s = math.sqrt(n * (n - 2)) * delta
     den = delta**2 + d**2
-    B = (s / den) ** m
+    B = (math.sqrt(n * (n - 2)) * delta / den) ** m
+    if order == 0:
+        return (B,)
     B1 = B * (-2.0 * m * d / den)
-    B2 = B * (4.0 * m * (m + 1) * d**2 / den**2 - 2.0 * m / den)
-    return B, B1, B2
+    if order == 1:
+        return B, B1
+    return B, B1, B * (4.0 * m * (m + 1) * d**2 / den**2 - 2.0 * m / den)
 
 
 class BubbleField:
@@ -132,14 +132,14 @@ class BubbleField:
         """
         d, metric = self.model._distance_jet(self.params.center, pts, order)
         chi, *dchi = self.cutoff.jet(d, order)
-        B, B1, B2 = _profile(self.model.n, self.params.delta, d)
+        B, *dB = _profile(self.model.n, self.params.delta, d, order)
         w = chi * B
         if order == 0:
             return w, None
-        w1 = dchi[0] * B + chi * B1
+        w1 = dchi[0] * B + chi * dB[0]
         if order == 1:
             return w, w1[..., None] * metric
-        w2 = dchi[1] * B + 2.0 * dchi[0] * B1 + chi * B2
+        w2 = dchi[1] * B + 2.0 * dchi[0] * dB[0] + chi * dB[1]
         # at the center the slope vanishes like w''(0) d; the limit of the
         # full expression is n * w''(0)
         near = d < 1e-12

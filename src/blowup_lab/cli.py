@@ -410,7 +410,7 @@ _RUNNERS = {
         "budget": (4_000_000, _number(integer=True, ge=1))}),
     "residual-sweep": (_exp_residual_sweep, {
         "model": ({}, _model()),
-        "delta_range": ({}, _range(1e-3, 1e-2, 6, fit=1, le=1)),
+        "delta_range": ({}, _range(1e-3, 1e-2, 6, fit=1, lt=1)),
         "budget": (2_000_000, _number(integer=True, ge=1)),
         "shift": (0.0, _number()),
         "r0": (None, _plateau)}),

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bubble import _profile
+
 __all__ = [
     "SlopeFit",
     "order_fit",
@@ -164,7 +166,7 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
     centers, scales, heights = [], [], []
 
     def bubble(pts, c, s):
-        return (kappa * s / (s**2 + model.distance(pts, c)**2)) ** m
+        return _profile(n, s, model.distance(pts, c))[0]
 
     def remaining(pts):
         vals = np.asarray(u(pts), dtype=float)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._smoothstep import step_jet
+from ._smoothstep import plateau_jet
 
 __all__ = [
     "CapacityError",
@@ -879,11 +879,6 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                                 "centres on one line through the origin")
     r_i = min(dmin / 2.0, model.injectivity_radius / 4.0)
 
-    def part(d):
-        # smooth localizer in the distance d to a centre: 1 within r_i/2,
-        # 0 beyond r_i
-        return step_jet(2.0 * (r_i - d) / r_i)[0]
-
     sub_budget = budget // len(centers)
     # unchecked: on a ball the chord, on a sphere zero only at the
     # antipode, about which two bubbles are radial
@@ -892,14 +887,16 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     # the first piece: 1 - rho >= 0, as the localizers' supports are disjoint
     nodes, weights = _polar_rule(model, centers[0], finest_scale, sub_budget,
                                  angular, _N_PSI_MULTICENTRE, axis=axes[0])
-    rho = sum(part(model.distance(nodes, c)) for c in centers[1:])
+    rho = sum(plateau_jet(model.distance(nodes, c), r_i)[0]
+              for c in centers[1:])
     pieces = [(nodes, weights * (1.0 - rho))]
     for c, axis in zip(centers[1:], axes[1:]):
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
                                      patch_angular, _N_PSI_MULTICENTRE,
                                      axis=axis, extent=r_i)
-        pieces.append((nodes, weights * part(model.distance(nodes, c))))
+        pieces.append((nodes, weights
+                       * plateau_jet(model.distance(nodes, c), r_i)[0]))
 
     # each piece keeps its nodes of positive weight before the one join
     keep = [w > 0.0 for _, w in pieces]

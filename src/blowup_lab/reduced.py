@@ -14,7 +14,7 @@ sweep experiments verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
 from .functional import (PotentialField, _check_resolution, energy,
                          single_bubble_energy_constant)
-from .geometry import CapacityError, _rowsum
+from .geometry import CapacityError, _dot
 
 __all__ = [
     "ReducedEnergyParams",
@@ -84,8 +84,7 @@ class BumpFunction:
         out = np.full(y.shape[:-1], -1.0)
         for p, a in zip(self.maxima, self.amplitudes):
             z = y - p
-            s = np.sqrt(_rowsum(z * z)) / self.sigma
-            out = out + a * radial_bump(s)
+            out = out + a * radial_bump(np.sqrt(_dot(z, z)) / self.sigma)
         return out
 
     def peak_values(self):
@@ -357,18 +356,18 @@ def audit_bumps(Hb):
     }
 
 
-_FRAME_ROWS = 4096
-
-
 def h_eps_field(model, xi0, eps, mu, Hb):
     """Perturbed potential  c_n R_g + eps * H(log_xi0(.) / mu).
 
+    H is read on the tangent vectors log_xi0(x) / mu at xi0, against its
+    maxima mapped by the frame as :func:`schedule_configuration` maps them.
     Points farther than 2*mu from xi0 receive the far value -eps (H = -1
     outside the ball of radius 2), which also covers points beyond the
     injectivity radius, where the log map is not defined.  The distance and
     the log map come from one projection of the points.
     """
-    frame = model.tangent_frame(xi0)
+    tangent = replace(Hb, dim=model.ambient_dim,
+                      maxima=Hb.maxima @ model.tangent_frame(xi0))
     base = PotentialField.conformal_scalar(model).base
 
     def pert(pts):
@@ -379,16 +378,7 @@ def h_eps_field(model, xi0, eps, mu, Hb):
         v, d = model._log_and_distance(xi0, pts)
         out = np.full(len(pts), -eps)
         near = d < min(2.5 * mu, 0.9 * model.injectivity_radius)
-        if np.any(near):
-            # coordinates of log_xi0 in the tangent frame, in units of mu.
-            # The product goes in chunks of _FRAME_ROWS: on more rows
-            # OpenBLAS starts threads of its own, which take the CPUs of
-            # QuadratureRule.integrate's block workers.  Each row's bits
-            # do not depend on the chunk it is in
-            w = v[near]
-            coords = np.concatenate([w[i:i + _FRAME_ROWS] @ frame.T
-                                     for i in range(0, len(w), _FRAME_ROWS)])
-            out[near] = eps * Hb(coords / mu)
+        out[near] = eps * tangent(v[near] / mu)
         return out[0] if single else out
 
     return PotentialField(model=model, base=base, perturbation=pert)

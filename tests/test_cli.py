@@ -219,6 +219,11 @@ class TestConfigErrors:
          "malformed config: 'dist_range'"),
         ({"experiment": "interaction-sweep", "radius": 0.1}, 2,
          "malformed config: 'dist_range'"),
+        # delta = 1 is outside order_fit's (0, 1): refused before any rule
+        # is built
+        ({"experiment": "residual-sweep",
+          "delta_range": {"min": 0.1, "max": 1.0, "count": 4}}, 2,
+         "malformed config: 'max' in 'delta_range'"),
     ])
     def test_failure_classes(self, tmp_path, capsys, payload, code, message):
         outdir = tmp_path / str(payload.get("out", "o"))

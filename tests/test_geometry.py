@@ -316,7 +316,7 @@ class TestProjectionAccuracy:
                      + (m.q - 1) * r2 / np.tan(r2)) / d
         else:
             coeff = (m.n - 1) / np.tan(d)
-        B, B1, B2 = _profile(m.n, delta, d)
+        B, B1, B2 = _profile(m.n, delta, d, 2)
         chi, c1, c2 = cutoff.jet(d, 2)
         w1 = c1 * B + chi * B1
         w2 = c2 * B + 2.0 * c1 * B1 + chi * B2

@@ -222,6 +222,54 @@ class TestPerturbedPotential:
         assert h(far[None, :])[0] == pytest.approx(0.2 * 12.0 - eps,
                                                    rel=1e-12)
 
+    @staticmethod
+    def _frame_coordinate_perturbation(m, xi0, eps, mu, Hb, pts):
+        # the reference: log_xi0 in tangent-frame coordinates, in units of
+        # mu, read by H in its own dimension
+        v, d = m._log_and_distance(xi0, pts)
+        out = np.full(len(pts), -eps)
+        near = d < min(2.5 * mu, 0.9 * m.injectivity_radius)
+        out[near] = eps * Hb(v[near] @ m.tangent_frame(xi0).T / mu)
+        return out
+
+    @pytest.mark.parametrize("model, k", [
+        (ManifoldModel.product_spheres(3, 3), 1),
+        (ManifoldModel.product_spheres(3, 3), 3),
+        (ManifoldModel.round_sphere(6), 2),
+        (ManifoldModel.flat_ball(6, 2.0), 2)])
+    # mu = 1.2 puts 2.5 mu beyond 0.9 inj, and mu = 4 some maxima too
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 1.2, 4.0])
+    def test_tangent_bump_matches_frame_coordinates(self, model, k, mu):
+        rng = np.random.default_rng(11)
+        eps = 1e-3
+        Hb = build_H(k, 6, seed=3)
+        xi0 = (model.validate_point(np.full(6, 0.1)) if not model.is_compact
+               else model.random_point(rng))
+        frame = model.tangent_frame(xi0)
+        dirs = rng.standard_normal((12, 6))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        inj = model.injectivity_radius
+        radii = np.concatenate([mu * np.array([0.0, 0.4, 1.0, 2.4, 2.6, 4.0]),
+                                inj * np.array([0.85, 0.95, 0.99])])
+        # points on and about every maximum, inside and beyond 2.5 mu, and
+        # beyond 0.9 inj where that is nearer than 2.5 mu
+        y = np.concatenate([
+            (radii[:, None, None] * dirs).reshape(-1, 6),
+            mu * (Hb.maxima[:, None, :]
+                  + 0.5 * Hb.sigma * rng.random((k, 8, 1)) * dirs[:8])
+            .reshape(-1, 6)])
+        pts = model.exp(xi0, y @ frame)
+        pert = h_eps_field(model, xi0, eps, mu, Hb).perturbation
+        want = self._frame_coordinate_perturbation(model, xi0, eps, mu, Hb,
+                                                   pts)
+        d = model.distance(xi0, pts)
+        assert np.any(d < min(2.5 * mu, 0.9 * inj)) and np.any(d > 0.9 * inj)
+        np.testing.assert_allclose(pert(pts), want, rtol=0, atol=1e-14 * eps)
+        # a single point in, a scalar out
+        got = pert(pts[-1])
+        assert np.ndim(got) == 0
+        assert abs(got - want[-1]) <= 1e-14 * eps
+
     def test_ratio_rejects_unresolving_rule(self):
         # delta(1e-4) is about 4e-3, far below the rule's finest scale
         m = self._model()

@@ -79,11 +79,11 @@ def _rowsum(a):
 def _sphere_polar(base, x):
     """Angle from ``base`` to ``x`` on a unit sphere, with its projection.
 
-    Returns (angle, w, |w|), where w = x - (x.base) base is the part of x
-    orthogonal to base: a tangent vector at base of length sin(angle) that
-    points toward x.  Distances, log maps, distance gradients and the
-    mean curvature of geodesic spheres all derive from this one
-    projection.
+    Returns (angle, w, |w|, c), where c = x.base and w = x - c base is the
+    part of x orthogonal to base: a tangent vector at base of length
+    sin(angle) that points toward x.  Distances, log maps, distance
+    gradients and the mean curvature of geodesic spheres all derive from
+    this one projection.
 
     atan2(|w|, c), with c = x.base, is accurate to a few ulp absolute at
     every angle from 0 to pi: near 0 it is |w|/c, where arccos(c) would
@@ -95,7 +95,7 @@ def _sphere_polar(base, x):
     w = np.multiply(c[..., None], base)
     np.subtract(x, w, out=w)
     nw = np.sqrt(_dot(w, w))
-    return np.arctan2(nw, c), w, nw
+    return np.arctan2(nw, c), w, nw, c
 
 
 def _sphere_exp(base, v):
@@ -114,10 +114,20 @@ def _along(length, w, nw):
 
 
 def _ball_polar(base, x):
-    """:func:`_sphere_polar` on a ball: (|w|, w, |w|) with w = x - base."""
+    """:func:`_sphere_polar` on a ball: (|w|, w, |w|, 1.0) with w = x - base;
+    c = 1 is the flat limit of the cosine, so :func:`_rcotr` is 1."""
     w = x - base
     nw = np.sqrt(_rowsum(w * w))
-    return nw, w, nw
+    return nw, w, nw, 1.0
+
+
+def _rcotr(r, c, nw):
+    """r cot r from a polar (r, w, |w|, c): r c/|w|, 1 where |w| = 0.
+
+    On a sphere cot r = c/|w|, so no cosine or sine is taken, and near 0
+    the quotient is accurate to a few ulp, as r ~ |w|/c is.
+    """
+    return np.divide(r * c, nw, out=np.ones_like(nw), where=nw > 0.0)
 
 
 def _hypot(a, b):
@@ -146,19 +156,6 @@ def _orthonormal_complement(u):
 def _rotation_with_first_axis(axis):
     """Orthogonal matrix whose first column is the given unit vector."""
     return np.column_stack([axis, *_orthonormal_complement(axis)])
-
-
-def _xcotx(x):
-    """x * cot(x), stable near 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    # into an array, so that a 0-d x can take the series too
-    out = np.divide(xs * np.cos(xs), np.sin(xs), out=np.empty_like(xs))
-    if small.any():
-        xm = x[small]
-        out[small] = 1.0 - xm**2 / 3.0 - xm**4 / 45.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +253,11 @@ class ManifoldModel:
 
     def _polars(self, base, x):
         """The distance, the hypotenuse of the factor angles, and the polar
-        (angle, w, |w|) of x about base on each factor."""
+        (angle, w, |w|, c) of x about base on each factor."""
         polars = [(_sphere_polar if sphere else _ball_polar)(base[..., sl],
                                                              x[..., sl])
                   for sl, _, sphere in self._factors]
-        return functools.reduce(_hypot, [a for a, _, _ in polars]), polars
+        return functools.reduce(_hypot, [p[0] for p in polars]), polars
 
     def distance(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -297,8 +294,30 @@ class ManifoldModel:
         """
         d, polars = self._polars(np.asarray(base, dtype=float),
                                  np.asarray(target, dtype=float))
-        parts = [_along(angle, w, nw) for angle, w, nw in polars]
+        parts = [_along(angle, w, nw) for angle, w, nw, _ in polars]
         return np.concatenate(parts, axis=-1), d
+
+    def _log_within(self, base, pts, radius):
+        """The rows of ``pts`` nearer than ``radius`` to base, as indices,
+        and their log maps at base; ``radius`` is below the injectivity
+        radius.
+
+        A point whose factor angle alone reaches ``radius`` is dropped
+        first, by its cosine x.b <= cos(radius) on each sphere factor, with
+        a 1e-12 margin far above the rounding of the dot product, so no
+        point nearer than ``radius`` is dropped; a ball factor drops none.
+        One projection of the points left gives the exact test d < radius
+        and the log map, with the bits of :meth:`_log_and_distance`.
+        """
+        base = np.asarray(base, dtype=float)
+        keep = np.ones(len(pts), dtype=bool)
+        for sl, _, sphere in self._factors:
+            if sphere:
+                keep &= _dot(pts[:, sl], base[sl]) > math.cos(radius) - 1e-12
+        idx = np.flatnonzero(keep)
+        v, d = self._log_and_distance(base, pts[idx])
+        inside = d < radius
+        return idx[inside], v[inside]
 
     def _frames(self, base):
         """Each factor's orthonormal tangent basis at base, rows (k, width)."""
@@ -338,7 +357,8 @@ class ManifoldModel:
         the centre on factor i; recombined from the angles that gave d, it
         has length 1 to rounding.  Over m factors of dimension k_i the
         coefficient is (m - 1 + sum_i (k_i - 1) phi(r_i)) / d, with
-        phi(r) = r cot r on a sphere and 1 on the ball.
+        phi(r) = r cot r on a sphere and 1 on the ball, both read off the
+        projection by :func:`_rcotr`.
         """
         d, polars = self._polars(np.asarray(pts, dtype=float),
                                  np.asarray(center, dtype=float))
@@ -349,11 +369,10 @@ class ManifoldModel:
             # is by exactly -1
             return d, _along(-1.0, polars[0][1], d)
         if order == 1:
-            g = np.concatenate([_along(-r, w, nw) for r, w, nw in polars],
+            g = np.concatenate([_along(-r, w, nw) for r, w, nw, _ in polars],
                                axis=-1)
             return d, _along(1.0, g, d)
-        num = sum(((k - 1) * (_xcotx(r) if sphere else 1.0)
-                   for (r, _, _), (_, k, sphere)
+        num = sum(((k - 1) * _rcotr(r, c, nw) for (r, _, nw, c), (_, k, _)
                    in zip(polars, self._factors)), len(polars) - 1)
         return d, num / np.where(d < 1e-300, 1.0, d)
 
@@ -447,7 +466,8 @@ def _mark_worker():
 
 @functools.cache
 def _block_pool(workers):
-    """Process-wide block workers, started at the first multi-block integral.
+    """Process-wide block workers, started at the first multi-block integral
+    or rule.
 
     A block worker runs a nested integral's blocks inline, so it never
     waits on the pool it belongs to.
@@ -461,6 +481,19 @@ def _block_pool(workers):
 # a forked child holds none of the parent's worker threads, so it starts
 # workers of its own rather than wait on a pool that nothing serves
 os.register_at_fork(after_in_child=_block_pool.cache_clear)
+
+
+def _map_blocks(fn, items, pooled):
+    """[fn(item) for item in items], on the block workers if ``pooled``.
+
+    Each item then runs in a copy of the caller's context, so np.errstate
+    reaches it.  A block worker's own calls run inline.
+    """
+    if pooled and not getattr(_in_worker, "active", False):
+        contexts = [contextvars.copy_context() for _ in items]
+        return list(_block_pool(_worker_count()).map(
+            contextvars.Context.run, contexts, itertools.repeat(fn), items))
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)
@@ -490,25 +523,20 @@ class QuadratureRule:
         one row per integral.  It is evaluated on consecutive blocks of
         _BLOCK // workers nodes, one block per worker thread at a time (numpy
         releases the GIL in its loops), so the nodes in flight and their
-        temporaries stay within _BLOCK.  Each block runs in a copy of the
+        temporaries stay within _BLOCK.  The blocks go to the block workers
+        that also fill large rules (:func:`_map_blocks`); a rule of one
+        block is evaluated inline.  Each block runs in a copy of the
         caller's context, so np.errstate reaches it.  The blocks' values are
         concatenated in node order and reduced once over the full node
         array, as if all nodes were evaluated at once, so the result does
         not depend on the worker count.  Returns one value per row, a 0-d
         array for a single integral.
         """
-        workers = _worker_count()
-        size = _BLOCK // workers
+        size = _BLOCK // _worker_count()
         blocks = [self.nodes[i:i + size]
                   for i in range(0, len(self.nodes), size)]
-        if len(blocks) > 1 and not getattr(_in_worker, "active", False):
-            contexts = [contextvars.copy_context() for _ in blocks]
-            parts = list(_block_pool(workers).map(
-                contextvars.Context.run, contexts,
-                itertools.repeat(integrand), blocks))
-        else:
-            parts = [integrand(block) for block in blocks]
-        vals = np.concatenate(parts, axis=-1)
+        vals = np.concatenate(_map_blocks(integrand, blocks, len(blocks) > 1),
+                              axis=-1)
         # vals is this call's own array, so it takes the weights in place
         np.multiply(self.weights, vals, out=vals)
         return np.sum(vals, axis=-1)
@@ -734,6 +762,9 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
     radius on the ball, cut at ``extent``.  ``axis``, a tangent vector at
     ``center``, turns each factor's polar axis toward its projection on
     that factor; with None it is the first vector of the factor's frame.
+    A rule of more than one integration block is filled on the block
+    workers, one (join angle, outer radius) entry at a time; a smaller
+    rule, or one built on a block worker, is filled inline.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -790,8 +821,9 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
                   *_radial_grid(finest_scale, min(r0, extent), float(r),
                                 transition))
                  for g, r in enumerate(radii)]
-    count = sum(len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan) \
-        * math.prod(len(d) for d in dirs[1:])
+    sizes = [len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan]
+    per_dir = math.prod(len(d) for d in dirs[1:])
+    count = sum(sizes) * per_dir
     if count > budget:
         raise CapacityError(
             f"budget {budget} too small for finest_scale={finest_scale:g}; "
@@ -799,8 +831,10 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
 
     nodes = np.empty((count, model.ambient_dim))
     weights = np.empty(count)
-    at = 0
-    for scales, wj, sel, r, wr in plan:
+
+    def fill(entry):
+        # the entries write disjoint slices, so they may run in any order
+        at, (scales, wj, sel, r, wr) = entry
         facs = [dirs[0][sel], *dirs[1:]]
         shape = (len(r), *(len(a) for a in facs))
         size = math.prod(shape)
@@ -819,7 +853,10 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
             block[..., sl] = np.expand_dims(x, others)
         wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0][sel])
         weights[at:at + size] = np.outer(dens * wj, wd).reshape(-1)
-        at += size
+
+    starts = itertools.accumulate([0] + sizes[:-1])
+    _map_blocks(fill, [(at * per_dir, p) for at, p in zip(starts, plan)],
+                count > _BLOCK // _worker_count())
     return nodes, weights
 
 

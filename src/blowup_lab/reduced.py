@@ -66,7 +66,7 @@ class BumpFunction:
     H(x) = -1 + sum_i a_i psi(|x - p_i| / sigma) with psi the standard
     C-infinity mollifier normalized to psi(0) = 1.  Amplitudes a_i > 1, so
     each p_i is a strict local maximum with H(p_i) = a_i - 1 > 0; supports
-    are disjoint and contained in the unit ball, hence H = -1 for |x| > 2.
+    are disjoint, and H is exactly -1 for |x| >= max_i |p_i| + sigma.
     """
 
     dim: int
@@ -150,7 +150,8 @@ def delta_eps(n, eps):
 
     n >= 7: delta = sqrt(eps).  n = 6: the unique root of
     delta^2 ln(1/delta) = eps on the monotone branch (0, e^{-1/2}),
-    found by bisection to relative residual <= 1e-14.
+    found by bisection until the midpoint rounds to an end of the bracket
+    (at most 555 halvings); its relative residual must be <= 1e-14.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -168,12 +169,14 @@ def delta_eps(n, eps):
     lo, hi = 1e-300, math.exp(-0.5)
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
+        # f(lo) < 0 <= f(hi), so a midpoint that rounds to an end leaves
+        # the bracket as it is from here on
+        if mid == lo or mid == hi:
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-        if (hi - lo) < 1e-17 * hi:
-            break
     d = 0.5 * (lo + hi)
     if not abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps:
         raise ValueError(f"delta_eps: bisection missed relative residual "
@@ -361,24 +364,27 @@ def h_eps_field(model, xi0, eps, mu, Hb):
 
     H is read on the tangent vectors log_xi0(x) / mu at xi0, against its
     maxima mapped by the frame as :func:`schedule_configuration` maps them.
-    Points farther than 2*mu from xi0 receive the far value -eps (H = -1
-    outside the ball of radius 2), which also covers points beyond the
-    injectivity radius, where the log map is not defined.  The distance and
-    the log map come from one projection of the points.
+    H is -1 beyond max_i |p_i| + sigma, so points farther than
+    R = mu (max_i |p_i| + sigma) from xi0 receive the far value -eps
+    without a log map, as do points beyond 0.9 of the injectivity radius,
+    where the log map is not defined.  The points within R and their log
+    maps come from one projection of the points that a cosine test on
+    each sphere factor leaves (:meth:`ManifoldModel._log_within`).
     """
     tangent = replace(Hb, dim=model.ambient_dim,
                       maxima=Hb.maxima @ model.tangent_frame(xi0))
     base = PotentialField.conformal_scalar(model).base
+    reach = float(np.max(np.linalg.norm(Hb.maxima, axis=1))) + Hb.sigma
+    radius = min(mu * reach, 0.9 * model.injectivity_radius)
 
     def pert(pts):
         pts = np.asarray(pts, dtype=float)
         single = pts.ndim == 1
         if single:
             pts = pts[None, :]
-        v, d = model._log_and_distance(xi0, pts)
+        near, v = model._log_within(xi0, pts, radius)
         out = np.full(len(pts), -eps)
-        near = d < min(2.5 * mu, 0.9 * model.injectivity_radius)
-        out[near] = eps * tangent(v[near] / mu)
+        out[near] = eps * tangent(v / mu)
         return out[0] if single else out
 
     return PotentialField(model=model, base=base, perturbation=pert)

@@ -1,6 +1,10 @@
 """Geometry layer: distances, exponential maps, curvature, quadrature."""
 
+import hashlib
+import itertools
 import math
+import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -27,7 +31,6 @@ from blowup_lab.geometry import (
     sphere_volume,
     unit_sphere_rule,
     weyl_tensor_from_riemann,
-    _xcotx,
 )
 
 RNG = np.random.default_rng(42)
@@ -814,16 +817,6 @@ def _same_bits(a, b):
                                np.signbit(b) & ~np.isnan(b)))
 
 
-def _xcotx_in_one_expression(x):
-    # the formula _xcotx evaluated before it took the series only where
-    # |x| < 1e-4
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x**2 / 3.0 - x**4 / 45.0,
-                    xs * np.cos(xs) / np.sin(xs))
-
-
 def _rows(width):
     # magnitudes over 40 decades, and -0.0 often enough that some rows
     # hold nothing else
@@ -858,16 +851,6 @@ class TestPerNodeKernels:
         a = np.full((3, 4), -0.0)
         assert not np.signbit(_rowsum(a)).any()
 
-    def test_xcotx_series_only_where_small(self):
-        x = np.array([0.0, -0.0, 1e-4 * (1 - 1e-15), 1e-4, -1e-4 * (1 - 1e-15),
-                      -1e-4, 3e-5, 1e-300, math.pi / 2, -math.pi / 2, 1.0,
-                      3.0])
-        assert _same_bits(_xcotx(x), _xcotx_in_one_expression(x))
-        for scalar in (0.0, 5e-5, 1e-4, math.pi / 2):
-            got = _xcotx(scalar)
-            assert _same_bits(got, _xcotx_in_one_expression(scalar))
-            assert got.shape == ()
-
     def test_single_point_laplacian_coefficient(self):
         m = _pp()
         c = _base(m)
@@ -884,6 +867,105 @@ class TestPerNodeKernels:
         d, g = m._distance_jet(c, pts, 1)
         _, polars = m._polars(pts, c)
         general = _along(1.0, np.concatenate(
-            [_along(-r, w, nw) for r, w, nw in polars], axis=-1), d)
+            [_along(-r, w, nw) for r, w, nw, _ in polars], axis=-1), d)
         assert np.array_equal(g, general)
         assert _same_bits(g, general)
+
+
+# factor angles from 1e-9 up to within 1e-3 of pi
+_LAPLACIAN_ANGLES = np.geomspace(1e-9, math.pi - 1e-3, 9)
+
+
+class TestLaplacianCoefficient:
+    """The radial Laplacian coefficient against 50-digit mpmath references.
+
+    Its sphere factors take r cot r as r c/|w| from the projection; the
+    reference takes r cot r of the angle between the stored points.  The
+    coefficient is checked times the distance it divides by, which is
+    checked on its own above, so a tiny distance's relative error does not
+    hide the numerator's.  An angle is accurate to a few ulp absolute, so
+    each r cot r is held to 8 ulp of its value and of its slope in r.
+    """
+
+    @pytest.mark.parametrize("dims", [(3, 3), (6, 0), (3, 4)],
+                             ids=["S3xS3", "S6", "S3xS4"])
+    def test_against_mpmath(self, dims):
+        pairs = (itertools.product(_LAPLACIAN_ANGLES, repeat=2) if dims[1]
+                 else [(a, a) for a in _LAPLACIAN_ANGLES])
+        for i, angles in enumerate(pairs):
+            m, base, x = _at_angles(dims, i, angles)
+            d, coeff = m._distance_jet(base, x[None], 2)
+            got = float(coeff[0]) * float(d[0])
+            with mpmath.workdps(50):
+                rs = [_mp_polar(a, b)[0]
+                      for a, b in zip(m.split(x), m.split(base))]
+                ks = [k - 1 for _, k, _ in m._factors]
+                ref = len(rs) - 1 + mpmath.fsum(
+                    k * r * mpmath.cot(r) for k, r in zip(ks, rs))
+                scale = len(rs) + mpmath.fsum(
+                    k * (abs(r * mpmath.cot(r)) + abs(
+                        mpmath.cot(r) - r / mpmath.sin(r) ** 2))
+                    for k, r in zip(ks, rs))
+                assert abs(got - ref) <= 8.0 * _EPS * scale, angles
+
+    @pytest.mark.parametrize("model", [_pp(), ManifoldModel.round_sphere(6),
+                                       ManifoldModel.product_spheres(3, 4)],
+                             ids=["S3xS3", "S6", "S3xS4"])
+    def test_finite_at_the_centre_and_the_antipode(self, model):
+        c = _base(model)
+        antipodes = [np.concatenate([s * part for s, part
+                                     in zip(signs, model.split(c))])
+                     for signs in itertools.product(
+                         (1.0, -1.0), repeat=len(model._factors))]
+        pts = np.array(antipodes)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            coeff = model.radial_laplacian_coeff(c, pts)
+            single = model.radial_laplacian_coeff(c, c)
+        assert np.all(np.isfinite(coeff)) and np.isfinite(single)
+        # at the centre every factor's r cot r is its limit 1
+        assert coeff[0] == single == model.n - 1
+
+
+def _digest(nodes, weights):
+    return hashlib.sha256(nodes.tobytes() + weights.tobytes()).hexdigest()
+
+
+class TestPooledFill:
+    """A rule of several blocks is filled on the block workers, forced to
+    two of them, with the bits of the same rule filled inline."""
+
+    WORKERS = 2
+
+    @staticmethod
+    def _two_centres():
+        m = _pp()
+        c = _base(m)
+        return m, [c, m.exp(c, 0.05 * m.tangent_frame(c)[0]
+                            + 0.03 * m.tangent_frame(c)[4])]
+
+    @pytest.mark.parametrize("build", [
+        lambda m, cs: build_quadrature(m, cs[0], finest_scale=1e-2),
+        lambda m, cs: build_multicenter_quadrature(m, cs, finest_scale=1e-2),
+    ], ids=["S3xS3", "S3xS3-two-centres"])
+    def test_pooled_fill_matches_inline(self, monkeypatch, build):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: self.WORKERS)
+        fills = []
+        real = geometry._map_blocks
+
+        def spied(fn, items, pooled):
+            def run(item):
+                fills.append(threading.current_thread())
+                return fn(item)
+            return real(run, items, pooled)
+        monkeypatch.setattr(geometry, "_map_blocks", spied)
+        m, centres = self._two_centres()
+        rule = build(m, centres)
+        assert rule.node_count > geometry._BLOCK
+        assert fills and threading.main_thread() not in fills
+        pool = geometry._block_pool(self.WORKERS)
+        fills.clear()
+        inline = pool.submit(build, m, centres).result()
+        assert len(set(fills)) == 1 and threading.main_thread() not in fills
+        assert _digest(rule.nodes, rule.weights) \
+            == _digest(inline.nodes, inline.weights)

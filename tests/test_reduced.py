@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup_lab import reduced
 from blowup_lab.geometry import CapacityError, ManifoldModel, build_quadrature
 from blowup_lab.reduced import (
     BumpFunction,
@@ -122,6 +123,43 @@ class TestSchedules:
             0.5 * math.log(10.0) - 1.0, rel=1e-12)
         assert _back_substitution_residual(6, 1e-3, delta_eps(6, 1e-3)) <= 1e-14
 
+    @staticmethod
+    def _bisect_2000_steps(eps):
+        # the bisection as it ran before it stopped on a frozen bracket:
+        # always 2000 halvings, as its relative-width test never held
+        lo, hi = 1e-300, math.exp(-0.5)
+        for _ in range(2000):
+            mid = 0.5 * (lo + hi)
+            if mid * mid * math.log(1.0 / mid) - eps < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_delta_eps_stops_on_a_frozen_bracket(self, monkeypatch):
+        logs = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                logs.append(x)
+                return math.log(x)
+
+        for eps in np.geomspace(1e-300, 0.18, 400):
+            d = self._bisect_2000_steps(float(eps))
+            if abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps:
+                with monkeypatch.context() as patch:
+                    patch.setattr(reduced, "math", CountingMath())
+                    logs.clear()
+                    assert delta_eps(6, float(eps)) == d
+                # the bracket freezes within 555 halvings
+                assert len(logs) <= 600
+            else:
+                with pytest.raises(ValueError, match="bisection missed"):
+                    delta_eps(6, float(eps))
+
     def test_delta_eps_domain_n6(self):
         # d^2 ln(1/d) cannot exceed 1/(2e) on the valid branch
         with pytest.raises(ValueError):
@@ -221,6 +259,28 @@ class TestPerturbedPotential:
         far = m.exp(xi0, 2.0 * v / np.linalg.norm(v))
         assert h(far[None, :])[0] == pytest.approx(0.2 * 12.0 - eps,
                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_support_is_the_bumps_reach(self, k):
+        # H is -1 beyond max_i |p_i| + sigma, and above -1 just inside it
+        m = self._model()
+        xi0 = self._xi0(m)
+        eps, mu = 1e-3, 0.05
+        Hb = build_H(k, 6, seed=3)
+        pert = h_eps_field(m, xi0, eps, mu, Hb).perturbation
+        norms = np.linalg.norm(Hb.maxima, axis=1)
+        reach = norms.max() + Hb.sigma
+        frame = m.tangent_frame(xi0)
+        dirs = np.random.default_rng(k).standard_normal((200, 6))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        # the ray through the farthest maximum, any ray for k = 1
+        far = Hb.maxima[np.argmax(norms)]
+        ray = far / norms.max() if norms.max() > 0 else dirs[0]
+        outside = m.exp(xi0, mu * reach * (1 + 1e-9)
+                        * np.vstack([dirs, ray]) @ frame)
+        assert np.all(pert(outside) == -eps)
+        inside = m.exp(xi0, mu * (reach - 0.05 * Hb.sigma) * ray @ frame)
+        assert pert(inside) > -eps
 
     @staticmethod
     def _frame_coordinate_perturbation(m, xi0, eps, mu, Hb, pts):

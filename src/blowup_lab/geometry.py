@@ -53,25 +53,26 @@ def sphere_volume(m):
 
 
 def _dot(a, b):
-    # einsum: a numpy reduce over a length-4 axis costs more than the
-    # products.  It adds in its own order, so its bits are not _rowsum's
-    # (a * b): every sphere-factor dot product stays on this one path
-    return np.einsum("...i,...i->...", a, b)
+    """Per-point dot product over the last axis: :func:`_rowsum` (a * b)."""
+    return _rowsum(a * b)
 
 
 def _rowsum(a):
-    """np.add.reduce(a, axis=-1), bit for bit, in fewer passes on short rows.
+    """Sum over the last axis, adding its columns in order from +0.0.
 
-    numpy sums a row of fewer than 8 entries in order from +0.0 (so a row
-    of -0.0 sums to +0.0), which column-by-column adds repeat; longer rows
-    go to numpy, whose pairwise order they would not.  np.linalg.norm is
-    np.sqrt(_rowsum(a * a)).
+    One order at every width and memory layout, so a point's sum has the
+    same bits in a coordinate-major rule, in a row-major copy and alone:
+    einsum, and np.add.reduce over 8 or more entries, add pairwise along
+    a contiguous axis but in sequence along a strided one.  Over fewer
+    than 8 entries np.add.reduce adds in this order in every layout (a row
+    of -0.0 sums to +0.0), so np.sqrt(_rowsum(a * a)) is then
+    np.linalg.norm; it takes the calls of a few points, where one numpy
+    pass costs less than one per column.
     """
-    k = a.shape[-1]
-    if not 0 < k < 8:
+    if a.shape[-1] < 8 and a.size <= 256:
         return np.add.reduce(a, axis=-1)
     out = a[..., 0] + 0.0
-    for j in range(1, k):
+    for j in range(1, a.shape[-1]):
         out += a[..., j]
     return out
 
@@ -91,8 +92,10 @@ def _sphere_polar(base, x):
     near pi it is pi - |w|/|c|, so no branch between the near and the
     antipodal side is needed.
     """
-    c = _dot(x, base)
-    w = np.multiply(c[..., None], base)
+    xb = x * base
+    c = _rowsum(xb)
+    # w takes the product's buffer, which has the batch's memory layout
+    w = np.multiply(c[..., None], base, out=xb)
     np.subtract(x, w, out=w)
     nw = np.sqrt(_dot(w, w))
     return np.arctan2(nw, c), w, nw, c
@@ -128,6 +131,19 @@ def _rcotr(r, c, nw):
     the quotient is accurate to a few ulp, as r ~ |w|/c is.
     """
     return np.divide(r * c, nw, out=np.ones_like(nw), where=nw > 0.0)
+
+
+def _take_rows(a, rows, out=None):
+    """a[rows] of a 2-D array, coordinate-major, into ``out`` if given.
+
+    Gathered one column at a time: fancy indexing over rows returns a
+    row-major array.
+    """
+    if out is None:
+        out = np.empty((len(rows), a.shape[1]), order="F")
+    for j in range(a.shape[1]):
+        out[:, j] = a[rows, j]
+    return out
 
 
 def _hypot(a, b):
@@ -315,9 +331,9 @@ class ManifoldModel:
             if sphere:
                 keep &= _dot(pts[:, sl], base[sl]) > math.cos(radius) - 1e-12
         idx = np.flatnonzero(keep)
-        v, d = self._log_and_distance(base, pts[idx])
-        inside = d < radius
-        return idx[inside], v[inside]
+        v, d = self._log_and_distance(base, _take_rows(pts, idx))
+        inside = np.flatnonzero(d < radius)
+        return idx[inside], _take_rows(v, inside)
 
     def _frames(self, base):
         """Each factor's orthonormal tangent basis at base, rows (k, width)."""
@@ -502,6 +518,14 @@ class QuadratureRule:
 
     ``finest_scale`` is the smallest bubble scale the rule claims to
     resolve: its radial grid starts at finest_scale/10 about each centre.
+
+    The nodes, one row per point, are stored coordinate-major (Fortran
+    order), and a row-major array passed in is converted.  Each column of
+    an integration block is then contiguous, and so is every per-point
+    temporary numpy derives from one, so each elementwise pass over the
+    ambient coordinates runs over long columns instead of rows of 4 to 9
+    entries.  Per-point sums over the coordinates add the columns in one
+    fixed order (:func:`_rowsum`), so no value depends on the layout.
     """
 
     nodes: np.ndarray
@@ -509,8 +533,17 @@ class QuadratureRule:
     finest_scale: float
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
-            raise GeometryError("quadrature weights must be positive")
+        nodes = np.asfortranarray(self.nodes, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if nodes.ndim != 2 or weights.shape != nodes.shape[:1]:
+            raise GeometryError(
+                f"a rule needs (N, d) nodes and N weights, got nodes of shape "
+                f"{nodes.shape} and weights of shape {weights.shape}")
+        # NaN fails both comparisons
+        if not (np.all(weights > 0.0) and np.all(weights < math.inf)):
+            raise GeometryError("quadrature weights must be finite and positive")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def node_count(self):
@@ -829,7 +862,9 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
             f"budget {budget} too small for finest_scale={finest_scale:g}; "
             f"the requested rule needs {count} nodes")
 
-    nodes = np.empty((count, model.ambient_dim))
+    # coordinate-major, as QuadratureRule stores it: each entry's slice of
+    # rows reshapes to its (radius, directions...) grid as a view
+    nodes = np.empty((count, model.ambient_dim), order="F")
     weights = np.empty(count)
 
     def fill(entry):
@@ -935,9 +970,15 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         pieces.append((nodes, weights
                        * plateau_jet(model.distance(nodes, c), r_i)[0]))
 
-    # each piece keeps its nodes of positive weight before the one join
-    keep = [w > 0.0 for _, w in pieces]
+    # each piece's nodes of positive weight, gathered straight into one
+    # coordinate-major array
+    keep = [np.flatnonzero(w > 0.0) for _, w in pieces]
+    nodes = np.empty((sum(map(len, keep)), model.ambient_dim), order="F")
+    at = 0
+    for (x, _), k in zip(pieces, keep):
+        _take_rows(x, k, out=nodes[at:at + len(k)])
+        at += len(k)
     return QuadratureRule(
-        nodes=np.concatenate([x[k] for (x, _), k in zip(pieces, keep)]),
+        nodes=nodes,
         weights=np.concatenate([w[k] for (_, w), k in zip(pieces, keep)]),
         finest_scale=finest_scale)

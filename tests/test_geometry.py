@@ -18,6 +18,7 @@ from blowup_lab.geometry import (
     CapacityError,
     GeometryError,
     ManifoldModel,
+    QuadratureRule,
     _along,
     _polar_rule,
     _panel,
@@ -509,6 +510,19 @@ class TestQuadrature:
                                              finest_scale=0.1,
                                              **{kw: "radial"})
 
+    @pytest.mark.parametrize("nodes, weights", [
+        (np.zeros((3, 6)), [1.0, np.nan, 1.0]),
+        (np.zeros((3, 6)), [1.0, np.inf, 1.0]),
+        (np.zeros((3, 6)), [1.0, 0.0, 1.0]),
+        (np.zeros((3, 6)), [1.0, -1.0, 1.0]),
+        (np.zeros((3, 6)), [1.0, 1.0]),
+        (np.zeros(3), [1.0, 1.0, 1.0]),
+    ], ids=["nan", "inf", "zero", "negative", "count-mismatch", "1-D-nodes"])
+    def test_malformed_rule_rejected_at_construction(self, nodes, weights):
+        with pytest.raises(GeometryError):
+            QuadratureRule(nodes=nodes, weights=np.array(weights),
+                           finest_scale=1.0)
+
     def test_finest_scale_domain(self):
         m = _pp()
         with pytest.raises(GeometryError):
@@ -827,8 +841,17 @@ def _rows(width):
     return x
 
 
+def _in_column_order(a):
+    """The sum over the last axis, one column at a time from +0.0."""
+    out = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        out = out + a[..., j]
+    return out
+
+
 class TestPerNodeKernels:
-    """The per-node kernels give the bits of the numpy calls they replace.
+    """The per-node kernels add in one fixed order, which on rows of fewer
+    than 8 entries is that of the numpy calls they replace.
 
     Every CSV digit rests on these: a numpy release that sums short rows
     in another order fails here, not silently in the outputs.
@@ -838,14 +861,20 @@ class TestPerNodeKernels:
     def test_rowsum_is_numpy_sum_and_norm(self, width):
         wide = _rows(2 * width)
         for a in (np.ascontiguousarray(wide[:, :width]),  # C-contiguous
+                  np.asfortranarray(wide[:, :width]),     # coordinate-major
                   wide[:, :width],                        # a factor slice
                   wide[:, ::2],                           # strided columns
+                  wide[:9, :width],                       # a few points
+                  np.asfortranarray(wide[:9, :width]),
                   wide[0, :width],                        # one point
                   wide[:0, :width],                       # no rows
                   wide[:, :width].reshape(20, 25, width)):
-            assert _same_bits(_rowsum(a), np.add.reduce(a, axis=-1))
-            assert _same_bits(np.sqrt(_rowsum(a * a)),
-                              np.linalg.norm(a, axis=-1))
+            assert _same_bits(_rowsum(a), _in_column_order(a))
+            if width < 8:
+                # numpy adds rows of fewer than 8 entries in order
+                assert _same_bits(_rowsum(a), np.add.reduce(a, axis=-1))
+                assert _same_bits(np.sqrt(_rowsum(a * a)),
+                                  np.linalg.norm(a, axis=-1))
 
     def test_rowsum_of_negative_zeros_is_positive_zero(self):
         a = np.full((3, 4), -0.0)
@@ -870,6 +899,78 @@ class TestPerNodeKernels:
             [_along(-r, w, nw) for r, w, nw, _ in polars], axis=-1), d)
         assert np.array_equal(g, general)
         assert _same_bits(g, general)
+
+
+# a small rule per model: minimal direction rules, two split angles per
+# panel on products
+_SMALL_PRODUCT = dict(n_psi=2, orders_a="minimal", orders_b="minimal")
+_LAYOUT_MODELS = {
+    "S3xS3": (_pp(), _SMALL_PRODUCT),
+    "S3xS4": (ManifoldModel.product_spheres(3, 4), _SMALL_PRODUCT),
+    "S6": (ManifoldModel.round_sphere(6), "minimal"),
+    "B7": (ManifoldModel.flat_ball(7, 2.0), "minimal"),
+}
+
+
+def _metric_calls(m, c, pts):
+    """Every per-point metric result on ``pts`` about ``c``, flattened to
+    arrays with one leading entry per point."""
+    out = [m.distance(c, pts), m.distance(pts, c)]
+    for order in (0, 1, 2):
+        d, jet = m._distance_jet(c, pts, order)
+        out += [d] if jet is None else [d, jet]
+    out += list(m._log_and_distance(c, pts))
+    near, v = m._log_within(c, pts, 0.8)
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[near] = True
+    logs = np.full(pts.shape, np.nan)
+    logs[near] = v
+    return out + [mask, logs]
+
+
+class TestCoordinateMajorRules:
+    """Rules store their nodes coordinate-major; no metric value depends on
+    the layout."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_quadrature(ManifoldModel.flat_ball(6, 1.0),
+                                 np.zeros(6), finest_scale=0.1),
+        lambda: build_quadrature(ManifoldModel.round_sphere(6),
+                                 _base(ManifoldModel.round_sphere(6)),
+                                 finest_scale=0.1, angular="minimal"),
+        lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=0.1),
+        lambda: build_multicenter_quadrature(
+            ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
+            finest_scale=1e-2),
+        lambda: build_multicenter_quadrature(_pp(), _product_centres(),
+                                             finest_scale=0.1),
+    ], ids=["B6", "S6", "S3xS3", "multicentre-flat", "multicentre-S3xS3"])
+    def test_builders_return_coordinate_major_nodes(self, build):
+        rule = build()
+        assert rule.nodes.flags.f_contiguous and rule.node_count > 1000
+
+    def test_row_major_nodes_are_converted(self):
+        nodes = RNG.standard_normal((50, 8))
+        rule = QuadratureRule(nodes=nodes, weights=np.ones(50),
+                              finest_scale=1.0)
+        assert rule.nodes.flags.f_contiguous
+        assert np.array_equal(rule.nodes, nodes)
+
+    @pytest.mark.parametrize("name", list(_LAYOUT_MODELS))
+    def test_metric_bits_do_not_depend_on_the_layout(self, name):
+        m, angular = _LAYOUT_MODELS[name]
+        base = _base(m)
+        nodes = build_quadrature(m, base, finest_scale=0.3,
+                                 angular=angular).nodes
+        assert nodes.flags.f_contiguous
+        frame = m.tangent_frame(base)
+        c = m.exp(base, 0.4 * frame[0] + 0.3 * frame[-1])
+        ref = _metric_calls(m, c, nodes)
+        got = _metric_calls(m, c, np.ascontiguousarray(nodes))
+        assert all(_same_bits(a, b) for a, b in zip(got, ref))
+        for i in range(0, len(nodes), len(nodes) // 97):
+            got = _metric_calls(m, c, nodes[i:i + 1])
+            assert all(_same_bits(a, b[i:i + 1]) for a, b in zip(got, ref))
 
 
 # factor angles from 1e-9 up to within 1e-3 of pi

@@ -63,13 +63,19 @@ def _rowsum(a):
     One order at every width and memory layout, so a point's sum has the
     same bits in a coordinate-major rule, in a row-major copy and alone:
     einsum, and np.add.reduce over 8 or more entries, add pairwise along
-    a contiguous axis but in sequence along a strided one.  Over fewer
-    than 8 entries np.add.reduce adds in this order in every layout (a row
-    of -0.0 sums to +0.0), so np.sqrt(_rowsum(a * a)) is then
-    np.linalg.norm; it takes the calls of a few points, where one numpy
-    pass costs less than one per column.
+    a contiguous axis but in sequence along a strided one.  np.add.reduce
+    adds in this order (a row of -0.0 sums to +0.0) over fewer than 8
+    entries in every layout, so np.sqrt(_rowsum(a * a)) is then
+    np.linalg.norm, and at every width when two or more rows are the
+    contiguous axis, as in a coordinate-major integration block and every
+    temporary numpy derives from one.  Both take one numpy call: the calls
+    of a few points, where one pass costs less than one per column, and
+    the blocks, whose workers then give up the GIL once rather than once
+    per column.  Large row-major arrays take the column loop, as a reduce
+    over each contiguous row of 4 to 9 entries is many times slower.
     """
-    if a.shape[-1] < 8 and a.size <= 256:
+    if (a.shape[-1] < 8 and a.size <= 256) \
+            or (a.ndim > 1 and a.shape[0] > 1 and a.strides[0] == a.itemsize):
         return np.add.reduce(a, axis=-1)
     out = a[..., 0] + 0.0
     for j in range(1, a.shape[-1]):
@@ -111,8 +117,9 @@ def _sphere_exp(base, v):
 
 def _along(length, w, nw):
     """``length`` times the unit vector w/|w|; 0 where w vanishes."""
-    small = nw < 1e-300
-    scale = np.where(small, 0.0, length / np.where(small, 1.0, nw))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = np.divide(length, nw, out=np.empty_like(nw))
+    scale[nw < 1e-300] = 0.0
     return scale[..., None] * w
 
 
@@ -130,7 +137,10 @@ def _rcotr(r, c, nw):
     On a sphere cot r = c/|w|, so no cosine or sine is taken, and near 0
     the quotient is accurate to a few ulp, as r ~ |w|/c is.
     """
-    return np.divide(r * c, nw, out=np.ones_like(nw), where=nw > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.divide(r * c, nw, out=np.empty_like(nw))
+    out[nw == 0.0] = 1.0
+    return out
 
 
 def _take_rows(a, rows, out=None):
@@ -390,7 +400,13 @@ class ManifoldModel:
             return d, _along(1.0, g, d)
         num = sum(((k - 1) * _rcotr(r, c, nw) for (r, _, nw, c), (_, k, _)
                    in zip(polars, self._factors)), len(polars) - 1)
-        return d, num / np.where(d < 1e-300, 1.0, d)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            coeff = np.divide(num, d, out=np.empty_like(d))
+        # num / 1 where d is below 1e-300
+        tiny = d < 1e-300
+        coeff[tiny] = num[tiny]
+        # a scalar for one point, as d is
+        return d, coeff[()]
 
     # -- curvature invariants -------------------------------------------------
 
@@ -457,9 +473,15 @@ def _product_weyl_norm_sq(p, q):
 # quadrature
 
 
-# nodes in flight in QuadratureRule.integrate, over all its block workers:
-# a block's (nodes, 8) float temporaries take 2 MiB, so a few stay in cache
-_BLOCK = 32_768
+# nodes in flight in QuadratureRule.integrate, over all its block workers.
+# Each numpy call on a block releases the GIL and takes it back, so the
+# workers queue on it less the fewer and larger their calls are.  Measured
+# on 2 CPUs (BENCH_27.json), the scheduled-bubble step took a median 0.150 s
+# at 32k, 0.122 at 48k, 0.120 at 64k, 0.121 at 96k and 0.137 at 128k: there
+# a worker's (nodes, 8) temporaries, 4 MiB, outgrow its core's 2 MiB L2, and
+# the step takes 10,000 page faults instead of 260.  96k is no faster than
+# 64k and holds 4 MiB more
+_BLOCK = 65_536
 _MAX_WORKERS = 4
 
 
@@ -535,10 +557,11 @@ class QuadratureRule:
     def __post_init__(self):
         nodes = np.asfortranarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        if nodes.ndim != 2 or weights.shape != nodes.shape[:1]:
+        if nodes.ndim != 2 or weights.shape != nodes.shape[:1] \
+                or not len(weights):
             raise GeometryError(
-                f"a rule needs (N, d) nodes and N weights, got nodes of shape "
-                f"{nodes.shape} and weights of shape {weights.shape}")
+                f"a rule needs (N, d) nodes and N weights, N >= 1, got nodes "
+                f"of shape {nodes.shape} and weights of shape {weights.shape}")
         # NaN fails both comparisons
         if not (np.all(weights > 0.0) and np.all(weights < math.inf)):
             raise GeometryError("quadrature weights must be finite and positive")
@@ -554,16 +577,18 @@ class QuadratureRule:
 
         The integrand maps a block of points to values along its last axis,
         one row per integral.  It is evaluated on consecutive blocks of
-        _BLOCK // workers nodes, one block per worker thread at a time (numpy
-        releases the GIL in its loops), so the nodes in flight and their
-        temporaries stay within _BLOCK.  The blocks go to the block workers
-        that also fill large rules (:func:`_map_blocks`); a rule of one
-        block is evaluated inline.  Each block runs in a copy of the
-        caller's context, so np.errstate reaches it.  The blocks' values are
-        concatenated in node order and reduced once over the full node
-        array, as if all nodes were evaluated at once, so the result does
-        not depend on the worker count.  Returns one value per row, a 0-d
-        array for a single integral.
+        _BLOCK // workers nodes (32,768 on 2 CPUs), one block per worker
+        thread at a time (numpy releases the GIL in its loops), so the nodes
+        in flight and their temporaries stay within _BLOCK; the larger the
+        blocks, the fewer numpy calls the workers queue on the GIL for.
+        The blocks go to the block workers that also fill large rules
+        (:func:`_map_blocks`); a rule of one block is evaluated inline.
+        Each block runs in a copy of the caller's context, so np.errstate
+        reaches it.  The blocks' values are concatenated in node order and
+        reduced once over the full node array, as if all nodes were
+        evaluated at once, so the result does not depend on the worker
+        count.  Returns one value per row, a 0-d array for a single
+        integral.
         """
         size = _BLOCK // _worker_count()
         blocks = [self.nodes[i:i + size]

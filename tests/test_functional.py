@@ -1,5 +1,6 @@
 """Energy functional: constants, residuals, splitting."""
 
+import itertools
 import math
 import os
 import signal
@@ -448,12 +449,14 @@ _BLOCK = geometry._BLOCK
 
 
 class TestBlockSampling:
-    """Integrands sampled block by block equal one full-array evaluation.
+    """Integrands sampled block by block equal one full-array evaluation,
+    bit for bit.
 
-    The rules hold one node, exactly _BLOCK nodes (the nodes in flight), one
-    node more, and two and a half times _BLOCK, which no block size
-    divides.  Their nodes are drawn from one coarse S^3 x S^3 rule at the
-    eps = 1e-2 schedule; accuracy is not tested.
+    The rules hold one node, and for 32,768 and for _BLOCK nodes in flight
+    exactly that many, one node more, and two and a half times as many,
+    which no block size divides; each is sampled at both sizes on one and
+    on two block workers.  Their nodes are drawn from one coarse S^3 x S^3
+    rule at the eps = 1e-2 schedule; accuracy is not tested.
     """
 
     EPS = 1e-2
@@ -483,8 +486,9 @@ class TestBlockSampling:
                 split.cross_dirichlet_plus_potential, split.nonlinear_excess,
                 residual_norm(m, h0, cfg, cutoff, rule), ratio]
 
-    @pytest.mark.parametrize("count", [1, _BLOCK, _BLOCK + 1,
-                                       5 * _BLOCK // 2])
+    @pytest.mark.parametrize("count", sorted({
+        size for block in (32_768, _BLOCK)
+        for size in (1, block, block + 1, 5 * block // 2)}))
     def test_blocks_match_one_pass(self, setting, count, monkeypatch):
         m, xi0, full, cfg = setting
         assert full.node_count >= count
@@ -493,12 +497,15 @@ class TestBlockSampling:
         rule = QuadratureRule(nodes=full.nodes[pick],
                               weights=full.weights[pick],
                               finest_scale=full.finest_scale)
-        blocked = self._quantities(m, xi0, rule, cfg)
-        # one block, evaluated inline, at any worker count
+        # one block, evaluated inline
         monkeypatch.setattr(geometry, "_BLOCK", geometry._MAX_WORKERS * count)
         direct = self._quantities(m, xi0, rule, cfg)
-        assert all(math.isfinite(q) for q in blocked)
-        np.testing.assert_allclose(blocked, direct, rtol=1e-15, atol=0.0)
+        assert all(math.isfinite(q) for q in direct)
+        for block, workers in itertools.product((32_768, _BLOCK), (1, 2)):
+            monkeypatch.setattr(geometry, "_BLOCK", block)
+            monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+            np.testing.assert_array_equal(
+                self._quantities(m, xi0, rule, cfg), direct)
 
     def test_integrate_keeps_block_order(self, monkeypatch):
         # a block size that does not divide the node count: 8 = 3 + 3 + 2.

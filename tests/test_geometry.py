@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup_lab import geometry
-from blowup_lab._smoothstep import step_jet
+from blowup_lab._smoothstep import _TINY, plateau_jet, radial_bump, step_jet
 from blowup_lab.bubble import BubbleField, BubbleParams, CutoffSpec, _profile
 from blowup_lab.geometry import (
     CapacityError,
@@ -20,6 +20,7 @@ from blowup_lab.geometry import (
     ManifoldModel,
     QuadratureRule,
     _along,
+    _BLOCK,
     _polar_rule,
     _panel,
     _radial_grid,
@@ -517,7 +518,9 @@ class TestQuadrature:
         (np.zeros((3, 6)), [1.0, -1.0, 1.0]),
         (np.zeros((3, 6)), [1.0, 1.0]),
         (np.zeros(3), [1.0, 1.0, 1.0]),
-    ], ids=["nan", "inf", "zero", "negative", "count-mismatch", "1-D-nodes"])
+        (np.empty((0, 8)), []),
+    ], ids=["nan", "inf", "zero", "negative", "count-mismatch", "1-D-nodes",
+            "zero-nodes"])
     def test_malformed_rule_rejected_at_construction(self, nodes, weights):
         with pytest.raises(GeometryError):
             QuadratureRule(nodes=nodes, weights=np.array(weights),
@@ -831,11 +834,11 @@ def _same_bits(a, b):
                                np.signbit(b) & ~np.isnan(b)))
 
 
-def _rows(width):
+def _rows(width, count=500):
     # magnitudes over 40 decades, and -0.0 often enough that some rows
     # hold nothing else
-    x = RNG.standard_normal((500, width)) \
-        * 10.0 ** RNG.integers(-20, 20, (500, width))
+    x = RNG.standard_normal((count, width)) \
+        * 10.0 ** RNG.integers(-20, 20, (count, width))
     x[RNG.random(x.shape) < 0.4] = -0.0
     x[RNG.random(x.shape) < 0.05] = 0.0
     return x
@@ -851,7 +854,8 @@ def _in_column_order(a):
 
 class TestPerNodeKernels:
     """The per-node kernels add in one fixed order, which on rows of fewer
-    than 8 entries is that of the numpy calls they replace.
+    than 8 entries, and on coordinate-major blocks at every width, is that
+    of one np.add.reduce call.
 
     Every CSV digit rests on these: a numpy release that sums short rows
     in another order fails here, not silently in the outputs.
@@ -875,6 +879,20 @@ class TestPerNodeKernels:
                 assert _same_bits(_rowsum(a), np.add.reduce(a, axis=-1))
                 assert _same_bits(np.sqrt(_rowsum(a * a)),
                                   np.linalg.norm(a, axis=-1))
+        # integration blocks: row slices of coordinate-major nodes, and the
+        # temporaries derived from them, which take one np.add.reduce
+        nodes = np.asfortranarray(_rows(width, _BLOCK + 4_000))
+        nodes[_BLOCK // 2 + 3] = -0.0
+        for i, n in [(0, _BLOCK // 2), (_BLOCK // 2, _BLOCK // 2),
+                     (_BLOCK // 2 - 5, 32_768), (_BLOCK + 1_000, 3_000),
+                     (7, 2), (5, 1), (0, _BLOCK + 4_000), (11, 257)]:
+            block = nodes[i:i + n]
+            assert block.strides[0] == block.itemsize
+            for a in (block, block * block):
+                assert _same_bits(_rowsum(a), _in_column_order(a))
+                if n > 1:
+                    assert _same_bits(_rowsum(a), np.add.reduce(a, axis=-1))
+        assert _same_bits(_rowsum(nodes)[_BLOCK // 2 + 3], 0.0)
 
     def test_rowsum_of_negative_zeros_is_positive_zero(self):
         a = np.full((3, 4), -0.0)
@@ -899,6 +917,161 @@ class TestPerNodeKernels:
             [_along(-r, w, nw) for r, w, nw, _ in polars], axis=-1), d)
         assert np.array_equal(g, general)
         assert _same_bits(g, general)
+
+
+# The masked formulas that step_jet, radial_bump, _along, _rcotr and the
+# Laplacian coefficient had before they took index arrays and plain
+# divisions, kept as references: the rewrites change no bit.
+
+
+def _masked_step_jet(t, order=0):
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    with np.errstate(over="ignore", under="ignore"):
+        u = np.exp(-1.0 / ti)
+        v = np.exp(-1.0 / (1.0 - ti))
+    P = u + v
+    s = np.heaviside(t - 1.0, 1.0, out=np.empty_like(t))
+    s[inside] = u / P
+    if order == 0:
+        return (s,)
+    it = np.divide(1.0, ti, out=np.zeros_like(ti), where=u > 0.0)
+    is_ = np.divide(1.0, 1.0 - ti, out=np.zeros_like(ti), where=v > 0.0)
+    u1 = u * it**2
+    v1 = -v * is_**2
+    P1 = u1 + v1
+    d1 = np.zeros_like(t)
+    d1[inside] = (u1 * P - u * P1) / P**2
+    if order == 1:
+        return s, d1
+    u2 = u * (it**4 - 2.0 * it**3)
+    v2 = v * (is_**4 - 2.0 * is_**3)
+    d2 = np.zeros_like(t)
+    d2[inside] = ((u2 * P - u * (u2 + v2)) / P**2
+                  - 2.0 * P1 * (u1 * P - u * P1) / P**3)
+    return s, d1, d2
+
+
+def _masked_radial_bump(s):
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    if np.any(inside):
+        si = s[inside]
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - si**2))
+    return out
+
+
+def _masked_along(length, w, nw):
+    small = nw < 1e-300
+    scale = np.where(small, 0.0, length / np.where(small, 1.0, nw))
+    return scale[..., None] * w
+
+
+def _masked_rcotr(r, c, nw):
+    return np.divide(r * c, nw, out=np.ones_like(nw), where=nw > 0.0)
+
+
+def _masked_distance_jet(m, center, pts, order):
+    d, polars = m._polars(np.asarray(pts, dtype=float),
+                          np.asarray(center, dtype=float))
+    if order == 0:
+        return d, None
+    if order == 1 and not m.is_compact:
+        return d, _masked_along(-1.0, polars[0][1], d)
+    if order == 1:
+        g = np.concatenate([_masked_along(-r, w, nw) for r, w, nw, _ in polars],
+                           axis=-1)
+        return d, _masked_along(1.0, g, d)
+    num = sum(((k - 1) * _masked_rcotr(r, c, nw) for (r, _, nw, c), (_, k, _)
+               in zip(polars, m._factors)), len(polars) - 1)
+    return d, num / np.where(d < 1e-300, 1.0, d)
+
+
+def _same_values(got, want):
+    """:func:`_same_bits` on each of two tuples of results, which must also
+    have the same types (a scalar for one point stays a scalar)."""
+    return len(got) == len(want) and all(
+        type(g) is type(w) and _same_bits(g, w) for g, w in zip(got, want))
+
+
+# a dense grid over the step's band and past its ends, both ends of the
+# band down to where exp(-1/t) underflows, and its special values, with
+# subnormals on either side of the smallest normal float
+_STEP_ARGS = np.concatenate([
+    np.linspace(-0.1, 1.1, 120_001),
+    np.geomspace(1e-300, 0.1, 3_000),
+    1.0 - np.geomspace(1e-16, 0.1, 3_000),
+    [0.0, -0.0, 5e-324, 1e-310, np.nextafter(_TINY, 0.0), _TINY, 1e-300,
+     np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), np.nan, np.inf,
+     -np.inf]])
+
+
+class TestKernelsKeepTheirBits:
+    """The cutoff step, the bump and the metric kernels against the masked
+    formulas above, bit for bit, with divide-by-zero, overflow and invalid
+    operations raising.  The step's u / (u + v) underflows to a subnormal
+    near the ends of its band in both, as numpy's default allows, so the
+    step is checked with underflow ignored."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_step_and_plateau(self, order):
+        r0 = math.pi / 4.0
+        with warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            assert _same_values(step_jet(_STEP_ARGS, order),
+                                _masked_step_jet(_STEP_ARGS, order))
+            for t in (0.3, -0.0, np.nan, 2.0, np.array(5e-324)):
+                assert _same_values(step_jet(t, order),
+                                    _masked_step_jet(t, order))
+            # plateau_jet is step_jet(2 (r0 - r) / r0) and its scaled
+            # derivatives
+            r = r0 - 0.5 * r0 * _STEP_ARGS
+            want = _masked_step_jet(2.0 * (r0 - r) / r0, order)
+            want = want[:1] + tuple(sk * c for sk, c in
+                                    zip(want[1:], (-2.0 / r0, 4.0 / r0**2)))
+            assert _same_values(plateau_jet(r, r0, order), want)
+
+    def test_radial_bump(self):
+        s = np.concatenate([np.linspace(-1.1, 1.1, 50_001), np.geomspace(
+            1e-300, 1.0, 1_000), [-0.0, np.nextafter(1.0, 0.0), -1.0,
+                                  np.nan, np.inf, -np.inf]])
+        with warnings.catch_warnings(), \
+                np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            assert _same_bits(radial_bump(s), _masked_radial_bump(s))
+            for x in (0.3, -0.0, 1.0, np.array(0.99)):
+                assert _same_bits(radial_bump(x), _masked_radial_bump(x))
+
+    @pytest.mark.parametrize("model", [
+        _pp(), ManifoldModel.product_spheres(3, 4),
+        ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(7, 2.0)],
+        ids=["S3xS3", "S3xS4", "S6", "B7"])
+    def test_distance_jet(self, model):
+        rng = np.random.default_rng(11)
+        c = model.random_point(rng)
+        # each factor at the centre or at its antipode (the reflection of
+        # the centre on the ball), then points near the centre and far
+        pts = [np.concatenate([s * part for s, part in zip(signs,
+                                                             model.split(c))])
+               for signs in itertools.product(
+                   (1.0, -1.0), repeat=len(model._factors))]
+        frame = model.tangent_frame(c)
+        pts += [model.exp(c, h * frame[i % len(frame)])
+                for i, h in enumerate(np.geomspace(1e-12, 1.0, 12))]
+        pts += [model.random_point(rng) for _ in range(50)]
+        pts = np.array(pts)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for order in (0, 1, 2):
+                for x in (pts, np.asfortranarray(pts), *pts[:6]):
+                    got = model._distance_jet(c, x, order)
+                    want = _masked_distance_jet(model, c, x, order)
+                    assert _same_values(got[:1], want[:1])
+                    if order:
+                        assert _same_values(got[1:], want[1:])
 
 
 # a small rule per model: minimal direction rules, two split angles per

@@ -43,8 +43,8 @@ def order_fit(xs, ys, log_correction=0.0):
 
     With ``log_correction`` = b, fits |y| / (ln 1/x)^b ~ C x^s instead; this
     separates a pure power from a power carrying a logarithm.  Requires at
-    least 4 samples spanning at least one decade in x, all with x in (0, 1)
-    and y nonzero.
+    least 4 finite samples spanning at least one decade in x, all with x
+    in (0, 1) and y nonzero.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -52,6 +52,10 @@ def order_fit(xs, ys, log_correction=0.0):
         raise ValueError("xs and ys must be equal-length 1-d arrays")
     if len(xs) < 4:
         raise ValueError("need at least 4 samples for an order fit")
+    # a NaN fails every comparison below, and LAPACK prints to stderr on
+    # a NaN or inf, then fails or returns a NaN fit
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("xs and ys must be finite")
     if np.any(xs <= 0.0) or np.any(xs >= 1.0):
         raise ValueError("xs must lie in (0, 1)")
     if np.any(ys == 0.0):
@@ -88,17 +92,18 @@ class PeakReport:
 _FITS = 6           # profile fits per candidate at most
 
 
-def _fit_peak(model, f, c, s, cap):
+def _fit_peak(model, f, c, s, cap, frame):
     """Fit a standard bubble to f around the point c by inverting its profile.
 
     A bubble of scale delta centred at z* in normal coordinates z at c has
     f^(-2/(n-2)) = (delta^2 + |z - z*|^2) / (sqrt(n(n-2)) delta), exactly
-    on flat space.  One field call samples f at c and at +-s on each
-    tangent axis (2n + 1 points); the least-squares fit of a|z|^2 + b.z + g
-    to those samples decouples into g = sample at c, b_i = the central
-    difference on axis i and a = the mean second difference.  Then
-    z* = -b/2a and delta = 1/(sqrt(n(n-2)) a).  The point moves to
-    exp_c(z*) and the fit repeats with s = delta, which removes the
+    on flat space.  One field call samples f at c and at +-s on each row
+    of ``frame``, an orthonormal tangent frame at c (2n + 1 points); the
+    least-squares fit of a|z|^2 + b.z + g to those samples decouples into
+    g = sample at c, b_i = the central difference on axis i and a = the
+    mean second difference.  Then z* = -b/2a and delta = 1/(sqrt(n(n-2)) a).
+    The point moves to exp_c(z*), the frame moves with it by parallel
+    transport, and the fit repeats with s = delta, which removes the
     curvature error, until |z*| < 1e-10 s or after _FITS fits.
 
     Returns (point, delta, height), the height being f at the last
@@ -107,10 +112,11 @@ def _fit_peak(model, f, c, s, cap):
     """
     n = model.n
     kappa = math.sqrt(n * (n - 2.0))
-    axes = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
     for _ in range(_FITS):
-        frame = model.tangent_frame(c)
-        vals = np.asarray(f(model.exp(c, (s * axes) @ frame)), dtype=float)
+        # c, then c +- s along each frame row
+        stencil = np.concatenate([np.zeros((1, frame.shape[1])), frame,
+                                  -frame])
+        vals = np.asarray(f(model.exp(c, s * stencil)), dtype=float)
         if not np.all(vals > 0.0):
             return None
         w = vals ** (-2.0 / (n - 2.0))
@@ -121,9 +127,10 @@ def _fit_peak(model, f, c, s, cap):
             return None
         z = -b / (2.0 * a)
         delta = float(1.0 / (kappa * a))
-        c = model.exp(c, z @ frame)
+        step = z @ frame
         if np.linalg.norm(z) < 1e-10 * s:
-            break
+            return model.exp(c, step), delta, float(vals[0])
+        c, frame = model.exp(c, step), model._transport(c, step, frame)
         s = delta
     return c, delta, float(vals[0])
 
@@ -153,6 +160,11 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
     at 0.15 min(inj, pi).  Each fit is one field call of 2n + 1 points and
     a peak takes about three; with one grid call in all, criterion 11's
     fields with k = 1, 2, 3 peaks cost 4-5, 7 and 10 field calls.
+
+    One tangent frame is factorised per call, xi0's.  A candidate's
+    stencil frame is that frame parallel transported to its grid point
+    along the grid point's own tangent vector, and every fit transports
+    it on with the centre.
     """
     n = model.n
     cap = 0.9 * min(model.injectivity_radius, math.pi) / 6.0
@@ -160,7 +172,9 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
     if search_grid.ndim != 2 or search_grid.shape[1] != n:
         raise ValueError(f"search_grid must have shape (N, {n}), "
                          f"got {search_grid.shape}")
-    grid = model.exp(xi0, search_grid @ model.tangent_frame(xi0))
+    frame = model.tangent_frame(xi0)
+    tangents = search_grid @ frame
+    grid = model.exp(xi0, tangents)
     kappa = math.sqrt(n * (n - 2.0))
     m = (n - 2.0) / 2.0
     centers, scales, heights = [], [], []
@@ -183,7 +197,8 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
         peak = None
         if v > 0.0:
             peak = _fit_peak(model, remaining, grid[j],
-                             min(kappa * v ** (-1.0 / m), cap), cap)
+                             min(kappa * v ** (-1.0 / m), cap), cap,
+                             model._transport(xi0, tangents[j], frame))
         if peak is None:
             if not centers:
                 return PeakReport((), (), (), v, failed=True,

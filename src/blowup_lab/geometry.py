@@ -306,6 +306,29 @@ class ManifoldModel:
              else base[..., sl] + v[..., sl]
              for sl, _, sphere in self._factors], axis=-1)
 
+    def _transport(self, base, v, frame):
+        """The rows of ``frame``, tangent at the point ``base``, parallel
+        transported along t -> exp_base(t v) to t = 1, where they are
+        tangent at exp_base(v).
+
+        On a sphere factor with theta = |v_f| > 0 and u = v_f/theta, the
+        u-component of each row turns into cos(theta) u - sin(theta) base_f,
+        the geodesic's unit velocity, and the part orthogonal to u and
+        base_f stays: E_f += (E_f u) (x) ((cos theta - 1) u - sin theta
+        base_f).  A ball factor, and a sphere factor with v_f = 0, keep
+        their rows bit for bit.  One point: base and v of shape (d,).
+        """
+        out = np.array(frame, dtype=float)
+        for sl, _, sphere in self._factors:
+            theta = math.sqrt(v[sl] @ v[sl]) if sphere else 0.0
+            if theta < 1e-300:
+                continue
+            u = v[sl] / theta
+            e = out[:, sl]
+            e += (e @ u)[:, None] * ((math.cos(theta) - 1.0) * u
+                                     - math.sin(theta) * base[sl])
+        return out
+
     def log(self, base, target):
         v, d = self._log_and_distance(base, target)
         if np.any(d >= self.injectivity_radius):

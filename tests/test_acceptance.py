@@ -215,35 +215,13 @@ def test_criterion_10_reduced_energy_limit():
             f"along eps {cols['eps'][0]:g} -> {cols['eps'][-1]:g}")
 
 
-def test_criterion_11_peak_extraction_suite():
+def test_criterion_11_peak_extraction_suite(criterion_11_cases):
     # Randomized synthetic fields: extract_peaks recovers every bubble with
     # center error < 0.1 delta and scale error < 1%, 100 cases out of 100.
-    model = ManifoldModel.product_spheres(3, 3)
-    xi0 = np.zeros(8)
-    xi0[0] = 1.0
-    xi0[4] = 1.0
-    frame = model.tangent_frame(xi0)
-    rng = np.random.default_rng(2026)
+    model, xi0, cases = criterion_11_cases
     failures = []
-    for case in range(100):
-        k = 1 + case % 3
-        ys = []
-        while len(ys) < k:
-            y = rng.uniform(-0.6, 0.6, size=6)
-            if all(np.linalg.norm(y - q) > 0.2 for q in ys):
-                ys.append(y)
-        deltas = rng.uniform(3e-3, 1e-2, size=k)
-        centers = [model.exp(xi0, y @ frame) for y in ys]
-        cfg = Configuration(bubbles=tuple(
-            BubbleParams(d, c) for d, c in zip(deltas, centers)), K=10.0)
-        u = multi_bubble_field(model, cfg, CutoffSpec.for_model(model))
-        # stand-in for a solver mesh: coarse background plus one sample
-        # refined to within ~delta of each concentration point
-        grid = list(rng.uniform(-0.8, 0.8, size=(50, 6)))
-        for y, d in zip(ys, deltas):
-            grid.append(y + rng.uniform(-1.5, 1.5, size=6) * d)
-        rep = extract_peaks(model, u, xi0, k_max=k + 2,
-                            search_grid=np.array(grid))
+    for case, (k, cfg, u, grid) in enumerate(cases):
+        rep = extract_peaks(model, u, xi0, k_max=k + 2, search_grid=grid)
         good = (not rep.failed) and rep.k == k
         if good:
             used = [False] * k

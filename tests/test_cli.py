@@ -234,6 +234,17 @@ class TestConfigErrors:
         if code == 2:
             assert not outdir.exists()
 
+    def test_non_finite_fit_samples_exit_4(self, tmp_path, capfd,
+                                           monkeypatch):
+        # a NaN residual norm reaches order_fit, which refuses it before
+        # LAPACK sees it: a domain failure, and nothing else on stderr
+        monkeypatch.setattr(cli, "build_quadrature", lambda *a, **kw: None)
+        monkeypatch.setattr(cli, "residual_norm", lambda *a: float("nan"))
+        cfg = _write(tmp_path, {"experiment": "residual-sweep"})
+        assert run(cfg, out=str(tmp_path / "o"), quiet=True) == 4
+        assert capfd.readouterr().err == (
+            "error: numerical or domain failure: xs and ys must be finite\n")
+
 
 class TestArtifacts:
     def test_schedule_table_outputs(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup_lab import diagnostics, geometry
 from blowup_lab.bubble import (
     BubbleParams,
     Configuration,
@@ -12,6 +13,7 @@ from blowup_lab.bubble import (
     multi_bubble_field,
 )
 from blowup_lab.diagnostics import (
+    _FITS,
     extract_peaks,
     isolation_ratios,
     order_fit,
@@ -59,6 +61,17 @@ class TestOrderFit:
             order_fit(xs, np.zeros(6))  # zero values
         with pytest.raises(ValueError):
             order_fit(np.linspace(0.5, 5.0, 6), np.ones(6))  # x outside (0,1)
+
+    @pytest.mark.parametrize("bad", ["xs", "ys"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_refused(self, capfd, bad, value):
+        # a NaN x passes every range check, and LAPACK prints to stderr on
+        # a NaN or inf sample
+        samples = {"xs": np.geomspace(1e-3, 1e-1, 6), "ys": np.ones(6)}
+        samples[bad][2] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            order_fit(**samples)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestIsolation:
@@ -205,3 +218,73 @@ class TestExtractPeaks:
         for c, s in zip(rep.centers, rep.scales):
             rest = rest - (kappa * s / (s**2 + m.distance(pts, c)**2)) ** power
         assert rep.residual_sup == max(float(np.max(rest)), 0.0)
+
+
+def _qr_fit_peak(model, f, c, s, cap):
+    """The profile fit with a QR-factorised tangent frame at every centre:
+    the reference that the transported frames of
+    :func:`blowup_lab.diagnostics._fit_peak` are checked against."""
+    n = model.n
+    kappa = math.sqrt(n * (n - 2.0))
+    axes = np.vstack([np.zeros(n), np.eye(n), -np.eye(n)])
+    for _ in range(_FITS):
+        frame = model.tangent_frame(c)
+        vals = np.asarray(f(model.exp(c, (s * axes) @ frame)), dtype=float)
+        if not np.all(vals > 0.0):
+            return None
+        w = vals ** (-2.0 / (n - 2.0))
+        a = (np.mean(w[1:]) - w[0]) / s**2
+        b = (w[1:n + 1] - w[n + 1:]) / (2.0 * s)
+        if not (kappa * a * cap > 1.0 and np.linalg.norm(b) < 2.0 * a * cap):
+            return None
+        z = -b / (2.0 * a)
+        delta = float(1.0 / (kappa * a))
+        c = model.exp(c, z @ frame)
+        if np.linalg.norm(z) < 1e-10 * s:
+            break
+        s = delta
+    return c, delta, float(vals[0])
+
+
+class TestTransportedFrames:
+    """Each fit carries its stencil frame along by parallel transport;
+    the one frame an extraction factorises is xi0's."""
+
+    def test_one_frame_factorised_per_extraction(self, criterion_11_cases,
+                                                 monkeypatch):
+        model, xi0, cases = criterion_11_cases
+        spheres = sum(sphere for _, _, sphere in model._factors)
+        calls = []
+        qr = geometry._orthonormal_complement
+
+        def counted(u):
+            calls.append(u)
+            return qr(u)
+
+        monkeypatch.setattr(geometry, "_orthonormal_complement", counted)
+        for k, _, u, grid in cases[:6]:
+            calls.clear()
+            rep = extract_peaks(model, u, xi0, k_max=k + 2, search_grid=grid)
+            assert rep.k == k
+            assert len(calls) == spheres
+
+    def test_criterion_11_matches_a_frame_per_fit(self, criterion_11_cases,
+                                                  monkeypatch):
+        model, xi0, cases = criterion_11_cases
+
+        def reports():
+            return [extract_peaks(model, u, xi0, k_max=k + 2,
+                                  search_grid=grid)
+                    for k, _, u, grid in cases]
+
+        got = reports()
+        monkeypatch.setattr(diagnostics, "_fit_peak",
+                            lambda model, f, c, s, cap, frame:
+                            _qr_fit_peak(model, f, c, s, cap))
+        want = reports()
+        for g, w in zip(got, want):
+            assert (g.k, g.failed) == (w.k, w.failed)
+            for cg, cw, sg, sw in zip(g.centers, w.centers, g.scales,
+                                      w.scales):
+                assert model.distance(cg, cw) < 1e-10 * sw
+                assert abs(sg - sw) < 1e-10 * sw

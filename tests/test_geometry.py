@@ -148,6 +148,78 @@ class TestDistance:
             assert fd == pytest.approx(float(g @ v), abs=1e-6)
 
 
+_TRANSPORT_MODELS = pytest.mark.parametrize("model", [
+    _pp(), ManifoldModel.product_spheres(3, 4),
+    ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(7, 2.0)],
+    ids=["S3xS3", "S3xS4", "S6", "B7"])
+
+
+class TestTransport:
+    """ManifoldModel._transport carries a tangent frame along exp_base(t v)
+    by parallel transport, over chains of 20 steps whose factor lengths
+    |v_f| are uniform on [0, 1.5]."""
+
+    @staticmethod
+    def _chain(model, seed):
+        """(base, v, frame) of each step, and the transported frame."""
+        rng = np.random.default_rng(seed)
+        x = model.random_point(rng)
+        frame = model.tangent_frame(x)
+        for _ in range(20):
+            v = rng.standard_normal(model.n) @ frame
+            for sl, _, _ in model._factors:
+                v[sl] *= rng.uniform(0.0, 1.5) / np.linalg.norm(v[sl])
+            moved = model._transport(x, v, frame)
+            yield x, v, frame, moved
+            x, frame = model.exp(x, v), moved
+
+    @_TRANSPORT_MODELS
+    def test_rows_stay_orthonormal_and_tangent(self, model):
+        for x, v, _, moved in self._chain(model, 1):
+            y = model.exp(x, v)
+            assert np.max(np.abs(moved @ moved.T - np.eye(model.n))) <= 1e-13
+            for sl, _, sphere in model._factors:
+                if sphere:
+                    assert np.max(np.abs(moved[:, sl] @ y[sl])) <= 1e-13
+
+    @_TRANSPORT_MODELS
+    def test_direction_of_travel_maps_to_the_velocity(self, model):
+        # the unit vector u along v_f, written in the frame, is carried to
+        # the geodesic's unit velocity cos(theta) u - sin(theta) base_f
+        for x, v, frame, moved in self._chain(model, 2):
+            for sl, _, sphere in model._factors:
+                theta = np.linalg.norm(v[sl])
+                u = np.zeros_like(v)
+                u[sl] = v[sl] / theta
+                want = np.zeros_like(v)
+                want[sl] = (math.cos(theta) * u[sl] - math.sin(theta) * x[sl]
+                            if sphere else u[sl])
+                np.testing.assert_allclose((frame @ u) @ moved, want,
+                                           rtol=0.0, atol=1e-14)
+
+    @_TRANSPORT_MODELS
+    def test_transport_back_returns_the_frame(self, model):
+        # back from exp_x(v) along the transported -v, to x
+        for x, v, frame, moved in self._chain(model, 3):
+            back = -(frame @ v) @ moved
+            np.testing.assert_allclose(model.exp(model.exp(x, v), back), x,
+                                       rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(
+                model._transport(model.exp(x, v), back, moved), frame,
+                rtol=0.0, atol=1e-14)
+
+    @_TRANSPORT_MODELS
+    def test_unmoved_factors_keep_their_bits(self, model):
+        for x, v, frame, moved in self._chain(model, 4):
+            if not model.is_compact:
+                assert _same_bits(moved, frame)
+            for sl, _, _ in model._factors:
+                still = v.copy()
+                still[sl] = 0.0
+                assert _same_bits(model._transport(x, still, frame)[:, sl],
+                                  frame[:, sl])
+
+
 _EPS = np.finfo(float).eps
 _MAX_ANGLE = 0.999 * math.pi
 # fixed example sequence, so a failure reproduces on every run

@@ -172,6 +172,12 @@ def extract_peaks(model, u, xi0, search_grid, k_max=8):
     if search_grid.ndim != 2 or search_grid.shape[1] != n:
         raise ValueError(f"search_grid must have shape (N, {n}), "
                          f"got {search_grid.shape}")
+    # an empty grid has no maximum, and a NaN row would read as a field
+    # with no peak rather than as bad input
+    if not len(search_grid):
+        raise ValueError("search_grid has no rows")
+    if not np.all(np.isfinite(search_grid)):
+        raise ValueError("search_grid must be finite")
     frame = model.tangent_frame(xi0)
     tangents = search_grid @ frame
     grid = model.exp(xi0, tangents)

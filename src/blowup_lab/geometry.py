@@ -17,10 +17,12 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import itertools
 import math
 import os
+import platform
 import threading
 from dataclasses import dataclass
 
@@ -500,10 +502,12 @@ def _product_weyl_norm_sq(p, q):
 # Each numpy call on a block releases the GIL and takes it back, so the
 # workers queue on it less the fewer and larger their calls are.  Measured
 # on 2 CPUs (BENCH_27.json), the scheduled-bubble step took a median 0.150 s
-# at 32k, 0.122 at 48k, 0.120 at 64k, 0.121 at 96k and 0.137 at 128k: there
-# a worker's (nodes, 8) temporaries, 4 MiB, outgrow its core's 2 MiB L2, and
-# the step takes 10,000 page faults instead of 260.  96k is no faster than
-# 64k and holds 4 MiB more
+# at 32k, 0.122 at 48k, 0.120 at 64k, 0.121 at 96k and 0.137 at 128k, where
+# it took 5,000-10,000 page faults instead of about 500, as glibc handed a
+# worker's 4 MiB (nodes, 8) temporaries back to the kernel after each use.
+# With the thresholds of _pin_malloc_thresholds those faults are gone and
+# 128k is as fast as 64k (BENCH_29.json), so 64k, with half the
+# temporaries, stays
 _BLOCK = 65_536
 _MAX_WORKERS = 4
 
@@ -542,6 +546,37 @@ def _block_pool(workers):
 # a forked child holds none of the parent's worker threads, so it starts
 # workers of its own rather than wait on a pool that nothing serves
 os.register_at_fork(after_in_child=_block_pool.cache_clear)
+
+
+def _pin_malloc_thresholds():
+    """Start glibc's mmap and trim thresholds where its own rule ends.
+
+    glibc serves blocks over its mmap threshold by mmap and hands freed
+    memory over its trim threshold at the top of the heap back to the
+    kernel.  Both start at 128 KiB and rise only when a freed block was
+    mmapped, to its size (at most 32 MiB on 64 bits) and twice that.  A
+    rule's (N, 7) arrays of 0.5 MB never raise them, so every integral
+    returned its few MB of temporaries and the next faulted them back in:
+    a two-bubble operation took a median 730 minor page faults (330 in the
+    rule build, 410 in energy_split), and takes none at 32 and 64 MiB.
+    Larger arrays stay mmapped.  The price is freed memory held for reuse:
+    configs/reduced_limit_k2.json peaks at 152 MiB RSS instead of 127.
+    Overrides any MALLOC_*_THRESHOLD_ set in the environment; does nothing
+    on another C library.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    ceiling = (4 << 20) * ctypes.sizeof(ctypes.c_long)
+    mallopt(-3, ceiling)      # M_MMAP_THRESHOLD
+    mallopt(-1, 2 * ceiling)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 def _map_blocks(fn, items, pooled):

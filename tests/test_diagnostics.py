@@ -170,6 +170,24 @@ class TestExtractPeaks:
         with pytest.raises(ValueError, match="search_grid"):
             extract_peaks(m, lambda pts: np.ones(len(pts)), _base(m), 3)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.empty((0, 6)), "search_grid has no rows"),
+        (np.array([[0.0] * 6, [0.01, math.nan, 0.0, 0.0, 0.0, 0.0]]),
+         "search_grid must be finite"),
+    ], ids=["empty", "nan-row"])
+    def test_bad_search_grid_rejected_before_any_field_call(self, bad,
+                                                           message):
+        m = _pp()
+        calls = []
+
+        def u(pts):
+            calls.append(len(pts))
+            return np.ones(len(pts))
+
+        with pytest.raises(ValueError, match=message):
+            extract_peaks(m, u, _base(m), search_grid=bad)
+        assert calls == []
+
     @staticmethod
     def _two_planted(m, xi0):
         frame = m.tangent_frame(xi0)

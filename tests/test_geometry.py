@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -1315,3 +1319,65 @@ class TestPooledFill:
         assert len(set(fills)) == 1 and threading.main_thread() not in fills
         assert _digest(rule.nodes, rule.weights) \
             == _digest(inline.nodes, inline.weights)
+
+
+_REFAULT_SCRIPT = """
+import resource
+import numpy as np
+from blowup_lab import bubble, functional, geometry
+
+n, delta = 6, 1e-3
+model = geometry.ManifoldModel.flat_ball(n, 100.0)
+axis = np.random.default_rng(5).standard_normal(n)
+axis /= np.linalg.norm(axis)
+sep = float(np.geomspace(0.02, 0.2, 6)[3])
+centres = [-0.5 * sep * axis, 0.5 * sep * axis]
+cfg = bubble.Configuration(
+    bubbles=tuple(bubble.BubbleParams(delta, c) for c in centres))
+rule = geometry.build_multicenter_quadrature(model, centres,
+                                             finest_scale=delta)
+splits, faults = [], []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    splits.append(functional.energy_split(
+        model, functional.PotentialField.constant(model, 0.0), cfg,
+        bubble.CutoffSpec.none(), rule))
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults.append(after - before)
+print(rule.node_count, faults[-1], splits[0] == splits[1] == splits[2])
+"""
+
+
+class TestMallocThresholds:
+    """geometry pins glibc's mmap and trim thresholds once, at import."""
+
+    def test_other_c_libraries_are_left_alone(self, monkeypatch):
+        def no_dlopen(name):
+            raise AssertionError("dlopen on a C library other than glibc")
+        monkeypatch.setattr(geometry.platform, "libc_ver",
+                            lambda: ("musl", "1.2"))
+        monkeypatch.setattr(geometry.ctypes, "CDLL", no_dlopen)
+        geometry._pin_malloc_thresholds()
+
+    def test_glibc_without_mallopt_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(geometry.platform, "libc_ver",
+                            lambda: ("glibc", "2.36"))
+        monkeypatch.setattr(geometry.ctypes, "CDLL", lambda name: object())
+        geometry._pin_malloc_thresholds()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the thresholds are set on glibc only")
+    def test_repeated_integrals_do_not_refault_their_temporaries(self):
+        # criterion 5's n = 6 two-bubble rule at separation 0.0632, in a
+        # fresh interpreter, as earlier tests may have raised glibc's own
+        # thresholds.  At 128 KiB thresholds the third energy_split takes
+        # hundreds of minor faults, as glibc hands its freed temporaries
+        # back to the kernel after every integral
+        src = os.path.dirname(os.path.dirname(geometry.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _REFAULT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        nodes, faults, same = out.stdout.split()
+        assert int(nodes) > 10_000
+        assert int(faults) <= 50
+        assert same == "True"

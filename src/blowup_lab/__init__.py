@@ -22,7 +22,7 @@ from .functional import (EnergyBreakdown, PotentialField, conformal_coupling,
                          residual_norm, single_bubble_energy_constant)
 from .reduced import (BumpFunction, DegenerateError, F_n_critical, F_n_eval,
                       ReducedEnergyParams, ScheduleParams, audit_bumps,
-                      build_H, delta_eps, h_eps_field, mu_eps,
+                      build_H, delta_eps, h_eps_perturbation, mu_eps,
                       reduced_constants, reduced_limit_ratio,
                       schedule_configuration)
 from .diagnostics import (IsolationReport, PeakReport, SlopeFit,

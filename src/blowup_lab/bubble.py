@@ -38,10 +38,14 @@ class CutoffSpec:
 
     r0: float
 
+    def __post_init__(self):
+        if not self.r0 > 0.0:  # NaN fails too; inf is no cutoff
+            raise ValueError("cutoff radius must be positive")
+
     @classmethod
     def for_model(cls, model):
-        """Default cutoff at a quarter of the injectivity radius."""
-        return cls(r0=0.25 * model.injectivity_radius)
+        """The default cutoff, at :attr:`ManifoldModel.cutoff_radius`."""
+        return cls(r0=model.cutoff_radius)
 
     def jet(self, r, order=0):
         """Cutoff value at distances ``r`` and its first ``order`` radial
@@ -65,8 +69,8 @@ class BubbleParams:
     center: np.ndarray
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("bubble scale must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("bubble scale must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,9 @@ class Configuration:
     def __post_init__(self):
         if len(self.bubbles) < 1:
             raise ValueError("need at least one bubble")
-        if self.alpha <= 1:
+        if not self.alpha > 1:  # so that a NaN fails too
             raise ValueError("alpha must exceed 1")
-        if self.K <= 0 or self.delta_bar <= 0:
+        if not (self.K > 0 and self.delta_bar > 0):
             raise ValueError("K and delta_bar must be positive")
         object.__setattr__(self, "bubbles", tuple(self.bubbles))
 

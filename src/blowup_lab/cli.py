@@ -140,8 +140,9 @@ def _seed(value, name, done):
 
 
 def _plateau(value, name, done):
-    """Reader of residual-sweep's ``r0``: compact models fix it at inj/4; a
-    flat ball's, 1.0 by default, must lie inside the ball."""
+    """Reader of residual-sweep's ``r0``: compact models fix it at the
+    default cutoff radius; a flat ball's, 1.0 by default, must lie inside
+    the ball."""
     if done["model"].is_compact:
         if value is not None:
             raise ConfigError(f"{name} is accepted only on a flat ball")
@@ -380,7 +381,7 @@ def _exp_bump_audit(cfg):
         rep = audit_bumps(Hb)
         good = rep["passed"]
         ok = ok and good
-        rows.append((k, Hb.sigma, Hb.r_tilde, rep["n_maxima_found"],
+        rows.append((k, Hb.sigma, Hb.sigma, rep["n_maxima_found"],
                      int(rep["far_value_ok"]), int(rep["peak_values_ok"]),
                      int(rep["unique_local_max_ok"]),
                      int(rep["separation_ok"])))

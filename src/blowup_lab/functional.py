@@ -51,15 +51,16 @@ def conformal_coupling(n):
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Potential h = base + perturbation, evaluable on point batches.
+    """Constant potential h = base, evaluable on point batches.
 
-    ``base`` is a float, the constant part; the optional perturbation is a
-    callable on point batches.
+    Every integral takes any callable on point batches as h; this is the
+    constant one.  A perturbed potential enters only through its
+    difference from a constant, integrated in closed form (see
+    :func:`blowup_lab.reduced.h_eps_perturbation`).
     """
 
     model: object
     base: float
-    perturbation: object = None
 
     @classmethod
     def conformal_scalar(cls, model):
@@ -73,15 +74,10 @@ class PotentialField:
 
     def shifted(self, sigma):
         """Same potential with a constant added."""
-        return PotentialField(model=self.model, base=self.base + sigma,
-                              perturbation=self.perturbation)
+        return PotentialField(model=self.model, base=self.base + sigma)
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        vals = np.full(pts.shape[:-1], float(self.base))
-        if self.perturbation is not None:
-            vals = vals + self.perturbation(pts)
-        return vals
+        return np.full(np.shape(pts)[:-1], float(self.base))
 
 
 def _positive_power(vals, twostar):

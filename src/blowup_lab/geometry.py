@@ -233,8 +233,8 @@ class ManifoldModel:
     def flat_ball(cls, n, radius):
         if n < 3:
             raise GeometryError("dimension must be >= 3")
-        if radius <= 0:
-            raise GeometryError("radius must be positive")
+        if not 0.0 < radius < math.inf:
+            raise GeometryError("radius must be positive and finite")
         return cls(kind="flat_ball", n=n, radius=float(radius))
 
     # -- basic descriptors --------------------------------------------------
@@ -247,6 +247,11 @@ class ManifoldModel:
     @property
     def injectivity_radius(self):
         return math.pi if self.is_compact else self.radius
+
+    @property
+    def cutoff_radius(self):
+        """The default bubble cutoff's radius r0 = inj/4; see build_quadrature."""
+        return self.injectivity_radius / 4.0
 
     @property
     def is_compact(self):
@@ -269,11 +274,12 @@ class ManifoldModel:
         if x.shape[-1] != self.ambient_dim:
             raise GeometryError(
                 f"point has ambient dimension {x.shape[-1]}, expected {self.ambient_dim}")
+        # written as "not all within", so that a NaN coordinate fails too
         for xi, (_, _, sphere) in zip(self.split(x), self._factors):
             if sphere:
-                if np.any(np.abs(_dot(xi, xi) - 1.0) > tol):
+                if not np.all(np.abs(_dot(xi, xi) - 1.0) <= tol):
                     raise GeometryError("sphere points must have unit norm")
-            elif np.any(_dot(xi, xi) > (self.radius + tol) ** 2):
+            elif not np.all(_dot(xi, xi) <= (self.radius + tol) ** 2):
                 raise GeometryError("point lies outside the ball")
         return x
 
@@ -819,10 +825,10 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
 
     The rule combines a geodesic-polar patch around the center with radial
     nodes graded geometrically (ratio 2 per annulus) from ``finest_scale/10``
-    out to a quarter of the injectivity radius, and coarser Gauss panels
-    over the rest of the model.  On compact models the panels inside the
-    default cutoff's transition band [inj/8, inj/4] are subdivided.  A rule
-    of more than ``budget`` nodes raises CapacityError, naming its size.
+    out to the default cutoff radius r0 (``model.cutoff_radius``), and
+    coarser Gauss panels over the rest of the model.  On compact models the
+    panels inside the cutoff's transition band [r0/2, r0] are subdivided.
+    A rule of more than ``budget`` nodes raises CapacityError, naming its size.
 
     ``angular`` selects the angular resolution.  On products it is a
     profile name ("radial", "biradial") or a dict with keys ``n_psi``,
@@ -916,9 +922,9 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
         dirs.append(loc @ frame)
         wdirs.append(w)
 
-    # graded out to r0 = inj/4; flat balls carry no cutoff, so only compact
-    # models refine the default cutoff's transition band [r0/2, r0]
-    r0 = model.injectivity_radius / 4.0
+    # graded out to the default cutoff radius; flat balls carry no cutoff,
+    # so only compact models refine its transition band [r0/2, r0]
+    r0 = model.cutoff_radius
     transition = (r0 / 2.0, r0) if model.is_compact else None
     if not model.is_compact:
         cdotw = dirs[0] @ center
@@ -983,22 +989,22 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                                  patch_angular=None):
     """Composite rule resolving concentration at several centers at once.
 
-    A smooth partition of unity splits the integral into one piece per
-    centre, each a polar rule about its centre graded down to
-    ``finest_scale`` and turned toward the next centre.  Each other centre
-    has a localizer, 1 within r/2 and 0 beyond r = min(dmin/2, inj/4), and
-    a rule for that ball.  The first centre's piece is a rule for the
-    whole model, weighted by 1 minus the other localizers, whose
-    supports are disjoint: no weight is negative, and only its nodes
-    where another localizer is 1 (weight 0) are dropped.  ``angular`` is
-    the first centre's profile and ``patch_angular`` the other pieces', as
-    in :func:`build_quadrature`, with None meaning "axial" on flat balls
-    and round spheres and "biradial" on products.  On products each piece
-    takes 24 split angles per panel unless a dict gives ``n_psi``: the
-    first piece holds the other centres' bubbles and localizers off its
-    own centre, and on the scheduled k = 2 layout 16 split angles move the
-    reduced-limit ratio by 2.4e-8 relative and 12 by 4.6e-7, where 48
-    moves it by 6.1e-10.  The budget is split evenly over the pieces.
+    A smooth partition of unity splits the integral into one piece per centre,
+    each a polar rule about its centre graded down to ``finest_scale`` and
+    turned toward the next centre.  Each other centre has a localizer, 1
+    within r/2 and 0 beyond r = min(dmin/2, r0), r0 the default cutoff radius,
+    and a rule for that ball.  The first centre's piece is a rule for the
+    whole model, weighted by 1 minus the other localizers, whose supports are
+    disjoint: no weight is negative, and only its nodes where another
+    localizer is 1 (weight 0) are dropped.  ``angular`` is the first centre's
+    profile and ``patch_angular`` the other pieces', as in
+    :func:`build_quadrature`, with None meaning "axial" on flat balls and
+    round spheres and "biradial" on products.  On products each piece takes 24
+    split angles per panel unless a dict gives ``n_psi``: the first piece
+    holds the other centres' bubbles and localizers off its own centre, and on
+    the scheduled k = 2 layout 16 split angles move the reduced-limit ratio by
+    2.4e-8 relative and 12 by 4.6e-7, where 48 moves it by 6.1e-10.  The
+    budget is split evenly over the pieces.
 
     It needs at least two distinct centres; one centre is the job of
     :func:`build_quadrature`.  No piece is radial about its centre, so the
@@ -1032,7 +1038,7 @@ def build_multicenter_quadrature(model, centers, finest_scale,
         if sv[1] > 1e-12 * sv[0]:
             raise GeometryError("a multicentre rule on a flat ball needs its "
                                 "centres on one line through the origin")
-    r_i = min(dmin / 2.0, model.injectivity_radius / 4.0)
+    r_i = min(dmin / 2.0, model.cutoff_radius)
 
     sub_budget = budget // len(centers)
     # unchecked: on a ball the chord, on a sphere zero only at the

@@ -7,8 +7,8 @@ energy
 
 its interior critical points, the scale schedule delta(eps), the bump-width
 schedule mu(eps) with measured smallness margins, the k-bump profile H, the
-perturbed potential field, and the normalized energy ratio whose limit the
-sweep experiments verify.
+rise of the perturbed potential above c_n R_g, and the normalized energy
+ratio whose limit the sweep experiments verify.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from ._smoothstep import radial_bump
 from .bubble import BubbleParams, Configuration, CutoffSpec, multi_bubble_field
 # energy is unused here; perfbench/tracing.py patches reduced.energy by name
-from .functional import (PotentialField, _check_resolution, energy,
+from .functional import (_check_resolution, energy,
                          single_bubble_energy_constant)
 from .geometry import CapacityError, _dot
 
@@ -36,7 +36,7 @@ __all__ = [
     "mu_eps",
     "build_H",
     "audit_bumps",
-    "h_eps_field",
+    "h_eps_perturbation",
     "reduced_limit_ratio",
     "schedule_configuration",
 ]
@@ -66,18 +66,25 @@ class BumpFunction:
     H(x) = -1 + sum_i a_i psi(|x - p_i| / sigma) with psi the standard
     C-infinity mollifier normalized to psi(0) = 1.  Amplitudes a_i > 1, so
     each p_i is a strict local maximum with H(p_i) = a_i - 1 > 0; supports
-    are disjoint, and H is exactly -1 for |x| >= max_i |p_i| + sigma.
+    are disjoint, and H is exactly -1 for |x| >= ``reach``.  ``dim`` is
+    the maxima's, so ``replace(Hb, maxima=...)`` moves H to another space.
     """
 
-    dim: int
     maxima: np.ndarray      # (k, dim)
     amplitudes: np.ndarray  # (k,)
     sigma: float
-    r_tilde: float
+
+    @property
+    def dim(self):
+        return self.maxima.shape[-1]
 
     @property
     def k(self):
         return len(self.amplitudes)
+
+    @property
+    def reach(self):  # max_i |p_i| + sigma, beyond which H is exactly -1
+        return float(np.max(np.linalg.norm(self.maxima, axis=1))) + self.sigma
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -102,7 +109,7 @@ class ReducedEnergyParams:
     def __post_init__(self):
         if self.n < 6:
             raise ValueError("n must be >= 6")
-        if self.weyl_sq < 0:
+        if not self.weyl_sq >= 0:
             raise ValueError("weyl_sq must be nonnegative")
 
 
@@ -151,10 +158,10 @@ def delta_eps(n, eps):
     n >= 7: delta = sqrt(eps).  n = 6: the unique root of
     delta^2 ln(1/delta) = eps on the monotone branch (0, e^{-1/2}),
     found by bisection until the midpoint rounds to an end of the bracket
-    (at most 555 halvings); its relative residual must be <= 1e-14.
+    (at most 555 halvings); its back-substitution residual must be <= 1e-14.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if n >= 7:
         return math.sqrt(eps)
     if n != 6:
@@ -162,23 +169,19 @@ def delta_eps(n, eps):
     if eps >= _DELTA6_BRANCH_MAX:
         raise ValueError(
             f"eps must be below the branch maximum 1/(2e) ~ {_DELTA6_BRANCH_MAX:.6g}")
-
-    def f(d):
-        return d * d * math.log(1.0 / d) - eps
-
     lo, hi = 1e-300, math.exp(-0.5)
     for _ in range(2000):
         mid = 0.5 * (lo + hi)
-        # f(lo) < 0 <= f(hi), so a midpoint that rounds to an end leaves
-        # the bracket as it is from here on
+        # d^2 ln(1/d) < eps at lo and >= eps at hi, so a midpoint that
+        # rounds to an end leaves the bracket as it is from here on
         if mid == lo or mid == hi:
             break
-        if f(mid) < 0.0:
+        if mid * mid * math.log(1.0 / mid) < eps:
             lo = mid
         else:
             hi = mid
     d = 0.5 * (lo + hi)
-    if not abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps:
+    if not _back_substitution_residual(n, eps, d) <= 1e-14:
         raise ValueError(f"delta_eps: bisection missed relative residual "
                          f"1e-14 at eps={eps:g}")
     return d
@@ -252,11 +255,11 @@ def build_H(k, dim, seed=None):
     """Place k disjoint radial bumps in the unit ball of R^dim.
 
     Maxima are placed in the coordinate (e1, e2)-plane: at the origin for
-    k = 1, on a circle of radius 0.75 otherwise.  The separation radius
-    r_tilde is a third of the smallest pairwise gap and sigma = r_tilde, so
-    bump supports are disjoint and the closed balls of radius 2 r_tilde
-    around distinct maxima overlap at most at a boundary point.  Amplitudes
-    are distinct (a_i = 2 + (i+1)/k) to avoid ties in peak diagnostics.
+    k = 1, on a circle of radius 0.75 otherwise.  The bump radius sigma is
+    a third of the smallest pairwise gap, at most 0.2, so bump supports are
+    disjoint and the closed balls of radius 2 sigma around distinct maxima
+    overlap at most at a boundary point.  Amplitudes are distinct
+    (a_i = 2 + (i+1)/k) to avoid ties in peak diagnostics.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -273,13 +276,12 @@ def build_H(k, dim, seed=None):
         gap = 2.0 * rho * math.sin(math.pi / k)
     else:
         gap = 2.0  # distance to the boundary region is the only constraint
-    r_tilde = min(gap / 3.0, 0.2)
-    if r_tilde < 1e-3:
+    sigma = min(gap / 3.0, 0.2)
+    if sigma < 1e-3:
         raise CapacityError(
             f"cannot place {k} bump maxima in the unit ball with usable gaps")
     amplitudes = 2.0 + (np.arange(k) + 1.0) / k
-    return BumpFunction(dim=dim, maxima=pts, amplitudes=amplitudes,
-                        sigma=r_tilde, r_tilde=r_tilde)
+    return BumpFunction(maxima=pts, amplitudes=amplitudes, sigma=sigma)
 
 
 def audit_bumps(Hb):
@@ -302,21 +304,22 @@ def audit_bumps(Hb):
     pts[..., 1] = X2
     vals = Hb(pts)
 
-    # invariant: far value is exactly -1 outside |x| > 2
+    # invariant: far value is exactly -1 at |x| >= reach, the bound that
+    # h_eps_perturbation skips the log map on
     rad = np.sqrt(X1**2 + X2**2)
-    far_ok = bool(np.all(vals[rad > 2.0] == -1.0))
+    far_ok = bool(np.all(vals[rad >= Hb.reach] == -1.0))
 
     # invariant: peak values a_i - 1 > 0 at the maxima
     peaks = Hb(Hb.maxima)
     peak_ok = bool(np.allclose(peaks, Hb.amplitudes - 1.0, rtol=1e-12)
                    and np.all(peaks > 0.0))
 
-    # invariant: pairwise separation >= 3 r_tilde
+    # invariant: pairwise separation >= 3 sigma
     sep_ok = True
     for i in range(Hb.k):
         for j in range(i + 1, Hb.k):
             d = np.linalg.norm(Hb.maxima[i] - Hb.maxima[j])
-            sep_ok = sep_ok and d >= 3.0 * Hb.r_tilde - 1e-12
+            sep_ok = sep_ok and d >= 3.0 * Hb.sigma - 1e-12
 
     # strict local maxima of the plane scan (interior 8-neighborhood)
     c = vals[1:-1, 1:-1]
@@ -334,17 +337,15 @@ def audit_bumps(Hb):
         dmin = np.min(np.linalg.norm(Hb.maxima[:, :2] - p, axis=1))
         loc_ok = loc_ok and dmin <= res * math.sqrt(2.0)
 
-    # invariant: each p_i is the unique maximum of H on B_{2 r_tilde}(p_i);
+    # invariant: each p_i is the unique maximum of H on B_{2 sigma}(p_i);
     # in-plane part from the scan, off-plane part from axis profiles
     unique_ok = count_ok and loc_ok
+    t = np.linspace(res, 2.0 * Hb.sigma, 40)
     for i, p in enumerate(Hb.maxima):
-        ball = (X1 - p[0]) ** 2 + (X2 - p[1]) ** 2 <= (2.0 * Hb.r_tilde) ** 2
+        ball = (X1 - p[0]) ** 2 + (X2 - p[1]) ** 2 <= (2.0 * Hb.sigma) ** 2
         top = Hb.amplitudes[i] - 1.0
         unique_ok = unique_ok and bool(np.all(vals[ball] <= top + 1e-15))
-        for axis in range(dim):
-            t = np.linspace(res, 2.0 * Hb.r_tilde, 40)
-            e = np.zeros(dim)
-            e[axis] = 1.0
+        for e in np.eye(dim):
             prof = Hb(p + t[:, None] * e)
             unique_ok = unique_ok and bool(np.all(prof < top))
 
@@ -359,35 +360,29 @@ def audit_bumps(Hb):
     }
 
 
-def h_eps_field(model, xi0, eps, mu, Hb):
-    """Perturbed potential  c_n R_g + eps * H(log_xi0(.) / mu).
+def h_eps_perturbation(model, xi0, eps, mu, Hb):
+    """The rise h_eps - c_n R_g = eps H(log_xi0(.) / mu) of the potential.
 
-    H is read on the tangent vectors log_xi0(x) / mu at xi0, against its
-    maxima mapped by the frame as :func:`schedule_configuration` maps them.
-    H is -1 beyond max_i |p_i| + sigma, so points farther than
-    R = mu (max_i |p_i| + sigma) from xi0 receive the far value -eps
-    without a log map, as do points beyond 0.9 of the injectivity radius,
-    where the log map is not defined.  The points within R and their log
-    maps come from one projection of the points that a cosine test on
-    each sphere factor leaves (:meth:`ManifoldModel._log_within`).
+    Returns a callable: a value per point of a batch, a scalar for one
+    point.  Integrals read h_eps only through it, so none subtracts two
+    energies that share most digits.  H is read against its maxima mapped
+    by the frame as :func:`schedule_configuration` maps them.  Points
+    beyond mu * ``Hb.reach`` from xi0, or 0.9 of the injectivity radius,
+    get -eps without a log map; the others and their log maps come from
+    one projection (:meth:`ManifoldModel._log_within`).
     """
-    tangent = replace(Hb, dim=model.ambient_dim,
-                      maxima=Hb.maxima @ model.tangent_frame(xi0))
-    base = PotentialField.conformal_scalar(model).base
-    reach = float(np.max(np.linalg.norm(Hb.maxima, axis=1))) + Hb.sigma
-    radius = min(mu * reach, 0.9 * model.injectivity_radius)
+    tangent = replace(Hb, maxima=Hb.maxima @ model.tangent_frame(xi0))
+    radius = min(mu * Hb.reach, 0.9 * model.injectivity_radius)
 
-    def pert(pts):
+    def rise(pts):
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
-        near, v = model._log_within(xi0, pts, radius)
-        out = np.full(len(pts), -eps)
-        out[near] = eps * tangent(v / mu)
-        return out[0] if single else out
+        out = np.full(pts.shape[:-1], -eps)
+        near, v = model._log_within(xi0, np.atleast_2d(pts), radius)
+        # one point gives a 0-d out, and out[()] its scalar
+        out.reshape(-1)[near] = eps * tangent(v / mu)
+        return out[()]
 
-    return PotentialField(model=model, base=base, perturbation=pert)
+    return rise
 
 
 def schedule_configuration(model, xi0, ts, ps, eps, r=0):
@@ -413,16 +408,15 @@ def schedule_configuration(model, xi0, ts, ps, eps, r=0):
 def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):
     """Normalized energy ratio whose eps -> 0 limit is sum_i F_n(t_i, p_i).
 
-    Builds the schedule configuration and the perturbed potential at this
-    eps and returns
+    Builds the schedule configuration at this eps and returns
 
         (J_{h_eps} - J_{c_n R_g}) / (E_1 * eps * delta_eps^2)  +  Q,
 
-    the potential-induced energy deviation of the bubble sum u per unit of
-    the leading single-bubble constant E_1.  J is affine in h, so the
-    difference is integrated on ``rule`` in closed form as
-    1/2 int (h_eps - c_n R_g) u^2; it holds no h-independent term, such as
-    the quartic remainder of the ansatz.  It also lacks the Weyl
+    the potential-induced energy deviation of the bubble sum u per unit of the
+    leading single-bubble constant E_1.  J is affine in h, so the difference
+    is integrated on ``rule`` in closed form, as 1/2 int of
+    :func:`h_eps_perturbation` times u^2; it holds no h-independent term,
+    such as the quartic remainder of the ansatz.  It also lacks the Weyl
     fourth-order branch that belongs to the limit, and Q puts it back:
     Q = -d_n |Weyl|^2 sum_i delta_i^4 ln(1/delta_i) / (eps delta_eps^2) in
     dimension 6 (no log for n >= 7), which converges to the quartic part of
@@ -431,12 +425,9 @@ def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):
     """
     cfg, sch = schedule_configuration(model, xi0, ts, ps, eps, r=r)
     _check_resolution(rule, cfg)
-    mu = sch.mu_eps
-    h = h_eps_field(model, xi0, eps, mu, Hb)
+    rise = h_eps_perturbation(model, xi0, eps, sch.mu_eps, Hb)
     u = multi_bubble_field(model, cfg, CutoffSpec.for_model(model))
-    # h_eps and c_n R_g share their base, so h - h0 is the perturbation
-    j_diff = 0.5 * float(rule.integrate(
-        lambda pts: h.perturbation(pts) * u(pts) ** 2))
+    j_diff = 0.5 * float(rule.integrate(lambda pts: rise(pts) * u(pts) ** 2))
     e1 = single_bubble_energy_constant(model.n)
     _, d_n = reduced_constants(model.n)
     weyl = model.weyl_norm_sq()

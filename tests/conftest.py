@@ -5,7 +5,8 @@ import pytest
 
 from blowup_lab.bubble import (BubbleParams, Configuration, CutoffSpec,
                                multi_bubble_field)
-from blowup_lab.geometry import ManifoldModel
+
+from models import base_point, pp
 
 
 @pytest.fixture(scope="session")
@@ -18,10 +19,8 @@ def criterion_11_cases():
     and a search grid standing in for a solver mesh: 50 coarse tangent
     points plus one within ~delta of each bubble.  Drawn from rng 2026.
     """
-    model = ManifoldModel.product_spheres(3, 3)
-    xi0 = np.zeros(8)
-    xi0[0] = 1.0
-    xi0[4] = 1.0
+    model = pp()
+    xi0 = base_point(model)
     frame = model.tangent_frame(xi0)
     rng = np.random.default_rng(2026)
     cases = []

@@ -16,18 +16,9 @@ from blowup_lab.bubble import (
 )
 from blowup_lab.geometry import ManifoldModel
 
+from models import base_point, pp
+
 RNG = np.random.default_rng(7)
-
-
-def _pp():
-    return ManifoldModel.product_spheres(3, 3)
-
-
-def _base(model):
-    x = np.zeros(model.ambient_dim)
-    x[0] = 1.0
-    x[model.p + 1] = 1.0
-    return x
 
 
 def _step_jet_everywhere(t, order):
@@ -106,26 +97,32 @@ class TestCutoff:
         np.testing.assert_array_equal(d1, 0.0)
         np.testing.assert_array_equal(d2, 0.0)
 
+    @pytest.mark.parametrize("r0", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_radius(self, r0):
+        # each used to act as no cutoff, 1 everywhere
+        with pytest.raises(ValueError, match="cutoff radius must be positive"):
+            CutoffSpec(r0=r0)
+
     def test_rejects_cutoff_beyond_injectivity(self):
-        m = _pp()
+        m = pp()
         with pytest.raises(ValueError):
-            BubbleField(m, BubbleParams(0.1, _base(m)), CutoffSpec(r0=4.0))
+            BubbleField(m, BubbleParams(0.1, base_point(m)), CutoffSpec(r0=4.0))
 
 
 class TestProfile:
     def test_center_value(self):
         # U(center) = (sqrt(n(n-2)) / delta)^((n-2)/2), n = 6
-        m = _pp()
+        m = pp()
         delta = 1e-2
-        v = BubbleField(m, BubbleParams(delta, _base(m)),
-                        CutoffSpec.for_model(m))(_base(m))
+        v = BubbleField(m, BubbleParams(delta, base_point(m)),
+                        CutoffSpec.for_model(m))(base_point(m))
         assert float(v) == pytest.approx((math.sqrt(24.0) / delta) ** 2,
                                          rel=1e-12)
 
     def test_off_center_value(self):
-        m = _pp()
+        m = pp()
         delta, s = 1e-2, 0.05
-        xi = _base(m)
+        xi = base_point(m)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(xi)
         x = m.exp(xi, s * v / np.linalg.norm(v))
         got = BubbleField(m, BubbleParams(delta, xi), CutoffSpec.none())(x)
@@ -134,8 +131,8 @@ class TestProfile:
 
     def test_scaling_law(self):
         # delta^((n-2)/2) U_delta(exp(delta y)) is independent of delta
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(xi)
         v /= np.linalg.norm(v)
         vals = []
@@ -146,8 +143,8 @@ class TestProfile:
         assert vals[0] == pytest.approx(vals[1], rel=1e-12)
 
     def test_cutoff_kills_far_field(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         far = m.exp(xi, 0.9 * math.pi
                     * (RNG.standard_normal(m.n) @ m.tangent_frame(xi))
                     / np.linalg.norm(RNG.standard_normal(m.n)
@@ -157,8 +154,8 @@ class TestProfile:
 
     def test_isometry_invariance(self):
         # swapping the two factors is an isometry of S^3 x S^3
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         x = m.random_point(RNG)
         swap = np.concatenate([x[4:], x[:4]])
         u = BubbleField(m, BubbleParams(0.05, xi), CutoffSpec.for_model(m))
@@ -168,11 +165,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             BubbleParams(0.0, np.zeros(8))
 
+    @pytest.mark.parametrize("delta", [-1e-3, math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BubbleParams(delta, np.zeros(8))
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         params = BubbleParams(0.05, xi)
         cut = CutoffSpec.for_model(m)
         u = BubbleField(m, params, cut)
@@ -189,8 +191,8 @@ class TestGradient:
                 assert float(g @ w) == pytest.approx(fd, abs=2e-4 * scale)
 
     def test_zero_at_center(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         u = BubbleField(m, BubbleParams(0.1, xi), CutoffSpec.for_model(m))
         g = u.grad(xi[None, :])[0]
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
@@ -207,9 +209,16 @@ class TestGradient:
 
 
 class TestConfiguration:
+    @pytest.mark.parametrize("cone", [
+        dict(alpha=math.nan), dict(alpha=1.0), dict(K=math.nan), dict(K=0.0),
+        dict(delta_bar=math.nan), dict(delta_bar=-1.0)])
+    def test_rejects_cone_bounds(self, cone):
+        with pytest.raises(ValueError):
+            Configuration(bubbles=(BubbleParams(0.1, np.zeros(6)),), **cone)
+
     def test_sum_field_adds(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         other = m.exp(xi,
                       0.5 * (RNG.standard_normal(m.n) @ m.tangent_frame(xi)))
         cfg = Configuration(bubbles=(BubbleParams(1e-3, xi),
@@ -221,8 +230,8 @@ class TestConfiguration:
         np.testing.assert_allclose(total, parts, rtol=1e-14)
 
     def test_admissibility_cone(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(xi)
         v /= np.linalg.norm(v)
         near = m.exp(xi, 5e-3 * v)
@@ -248,8 +257,8 @@ class TestConfiguration:
         assert any(v["constraint"] == "scale_ratio" for v in violations)
 
     def test_multi_bubble_field_gradient(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
         u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
         single = BubbleField(m, cfg.bubbles[0], CutoffSpec.for_model(m))

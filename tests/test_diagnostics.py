@@ -18,20 +18,10 @@ from blowup_lab.diagnostics import (
     isolation_ratios,
     order_fit,
 )
-from blowup_lab.geometry import ManifoldModel
+
+from models import base_point, pp
 
 RNG = np.random.default_rng(17)
-
-
-def _pp():
-    return ManifoldModel.product_spheres(3, 3)
-
-
-def _base(model):
-    x = np.zeros(model.ambient_dim)
-    x[0] = 1.0
-    x[model.p + 1] = 1.0
-    return x
 
 
 class TestOrderFit:
@@ -76,8 +66,8 @@ class TestOrderFit:
 
 class TestIsolation:
     def test_two_peak_report(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(xi)
         v /= np.linalg.norm(v)
         other = m.exp(xi, 0.2 * v)
@@ -88,8 +78,8 @@ class TestIsolation:
         assert rep.dist_to_reference[1] == pytest.approx(0.2, rel=1e-10)
 
     def test_single_peak_has_infinite_separation(self):
-        m = _pp()
-        rep = isolation_ratios(m, [_base(m)], [1e-3], _base(m))
+        m = pp()
+        rep = isolation_ratios(m, [base_point(m)], [1e-3], base_point(m))
         assert math.isinf(rep.min_separation)
 
 
@@ -112,8 +102,8 @@ class TestExtractPeaks:
     def test_field_call_budget(self):
         # each profile fit is one field call of 2n + 1 points: a k=1 case
         # costs a handful of calls
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         delta = 5e-3
         u, center, grid = _planted_with_grid(m, xi0, delta, seed=3)
         calls = []
@@ -130,8 +120,8 @@ class TestExtractPeaks:
         assert abs(rep.scales[0] - delta) < 0.01 * delta
 
     def test_polish_accuracy(self):
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         delta = 5e-3
         u, center, grid = _planted_with_grid(m, xi0, delta, seed=4)
         rep = extract_peaks(m, u, xi0, k_max=3, search_grid=grid)
@@ -152,8 +142,8 @@ class TestExtractPeaks:
     def test_constant_field_has_no_peak(self):
         # a positive field with no bubble-shaped maximum is a failure, not
         # a peak per grid point
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         _, _, grid = _planted_with_grid(m, xi0, 5e-3, seed=3)
 
         def constant(pts):
@@ -166,9 +156,9 @@ class TestExtractPeaks:
 
     def test_search_grid_shape_checked(self):
         # a k_max passed in the old fourth positional slot fails loudly
-        m = _pp()
+        m = pp()
         with pytest.raises(ValueError, match="search_grid"):
-            extract_peaks(m, lambda pts: np.ones(len(pts)), _base(m), 3)
+            extract_peaks(m, lambda pts: np.ones(len(pts)), base_point(m), 3)
 
     @pytest.mark.parametrize("bad, message", [
         (np.empty((0, 6)), "search_grid has no rows"),
@@ -177,7 +167,7 @@ class TestExtractPeaks:
     ], ids=["empty", "nan-row"])
     def test_bad_search_grid_rejected_before_any_field_call(self, bad,
                                                            message):
-        m = _pp()
+        m = pp()
         calls = []
 
         def u(pts):
@@ -185,7 +175,7 @@ class TestExtractPeaks:
             return np.ones(len(pts))
 
         with pytest.raises(ValueError, match=message):
-            extract_peaks(m, u, _base(m), search_grid=bad)
+            extract_peaks(m, u, base_point(m), search_grid=bad)
         assert calls == []
 
     @staticmethod
@@ -204,8 +194,8 @@ class TestExtractPeaks:
         return cfg, u, grid
 
     def test_two_peaks(self):
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         cfg, u, grid = self._two_planted(m, xi0)
         rep = extract_peaks(m, u, xi0, k_max=4, search_grid=grid)
         assert not rep.failed
@@ -218,8 +208,8 @@ class TestExtractPeaks:
     def test_one_grid_call_per_extraction(self):
         # the grid is sampled once and each accepted peak subtracted from
         # it; the last candidate's grid maximum is residual_sup
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         _, u, grid = self._two_planted(m, xi0)
         calls = []
 

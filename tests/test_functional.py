@@ -34,24 +34,12 @@ from blowup_lab.functional import (
 )
 from blowup_lab.geometry import (CapacityError, GeometryError, ManifoldModel,
                                  QuadratureRule, _rowsum, build_quadrature)
-from blowup_lab.reduced import (ScheduleParams, build_H, h_eps_field,
+from blowup_lab.reduced import (ScheduleParams, build_H, h_eps_perturbation,
                                 reduced_limit_ratio, schedule_configuration)
 
+from models import base_point, pp
+
 RNG = np.random.default_rng(11)
-
-
-def _pp():
-    return ManifoldModel.product_spheres(3, 3)
-
-
-def _base(model):
-    x = np.zeros(model.ambient_dim)
-    if model.kind == "product_spheres":
-        x[0] = 1.0
-        x[model.p + 1] = 1.0
-    elif model.kind == "round_sphere":
-        x[0] = 1.0
-    return x
 
 
 class TestConstants:
@@ -78,7 +66,7 @@ class TestConstants:
             24.0**3 * math.pi**3 / 360.0, rel=1e-14)
 
     def test_conformal_scalar_potential(self):
-        m = _pp()
+        m = pp()
         h = PotentialField.conformal_scalar(m)
         x = m.random_point(RNG)[None, :]
         assert h(x)[0] == pytest.approx(0.2 * 12.0)  # c_6 R_g on S^3 x S^3
@@ -95,8 +83,8 @@ class TestEnergy:
         assert j == pytest.approx(single_bubble_energy_constant(6), rel=1e-6)
 
     def test_rule_must_resolve_scale(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         rule = build_quadrature(m, xi, finest_scale=0.1)
         cfg = Configuration(bubbles=(BubbleParams(1e-3, xi),))
         from blowup_lab.geometry import CapacityError
@@ -110,8 +98,8 @@ class TestClosedFormDifference:
 
     @staticmethod
     def _check(h, h0):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         # the identity holds on any rule; the radial one is the cheapest
         rule = build_quadrature(m, xi, finest_scale=0.05, angular="radial")
         cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
@@ -137,13 +125,15 @@ class TestClosedFormDifference:
         assert abs(diff - closed) <= tol
 
     def test_constant_shift(self):
-        h0 = PotentialField.conformal_scalar(_pp())
+        h0 = PotentialField.conformal_scalar(pp())
         self._check(h0.shifted(1e-3), h0)
 
     def test_perturbed_potential(self):
-        m = _pp()
-        h = h_eps_field(m, _base(m), 1e-2, 0.3, build_H(1, 6, seed=3))
-        self._check(h, PotentialField.conformal_scalar(m))
+        m = pp()
+        h0 = PotentialField.conformal_scalar(m)
+        dh = h_eps_perturbation(m, base_point(m), 1e-2, 0.3,
+                                build_H(1, 6, seed=3))
+        self._check(lambda pts: h0(pts) + dh(pts), h0)
 
 
 class TestResidual:
@@ -161,8 +151,8 @@ class TestResidual:
         assert res < 1e-6 * scale
 
     def test_residual_field_shape(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         cfg = Configuration(bubbles=(BubbleParams(0.05, xi),))
         res = residual_field(m, PotentialField.conformal_scalar(m), cfg,
                              CutoffSpec.for_model(m))
@@ -170,8 +160,8 @@ class TestResidual:
         assert res(pts).shape == (4,)
 
     def test_curved_residual_is_small_but_nonzero(self):
-        m = _pp()
-        xi = _base(m)
+        m = pp()
+        xi = base_point(m)
         rule = build_quadrature(m, xi, finest_scale=0.01)
         cfg = Configuration(bubbles=(BubbleParams(0.01, xi),))
         h = PotentialField.conformal_scalar(m)
@@ -202,13 +192,14 @@ class TestRadialProfile:
     @pytest.mark.parametrize("name", sorted(_FULL))
     def test_declared_integrands_match_full_rule(self, name):
         m, full = _FULL[name]
-        c = _base(m)
+        c = base_point(m)
         sch = ScheduleParams(n=m.n, eps=self.EPS)
         cfg = Configuration(bubbles=(BubbleParams(sch.delta_eps, c),))
         cutoff = CutoffSpec.for_model(m)
         u = multi_bubble_field(m, cfg, cutoff)
         h0 = PotentialField.conformal_scalar(m)
-        bump = h_eps_field(m, c, self.EPS, sch.mu_eps, build_H(1, m.n, seed=7))
+        rise = h_eps_perturbation(m, c, self.EPS, sch.mu_eps,
+                                  build_H(1, m.n, seed=7))
 
         def integrals(angular):
             rule = build_quadrature(m, c, finest_scale=sch.delta_eps,
@@ -217,7 +208,7 @@ class TestRadialProfile:
             return (np.array([
                 energy(m, h0, u, rule),
                 0.5 * np.sum(w * vals**2),
-                0.5 * np.sum(w * bump.perturbation(rule.nodes) * vals**2)]),
+                0.5 * np.sum(w * rise(rule.nodes) * vals**2)]),
                 residual_norm(m, h0, cfg, cutoff, rule))
 
         (want, res_want), (got, res_got) = integrals(full), integrals("radial")
@@ -235,19 +226,19 @@ class TestRadialProfile:
         # xi0, so curvature makes even the bump under the bubble non-radial
         # about it (on a flat ball it would stay radial)
         m, full = _FULL[name]
-        xi0 = _base(m)
+        xi0 = base_point(m)
         Hb = build_H(2, m.n, seed=3)
         cfg, sch = schedule_configuration(m, xi0, [1.0], [Hb.maxima[0]],
                                           self.EPS)
         u = multi_bubble_field(m, cfg, CutoffSpec.for_model(m))
-        h = h_eps_field(m, xi0, self.EPS, sch.mu_eps, Hb)
+        rise = h_eps_perturbation(m, xi0, self.EPS, sch.mu_eps, Hb)
         vals = []
         for angular in (full, "radial"):
             rule = build_quadrature(m, cfg.bubbles[0].center,
                                     finest_scale=sch.delta_eps,
                                     angular=angular)
             vals.append(0.5 * float(np.sum(
-                rule.weights * h.perturbation(rule.nodes)
+                rule.weights * rise(rule.nodes)
                 * u(rule.nodes) ** 2)))
         assert abs(vals[1] - vals[0]) > 1e-5 * abs(vals[0])
 
@@ -278,8 +269,8 @@ class TestSplitAngles:
 
 class TestLebesgueNorm:
     def test_constant_function(self):
-        m = _pp()
-        rule = build_quadrature(m, _base(m), finest_scale=0.1)
+        m = pp()
+        rule = build_quadrature(m, base_point(m), finest_scale=0.1)
         # default exponent 2n/(n+2) = 3/2 at n = 6
         want = m.volume ** (2.0 / 3.0)
         assert lebesgue_norm(m, rule, lambda pts: np.ones(len(pts))) \
@@ -410,8 +401,8 @@ class TestSplit:
         # under the default cutoff the nodes beyond r0 of both centres
         # carry no bubble at all, so the largest value there is 0
         from blowup_lab.geometry import build_multicenter_quadrature
-        m = _pp()
-        c1 = _base(m)
+        m = pp()
+        c1 = base_point(m)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(c1)
         c2 = m.exp(c1, 0.3 * v / np.linalg.norm(v))
         cfg = Configuration(bubbles=(BubbleParams(1e-2, c1),
@@ -463,8 +454,8 @@ class TestBlockSampling:
 
     @pytest.fixture(scope="class")
     def setting(self):
-        m = _pp()
-        xi0 = _base(m)
+        m = pp()
+        xi0 = base_point(m)
         delta = ScheduleParams(n=m.n, eps=self.EPS).delta_eps
         coarse = {"n_psi": 4, "orders_a": "minimal", "orders_b": "minimal"}
         rule = build_quadrature(m, xi0, finest_scale=delta, angular=coarse)

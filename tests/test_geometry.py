@@ -39,26 +39,14 @@ from blowup_lab.geometry import (
     weyl_tensor_from_riemann,
 )
 
+from models import base_point, pp
+
 RNG = np.random.default_rng(42)
-
-
-def _pp():
-    return ManifoldModel.product_spheres(3, 3)
-
-
-def _base(model):
-    x = np.zeros(model.ambient_dim)
-    if model.kind == "product_spheres":
-        x[0] = 1.0
-        x[model.p + 1] = 1.0
-    elif model.kind == "round_sphere":
-        x[0] = 1.0
-    return x
 
 
 class TestModels:
     def test_dimensions(self):
-        m = _pp()
+        m = pp()
         assert m.n == 6
         assert m.ambient_dim == 8
         assert ManifoldModel.round_sphere(6).ambient_dim == 7
@@ -66,7 +54,7 @@ class TestModels:
 
     def test_volume_product(self):
         # vol(S^3 x S^3) = (2 pi^2)^2
-        m = _pp()
+        m = pp()
         assert m.volume == pytest.approx((2.0 * math.pi**2) ** 2, rel=1e-14)
 
     def test_volume_round_sphere(self):
@@ -74,18 +62,48 @@ class TestModels:
         assert m.volume == pytest.approx(sphere_volume(6), rel=1e-14)
 
     def test_validate_point_rejects_off_manifold(self):
-        m = _pp()
+        m = pp()
         with pytest.raises(GeometryError):
-            m.validate_point(1.5 * _base(m))
+            m.validate_point(1.5 * base_point(m))
+
+    @pytest.mark.parametrize("model", [
+        pp(), ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(6, 2.0)],
+        ids=["S3xS3", "S6", "B6"])
+    @pytest.mark.parametrize("bad", ["all-nan", "one-nan", "one-inf"])
+    def test_validate_point_rejects_non_finite(self, model, bad):
+        # a NaN fails every comparison, so a check written as "norm > bound"
+        # would let it through
+        x = base_point(model)
+        if bad == "all-nan":
+            x[:] = math.nan
+        else:
+            x[-1] = math.nan if bad == "one-nan" else math.inf
+        with pytest.raises(GeometryError):
+            model.validate_point(x)
+        with pytest.raises(GeometryError):
+            build_quadrature(model, x, finest_scale=0.1)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_flat_ball_rejects_radius(self, radius):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            ManifoldModel.flat_ball(6, radius)
 
     def test_injectivity_radius(self):
-        assert _pp().injectivity_radius == pytest.approx(math.pi)
+        assert pp().injectivity_radius == pytest.approx(math.pi)
         assert ManifoldModel.flat_ball(6, 25.0).injectivity_radius == 25.0
+
+    @pytest.mark.parametrize("model", [
+        pp(), ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(6, 2.0)],
+        ids=["S3xS3", "S6", "B6"])
+    def test_cutoff_radius_is_the_bubbles_default(self, model):
+        # the rules refine the band of the cutoff the bubbles carry
+        assert model.cutoff_radius == model.injectivity_radius / 4.0
+        assert CutoffSpec.for_model(model).r0 == model.cutoff_radius
 
 
 class TestDistance:
     def test_symmetry_and_triangle(self):
-        m = _pp()
+        m = pp()
         pts = [m.random_point(RNG) for _ in range(6)]
         for a in pts:
             for b in pts:
@@ -95,7 +113,7 @@ class TestDistance:
                     assert dab <= m.distance(a, c) + m.distance(c, b) + 1e-12
 
     def test_product_distance_is_hypot_of_factors(self):
-        m = _pp()
+        m = pp()
         a, b = m.random_point(RNG), m.random_point(RNG)
         s1, s2 = m.factor_distances(a, b)
         assert m.distance(a, b) == pytest.approx(math.hypot(s1, s2), rel=1e-14)
@@ -105,7 +123,7 @@ class TestDistance:
         # precision at small angles, where arccos of the dot product loses
         # half the digits
         m = ManifoldModel.round_sphere(3)
-        base = _base(m)
+        base = base_point(m)
         for t in (1e-3, 1e-6, 1e-8):
             v = np.zeros(4)
             v[1] = t
@@ -113,7 +131,7 @@ class TestDistance:
             assert m.distance(base, x) == pytest.approx(t, rel=1e-12)
 
     def test_exp_log_round_trip(self):
-        for m in (_pp(), ManifoldModel.round_sphere(6)):
+        for m in (pp(), ManifoldModel.round_sphere(6)):
             base = m.random_point(RNG)
             for _ in range(5):
                 v = 0.5 * (RNG.standard_normal(m.n) @ m.tangent_frame(base))
@@ -122,7 +140,7 @@ class TestDistance:
                 np.testing.assert_allclose(w, v, atol=1e-12)
 
     def test_exp_preserves_distance(self):
-        m = _pp()
+        m = pp()
         base = m.random_point(RNG)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(base)
         v = 0.3 * v / np.linalg.norm(v)
@@ -131,8 +149,8 @@ class TestDistance:
 
     def test_distance_gradient_unit_norm(self):
         # |grad d| = 1 in the ambient restriction, including near the center
-        m = _pp()
-        c = _base(m)
+        m = pp()
+        c = base_point(m)
         for r in (1e-5, 1e-3, 0.1, 1.0):
             v = RNG.standard_normal(m.n) @ m.tangent_frame(c)
             x = m.exp(c, r * v / np.linalg.norm(v))
@@ -140,8 +158,8 @@ class TestDistance:
             assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
     def test_distance_gradient_finite_difference(self):
-        m = _pp()
-        c = _base(m)
+        m = pp()
+        c = base_point(m)
         x = m.exp(c, 0.4 * (RNG.standard_normal(m.n) @ m.tangent_frame(c)))
         g = m.distance_gradient(c, x[None, :])[0]
         frame = m.tangent_frame(x)
@@ -153,7 +171,7 @@ class TestDistance:
 
 
 _TRANSPORT_MODELS = pytest.mark.parametrize("model", [
-    _pp(), ManifoldModel.product_spheres(3, 4),
+    pp(), ManifoldModel.product_spheres(3, 4),
     ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(7, 2.0)],
     ids=["S3xS3", "S3xS4", "S6", "B7"])
 
@@ -433,11 +451,11 @@ class TestProjectionAccuracy:
 
     def test_log_raises_at_and_beyond_injectivity_radius(self):
         s = ManifoldModel.round_sphere(4)
-        b = _base(s)
+        b = base_point(s)
         with pytest.raises(GeometryError):
             s.log(b, -b)  # the antipode, at exactly pi
-        p = _pp()
-        b = _base(p)
+        p = pp()
+        b = base_point(p)
         b1, b2 = p.split(b)
         for target in (np.concatenate([-b1, b2]),    # d = pi
                        np.concatenate([-b1, -b2])):  # d = pi sqrt(2)
@@ -454,11 +472,11 @@ class TestProjectionAccuracy:
 class TestCurvature:
     def test_scalar_curvature_product(self):
         # R(S^3 x S^3) = 6 + 6
-        assert _pp().scalar_curvature() == pytest.approx(12.0)
+        assert pp().scalar_curvature() == pytest.approx(12.0)
 
     def test_weyl_norm_product(self):
         # |W|^2 = 2 p q (p+q) / ((p+q-1)(p+q-2)) * ... = 14.4 for p=q=3
-        assert _pp().weyl_norm_sq() == pytest.approx(14.4, rel=1e-12)
+        assert pp().weyl_norm_sq() == pytest.approx(14.4, rel=1e-12)
 
     def test_weyl_vanishes_on_round_sphere(self):
         assert ManifoldModel.round_sphere(6).weyl_norm_sq() == pytest.approx(
@@ -514,7 +532,7 @@ class TestQuadrature:
     def test_rule_integrates_constants(self, model, angular, with_axis):
         # every model is a join of spheres of directions, so every profile
         # integrates constants exactly, with or without a turned polar axis
-        base = _base(model)
+        base = base_point(model)
         if with_axis:
             axis = (np.random.default_rng(0).standard_normal(model.n)
                     @ model.tangent_frame(base))
@@ -526,8 +544,8 @@ class TestQuadrature:
         assert float(np.sum(w)) == pytest.approx(model.volume, rel=1e-12)
 
     def test_rule_nodes_on_manifold(self):
-        m = _pp()
-        rule = build_quadrature(m, _base(m), finest_scale=0.05)
+        m = pp()
+        rule = build_quadrature(m, base_point(m), finest_scale=0.05)
         x1, x2 = m.split(rule.nodes)
         np.testing.assert_allclose(np.linalg.norm(x1, axis=-1), 1.0,
                                    atol=1e-12)
@@ -535,28 +553,28 @@ class TestQuadrature:
                                    atol=1e-12)
 
     def test_budget_enforced(self):
-        m = _pp()
+        m = pp()
         with pytest.raises(CapacityError):
-            build_quadrature(m, _base(m), finest_scale=1e-4, budget=1000)
+            build_quadrature(m, base_point(m), finest_scale=1e-4, budget=1000)
 
     def test_capacity_message_names_the_planned_rule(self):
         # the message reports the node count of the rule that was asked for:
         # 480 radial nodes on each of 2 x 12 split angles
-        m = _pp()
-        rule = build_quadrature(m, _base(m), finest_scale=1e-4,
+        m = pp()
+        rule = build_quadrature(m, base_point(m), finest_scale=1e-4,
                                 angular="radial")
         need = rule.node_count
         assert need == 11520
         with pytest.raises(CapacityError, match=f"needs {need} nodes"):
-            build_quadrature(m, _base(m), finest_scale=1e-4,
+            build_quadrature(m, base_point(m), finest_scale=1e-4,
                              budget=need - 1, angular="radial")
 
     def test_unknown_product_profile_names_valid_ones(self):
-        m = _pp()
+        m = pp()
         for name in ("fine", "default"):
             with pytest.raises(GeometryError,
                                match="choose from radial, biradial$"):
-                build_quadrature(m, _base(m), finest_scale=0.1, angular=name)
+                build_quadrature(m, base_point(m), finest_scale=0.1, angular=name)
         # polar models and the factor orders of a product dict resolve
         # names through the sphere profiles
         sphere_names = "choose from default, minimal, axial, radial"
@@ -564,10 +582,10 @@ class TestQuadrature:
                       ManifoldModel.round_sphere(6)):
             for name in ("biradial", "no-such-profile"):
                 with pytest.raises(GeometryError, match=sphere_names):
-                    build_quadrature(polar, _base(polar), finest_scale=0.1,
+                    build_quadrature(polar, base_point(polar), finest_scale=0.1,
                                      angular=name)
         with pytest.raises(GeometryError, match=sphere_names):
-            build_quadrature(m, _base(m), finest_scale=0.1,
+            build_quadrature(m, base_point(m), finest_scale=0.1,
                              angular=dict(n_psi=8, orders_a="minmal"))
 
     def test_radial_profile_needs_a_symmetric_domain(self):
@@ -603,9 +621,9 @@ class TestQuadrature:
                            finest_scale=1.0)
 
     def test_finest_scale_domain(self):
-        m = _pp()
+        m = pp()
         with pytest.raises(GeometryError):
-            build_quadrature(m, _base(m), finest_scale=0.0)
+            build_quadrature(m, base_point(m), finest_scale=0.0)
 
     def test_multicenter_integrates_constants(self):
         m = ManifoldModel.flat_ball(6, 10.0)
@@ -622,12 +640,12 @@ class TestQuadrature:
         with pytest.raises(GeometryError, match="two centres"):
             build_multicenter_quadrature(m, [np.zeros(6)], finest_scale=0.01)
 
-    @pytest.mark.parametrize("model", [ManifoldModel.round_sphere(6), _pp(),
+    @pytest.mark.parametrize("model", [ManifoldModel.round_sphere(6), pp(),
                                        ManifoldModel.flat_ball(6, 1.0)],
                              ids=["S6", "S3xS3", "B6"])
     def test_patch_radius_bounds_the_rule(self, model):
         # the multicentre patches: a rule for the ball of radius 0.05
-        c = _base(model)
+        c = base_point(model)
         if model.kind == "flat_ball":
             c[0] = 0.9
         angular = "biradial" if model.kind == "product_spheres" else "minimal"
@@ -712,7 +730,7 @@ class TestQuadrature:
         # (to 4e-8 of it), the error of the n_psi = 4 angular grid.
         from blowup_lab.reduced import (build_H, reduced_limit_ratio,
                                         schedule_configuration)
-        m = _pp()
+        m = pp()
         xi0 = m.random_point(np.random.default_rng(0))
         Hb = build_H(3, 6, seed=3)
         ts, eps = [1.0] * 3, 1e-3
@@ -763,9 +781,9 @@ def _two_bubble_centres(n, separation):
 
 def _product_centres():
     # two centres 0.36 apart on S^3 x S^3, off both factor axes
-    base = _base(_pp())
-    frame = _pp().tangent_frame(base)
-    return [base, _pp().exp(base, 0.3 * frame[0] + 0.2 * frame[3])]
+    base = base_point(pp())
+    frame = pp().tangent_frame(base)
+    return [base, pp().exp(base, 0.3 * frame[0] + 0.2 * frame[3])]
 
 
 _BIRADIAL_24 = dict(n_psi=24, orders_a="minimal", orders_b="minimal")
@@ -830,14 +848,14 @@ class TestSharedBuildWork:
         (lambda: build_multicenter_quadrature(
             ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
             finest_scale=1e-3), None),
-        (lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=1e-3,
+        (lambda: build_quadrature(pp(), base_point(pp()), finest_scale=1e-3,
                                   angular="radial"), None),
         # a multicentre product rule takes 24 split angles per panel, so
         # "biradial" by name is the dict that gives 24
         (lambda: build_multicenter_quadrature(
-            _pp(), _product_centres(), finest_scale=0.1),
+            pp(), _product_centres(), finest_scale=0.1),
          lambda: build_multicenter_quadrature(
-            _pp(), _product_centres(), finest_scale=0.1,
+            pp(), _product_centres(), finest_scale=0.1,
             angular=_BIRADIAL_24, patch_angular=_BIRADIAL_24)),
     ], ids=["two-bubble", "S3xS3-radial", "S3xS3-multicentre-24-splits"])
     def test_rule_built_twice_is_identical(self, build, again):
@@ -975,8 +993,8 @@ class TestPerNodeKernels:
         assert not np.signbit(_rowsum(a)).any()
 
     def test_single_point_laplacian_coefficient(self):
-        m = _pp()
-        c = _base(m)
+        m = pp()
+        c = base_point(m)
         x = m.exp(c, 5e-5 * m.tangent_frame(c)[0]
                   + 0.3 * m.tangent_frame(c)[4])
         assert _same_bits(m.radial_laplacian_coeff(c, x),
@@ -1122,7 +1140,7 @@ class TestKernelsKeepTheirBits:
                 assert _same_bits(radial_bump(x), _masked_radial_bump(x))
 
     @pytest.mark.parametrize("model", [
-        _pp(), ManifoldModel.product_spheres(3, 4),
+        pp(), ManifoldModel.product_spheres(3, 4),
         ManifoldModel.round_sphere(6), ManifoldModel.flat_ball(7, 2.0)],
         ids=["S3xS3", "S3xS4", "S6", "B7"])
     def test_distance_jet(self, model):
@@ -1154,7 +1172,7 @@ class TestKernelsKeepTheirBits:
 # panel on products
 _SMALL_PRODUCT = dict(n_psi=2, orders_a="minimal", orders_b="minimal")
 _LAYOUT_MODELS = {
-    "S3xS3": (_pp(), _SMALL_PRODUCT),
+    "S3xS3": (pp(), _SMALL_PRODUCT),
     "S3xS4": (ManifoldModel.product_spheres(3, 4), _SMALL_PRODUCT),
     "S6": (ManifoldModel.round_sphere(6), "minimal"),
     "B7": (ManifoldModel.flat_ball(7, 2.0), "minimal"),
@@ -1185,13 +1203,13 @@ class TestCoordinateMajorRules:
         lambda: build_quadrature(ManifoldModel.flat_ball(6, 1.0),
                                  np.zeros(6), finest_scale=0.1),
         lambda: build_quadrature(ManifoldModel.round_sphere(6),
-                                 _base(ManifoldModel.round_sphere(6)),
+                                 base_point(ManifoldModel.round_sphere(6)),
                                  finest_scale=0.1, angular="minimal"),
-        lambda: build_quadrature(_pp(), _base(_pp()), finest_scale=0.1),
+        lambda: build_quadrature(pp(), base_point(pp()), finest_scale=0.1),
         lambda: build_multicenter_quadrature(
             ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
             finest_scale=1e-2),
-        lambda: build_multicenter_quadrature(_pp(), _product_centres(),
+        lambda: build_multicenter_quadrature(pp(), _product_centres(),
                                              finest_scale=0.1),
     ], ids=["B6", "S6", "S3xS3", "multicentre-flat", "multicentre-S3xS3"])
     def test_builders_return_coordinate_major_nodes(self, build):
@@ -1208,7 +1226,7 @@ class TestCoordinateMajorRules:
     @pytest.mark.parametrize("name", list(_LAYOUT_MODELS))
     def test_metric_bits_do_not_depend_on_the_layout(self, name):
         m, angular = _LAYOUT_MODELS[name]
-        base = _base(m)
+        base = base_point(m)
         nodes = build_quadrature(m, base, finest_scale=0.3,
                                  angular=angular).nodes
         assert nodes.flags.f_contiguous
@@ -1258,11 +1276,11 @@ class TestLaplacianCoefficient:
                     for k, r in zip(ks, rs))
                 assert abs(got - ref) <= 8.0 * _EPS * scale, angles
 
-    @pytest.mark.parametrize("model", [_pp(), ManifoldModel.round_sphere(6),
+    @pytest.mark.parametrize("model", [pp(), ManifoldModel.round_sphere(6),
                                        ManifoldModel.product_spheres(3, 4)],
                              ids=["S3xS3", "S6", "S3xS4"])
     def test_finite_at_the_centre_and_the_antipode(self, model):
-        c = _base(model)
+        c = base_point(model)
         antipodes = [np.concatenate([s * part for s, part
                                      in zip(signs, model.split(c))])
                      for signs in itertools.product(
@@ -1289,8 +1307,8 @@ class TestPooledFill:
 
     @staticmethod
     def _two_centres():
-        m = _pp()
-        c = _base(m)
+        m = pp()
+        c = base_point(m)
         return m, [c, m.exp(c, 0.05 * m.tangent_frame(c)[0]
                             + 0.03 * m.tangent_frame(c)[4])]
 

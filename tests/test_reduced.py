@@ -1,12 +1,14 @@
 """Reduced energy, schedules, bump construction, perturbed potentials."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from blowup_lab import reduced
-from blowup_lab.geometry import CapacityError, ManifoldModel, build_quadrature
+from blowup_lab.geometry import (CapacityError, GeometryError, ManifoldModel,
+                                 build_quadrature)
 from blowup_lab.reduced import (
     BumpFunction,
     DegenerateError,
@@ -18,12 +20,14 @@ from blowup_lab.reduced import (
     delta_eps,
     F_n_critical,
     F_n_eval,
-    h_eps_field,
+    h_eps_perturbation,
     mu_eps,
     reduced_constants,
     reduced_limit_ratio,
     schedule_configuration,
 )
+
+from models import base_point, pp
 
 RNG = np.random.default_rng(5)
 
@@ -82,13 +86,17 @@ class TestReducedEnergy:
             assert abs(value - float(F_n_eval(params, t_ref, H_value=h))) \
                 < 1e-8 * max(1.0, abs(value))
 
+    @pytest.mark.parametrize("weyl_sq", [-1.0, math.nan])
+    def test_params_reject_weyl_norm(self, weyl_sq):
+        with pytest.raises(ValueError, match="weyl_sq"):
+            ReducedEnergyParams(n=6, weyl_sq=weyl_sq)
+
     def test_degenerate_cases(self):
         Hb = build_H(1, 6, seed=0)
         with pytest.raises(DegenerateError):
             F_n_critical(ReducedEnergyParams(n=6, weyl_sq=0.0, H=Hb))
-        flat = BumpFunction(dim=6, maxima=np.zeros((1, 6)),
-                            amplitudes=np.array([1.0]), sigma=0.1,
-                            r_tilde=0.05)
+        flat = BumpFunction(maxima=np.zeros((1, 6)),
+                            amplitudes=np.array([1.0]), sigma=0.1)
         # amplitude 1 gives peak value a - 1 = 0: no interior maximum
         with pytest.raises(DegenerateError):
             F_n_critical(ReducedEnergyParams(n=6, weyl_sq=14.4, H=flat))
@@ -103,6 +111,21 @@ class TestSchedules:
         for eps in rng.uniform(1e-12, 0.15, size=100):
             d = delta_eps(6, float(eps))
             assert abs(d * d * math.log(1.0 / d) - eps) <= 1e-14 * eps
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf])
+    def test_delta_eps_rejects_eps(self, n, eps):
+        # delta_eps(7, nan) returned nan and delta_eps(6, nan) reported a
+        # missed bisection
+        with pytest.raises(ValueError, match="positive and finite"):
+            delta_eps(n, eps)
+
+    def test_delta_eps_checks_criterion_8_residual(self, monkeypatch):
+        # the root is checked by the residual that criterion 8 gates
+        monkeypatch.setattr(reduced, "_back_substitution_residual",
+                            lambda n, eps, d: 1.0)
+        with pytest.raises(ValueError, match="bisection missed"):
+            delta_eps(6, 1e-3)
 
     def test_delta_eps_n6_value(self):
         assert delta_eps(6, 1e-3) == pytest.approx(0.015490308804935113,
@@ -218,56 +241,62 @@ class TestBumps:
         for i in range(Hb.k):
             for j in range(i + 1, Hb.k):
                 gap = np.linalg.norm(Hb.maxima[i] - Hb.maxima[j])
-                assert gap >= 3.0 * Hb.r_tilde - 1e-12
+                assert gap >= 3.0 * Hb.sigma - 1e-12
+
+    def test_audit_far_value_covers_the_reach(self, monkeypatch):
+        # h_eps_perturbation skips the log map beyond Hb.reach on the
+        # promise that H is -1 there; a support wider than sigma breaks it
+        # well inside |x| = 2, and the audit must see that
+        Hb = build_H(1, 6, seed=1)
+        wide = reduced.radial_bump
+        monkeypatch.setattr(reduced, "radial_bump", lambda t: wide(t / 1.5))
+        rep = audit_bumps(Hb)
+        assert not rep["far_value_ok"] and not rep["passed"]
+
+    def test_dim_follows_the_maxima(self):
+        Hb = build_H(2, 6, seed=3)
+        assert Hb.dim == 6
+        moved = replace(Hb, maxima=np.hstack([Hb.maxima, np.zeros((2, 2))]))
+        assert moved.dim == 8 and moved.sigma == Hb.sigma
+        assert Hb.reach == pytest.approx(0.75 + Hb.sigma, rel=1e-15)
 
     def test_compact_support_radius(self):
         Hb = build_H(3, 6, seed=4)
         for i in range(Hb.k):
             ring = Hb.maxima[i].copy()
-            ring[0] += 1.5 * Hb.r_tilde
+            ring[0] += 1.5 * Hb.sigma
             assert Hb(ring[None, :])[0] == pytest.approx(-1.0)
 
 
 class TestPerturbedPotential:
-    def _model(self):
-        return ManifoldModel.product_spheres(3, 3)
-
-    def _xi0(self, m):
-        x = np.zeros(m.ambient_dim)
-        x[0] = 1.0
-        x[m.p + 1] = 1.0
-        return x
-
     def test_value_at_peak(self):
-        m = self._model()
-        xi0 = self._xi0(m)
+        # the rise above c_n R_g at xi0 is eps H(0), the peak value
+        m = pp()
+        xi0 = base_point(m)
         eps, mu = 1e-4, 0.2
         Hb = build_H(1, 6, seed=3)
-        h = h_eps_field(m, xi0, eps, mu, Hb)
-        c6 = 0.2 * 12.0  # c_n R_g on S^3 x S^3
-        got = h(xi0[None, :])[0]
-        want = c6 + eps * float(Hb.peak_values()[0])
-        assert got == pytest.approx(want, rel=1e-12)
+        rise = h_eps_perturbation(m, xi0, eps, mu, Hb)
+        assert rise(xi0[None, :])[0] == pytest.approx(
+            eps * float(Hb(np.zeros(6))), rel=1e-12)
 
     def test_far_field_depression(self):
-        m = self._model()
-        xi0 = self._xi0(m)
+        m = pp()
+        xi0 = base_point(m)
         eps, mu = 1e-4, 0.01
         Hb = build_H(1, 6, seed=3)
-        h = h_eps_field(m, xi0, eps, mu, Hb)
+        rise = h_eps_perturbation(m, xi0, eps, mu, Hb)
         v = RNG.standard_normal(m.n) @ m.tangent_frame(xi0)
         far = m.exp(xi0, 2.0 * v / np.linalg.norm(v))
-        assert h(far[None, :])[0] == pytest.approx(0.2 * 12.0 - eps,
-                                                   rel=1e-12)
+        assert rise(far[None, :])[0] == -eps
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_support_is_the_bumps_reach(self, k):
         # H is -1 beyond max_i |p_i| + sigma, and above -1 just inside it
-        m = self._model()
-        xi0 = self._xi0(m)
+        m = pp()
+        xi0 = base_point(m)
         eps, mu = 1e-3, 0.05
         Hb = build_H(k, 6, seed=3)
-        pert = h_eps_field(m, xi0, eps, mu, Hb).perturbation
+        pert = h_eps_perturbation(m, xi0, eps, mu, Hb)
         norms = np.linalg.norm(Hb.maxima, axis=1)
         reach = norms.max() + Hb.sigma
         frame = m.tangent_frame(xi0)
@@ -319,7 +348,7 @@ class TestPerturbedPotential:
                   + 0.5 * Hb.sigma * rng.random((k, 8, 1)) * dirs[:8])
             .reshape(-1, 6)])
         pts = model.exp(xi0, y @ frame)
-        pert = h_eps_field(model, xi0, eps, mu, Hb).perturbation
+        pert = h_eps_perturbation(model, xi0, eps, mu, Hb)
         want = self._frame_coordinate_perturbation(model, xi0, eps, mu, Hb,
                                                    pts)
         d = model.distance(xi0, pts)
@@ -330,10 +359,16 @@ class TestPerturbedPotential:
         assert np.ndim(got) == 0
         assert abs(got - want[-1]) <= 1e-14 * eps
 
+    def test_non_finite_bump_position_rejected(self):
+        m = pp()
+        with pytest.raises(GeometryError):
+            schedule_configuration(m, base_point(m), [1.0],
+                                   [np.full(6, math.nan)], 1e-3)
+
     def test_ratio_rejects_unresolving_rule(self):
         # delta(1e-4) is about 4e-3, far below the rule's finest scale
-        m = self._model()
-        xi0 = self._xi0(m)
+        m = pp()
+        xi0 = base_point(m)
         Hb = build_H(1, 6, seed=7)
         rule = build_quadrature(m, xi0, finest_scale=0.1, angular="radial")
         with pytest.raises(CapacityError, match="does not resolve"):
@@ -342,10 +377,8 @@ class TestPerturbedPotential:
 
 class TestScheduleConf04:
     def test_configuration_geometry(self):
-        m = ManifoldModel.product_spheres(3, 3)
-        xi0 = np.zeros(8)
-        xi0[0] = 1.0
-        xi0[4] = 1.0
+        m = pp()
+        xi0 = base_point(m)
         Hb = build_H(2, 6, seed=6)
         eps = 1e-5
         cfg, sch = schedule_configuration(m, xi0, [1.0, 1.0],

@@ -71,6 +71,8 @@ class BubbleParams:
     def __post_init__(self):
         if not 0.0 < self.delta < math.inf:
             raise ValueError("bubble scale must be positive and finite")
+        if np.ndim(self.center) != 1 or not np.all(np.isfinite(self.center)):
+            raise ValueError("bubble centre must be a finite 1-D point")
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def _exp_reduced_limit(cfg):
     xi0 = _rule_center(model)
     p = Hb.maxima[0]
     # a single bump peaks at xi0, under the bubble: the integrand is radial
-    angular = "radial" if Hb.k == 1 else None
+    angular = "radial" if Hb.k == 1 else "biradial"
     rows = []
     for eps in sorted(cfg["eps_range"], reverse=True):
         # centre the rule on the bubble at exp_xi0(mu p), which is xi0 itself

@@ -669,31 +669,29 @@ def _leggauss(k):
     return np.polynomial.legendre.leggauss(k)
 
 
+# a rule takes at most about 50 distinct panels: this holds a few rules
+@functools.lru_cache(maxsize=256)
 def gauss_segment(a, b, k):
-    """k-point Gauss-Legendre nodes/weights on [a, b]."""
+    """k-point Gauss-Legendre nodes/weights on [a, b], cached: the radial
+    grids of a rule share their inner panels.  The arrays returned are
+    shared and read-only."""
     x, w = _leggauss(k)
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
-
-
-def unit_sphere_rule(m, orders):
-    """Product-form quadrature on the unit sphere S^m in R^(m+1).
-
-    ``orders`` has length m: Gauss orders for the successive polar angles
-    and a trailing azimuthal count.  The rule integrates constants exactly
-    at any orders; the polar resolution of the FIRST angle (measured from
-    the +e1 axis) controls accuracy for axially symmetric integrands.
-    Rules are cached by their orders, so the arrays returned are shared
-    and read-only.
-    """
-    if len(orders) != m:
-        raise GeometryError(f"need {m} orders for S^{m}")
-    # from a list: tuple(generator) allocates 10 slots and shrinks them,
-    # which parks a tuple on CPython's free list on every call
-    return _unit_sphere_rule(m, tuple([int(o) for o in orders]))
+    x, w = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_sphere_rule(m, orders):
+def unit_sphere_rule(m, orders):
+    """Product-form quadrature on the unit sphere S^m in R^(m+1).
+
+    ``orders``, a tuple of m ints as :func:`_angular_orders` resolves them,
+    holds Gauss orders for the successive polar angles and a trailing
+    azimuthal count.  The rule integrates constants exactly at any orders;
+    the polar resolution of the FIRST angle (measured from the +e1 axis)
+    controls accuracy for axially symmetric integrands.  Rules are cached
+    by their orders, so the arrays returned are shared and read-only.
+    """
     if m == 1:
         L = orders[0]
         ang = 2.0 * math.pi * (np.arange(L) + 0.5) / L
@@ -701,7 +699,7 @@ def _unit_sphere_rule(m, orders):
         weights = np.full(L, 2.0 * math.pi / L)
     else:
         th, wth = gauss_segment(0.0, math.pi, orders[0])
-        sub_nodes, sub_w = _unit_sphere_rule(m - 1, orders[1:])
+        sub_nodes, sub_w = unit_sphere_rule(m - 1, orders[1:])
         wth = wth * np.sin(th) ** (m - 1)
         # rescale to the exact sine moment so constants (and hence radial
         # integrands) are integrated exactly at any order
@@ -713,33 +711,54 @@ def _unit_sphere_rule(m, orders):
                              math.sin(t) * sub_nodes])
             for t in th])
         weights = np.concatenate([w * sub_w for w in wth])
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
 # polar orders on S^m by profile name: the directions of flat-ball and
 # round-sphere rules, and the factor spheres of product rules
 _SPHERE_PROFILES = {
-    "default": lambda m: [8] + [4] * (m - 2) + [8],
     "minimal": lambda m: [2] * (m - 1) + [4],
     "axial": lambda m: [20] + [1] * (m - 1),
     "radial": lambda m: [1] * m,
 }
 
-
-def _lookup_profile(table, name, what):
-    if name not in table:
-        raise GeometryError(
-            f"unknown angular profile {name!r} for {what}; choose from "
-            f"{', '.join(table)}")
-    return table[name]
+# a product profile gives both factor spheres one sphere profile; the split
+# angles belong to the layout, so each builder sets their number
+_PRODUCT_PROFILES = {"radial": _SPHERE_PROFILES["radial"],
+                     "biradial": _SPHERE_PROFILES["minimal"]}
 
 
-def _resolve_orders(m, spec):
-    if isinstance(spec, str):
-        return _lookup_profile(_SPHERE_PROFILES, spec, f"orders on S^{m}")(m)
-    return list(spec)
+def _angular_orders(model, angular, n_psi):
+    """The polar orders, a tuple per sphere of directions, and the split
+    angles per panel that ``angular`` declares on ``model``, in the forms
+    of :func:`build_quadrature`; a product dict's ``n_psi`` replaces the
+    builder's.  Any other declaration raises GeometryError.
+    """
+    dims = [k - 1 for _, k, _ in model._factors]
+    table = _PRODUCT_PROFILES if len(dims) == 2 else _SPHERE_PROFILES
+    if isinstance(angular, str):
+        if angular not in table:
+            raise GeometryError(f"unknown angular profile {angular!r} for "
+                                f"{model.kind}; choose from {', '.join(table)}")
+        specs = [table[angular](m) for m in dims]
+    elif len(dims) == 2 and isinstance(angular, dict) \
+            and set(angular) - {"n_psi"} == {"orders_a", "orders_b"}:
+        specs = [angular["orders_a"], angular["orders_b"]]
+        n_psi = angular.get("n_psi", n_psi)
+    else:
+        specs = [angular]
+    try:
+        # from a list: tuple(generator) allocates 10 slots and shrinks them,
+        # which parks a tuple on CPython's free list on every call
+        orders = [tuple([int(o) for o in spec]) for spec in specs]
+        n_psi = int(n_psi)
+    except (TypeError, ValueError):
+        orders = []
+    if [len(o) for o in orders] != dims or min(n_psi, *map(min, orders)) < 1:
+        raise GeometryError(f"{angular!r} declares neither a profile nor "
+                            f"{dims} orders of at least 1 on {model.kind}")
+    return orders, n_psi
 
 
 # Gauss orders of the radial panels: innermost segment, annuli inside the
@@ -769,18 +788,6 @@ def _split_band(panel, transition):
         + ([(hi_c, b, k)] if hi_c < b else [])
 
 
-# a rule takes at most about 50 distinct panels: this holds a few rules
-@functools.lru_cache(maxsize=256)
-def _panel(a, b, k):
-    """:func:`gauss_segment` on [a, b], cached: the radial grids of a rule
-    share their inner panels.  The arrays returned are shared and
-    read-only."""
-    x, w = gauss_segment(a, b, k)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
 def _radial_grid(finest_scale, r_patch, r, transition):
     """Radial nodes and weights on [0, r], graded geometrically (ratio 2)
     near the center.
@@ -799,18 +806,11 @@ def _radial_grid(finest_scale, r_patch, r, transition):
                      else 2.0 * edges[-1])
         orders.append(_ANNULUS_ORDER if inside else _OUTER_ORDER)
     edges[-1] = min(edges[-1], r)
-    # from a list, not a generator, for the reason in unit_sphere_rule
-    xs, ws = zip(*[_panel(*p) for panel in zip(edges, edges[1:], orders)
+    # from a list, not a generator, for the reason in _angular_orders
+    xs, ws = zip(*[gauss_segment(*p) for panel in zip(edges, edges[1:], orders)
                    for p in _split_band(panel, transition)])
     return np.concatenate(xs), np.concatenate(ws)
 
-
-# factor orders by profile name: the symmetry the caller declares.  The
-# number of split angles belongs to the layout, so each builder sets it
-_PRODUCT_PROFILES = {
-    "radial": dict(orders_a="radial", orders_b="radial"),
-    "biradial": dict(orders_a="minimal", orders_b="minimal"),
-}
 
 # Gauss split angles per panel of a product rule, per builder: the smallest
 # order in {2, 4, 8, 12, 16, 24} that keeps every gated quantity within
@@ -820,7 +820,7 @@ _N_PSI_ONE_CENTRE, _N_PSI_MULTICENTRE = 12, 24
 
 
 def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
-                     angular=None):
+                     angular):
     """Concentration-aware quadrature rule centered at ``center``.
 
     The rule combines a geodesic-polar patch around the center with radial
@@ -830,27 +830,27 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     panels inside the cutoff's transition band [r0/2, r0] are subdivided.
     A rule of more than ``budget`` nodes raises CapacityError, naming its size.
 
-    ``angular`` selects the angular resolution.  On products it is a
-    profile name ("radial", "biradial") or a dict with keys ``n_psi``,
-    ``orders_a``, ``orders_b`` (each a list of polar orders or a sphere
-    profile name); None means "biradial".  A name fixes the factor orders,
-    and the split angle between the factors takes 12 Gauss nodes on each
-    of its two panels, unless a dict gives ``n_psi``: measured on the
-    scheduled bubbles of the reduced limit, the ratio and the residual
-    norm stay within 1e-14 relative of 24 split angles and the weights sum
-    to the volume within 5e-14, while 8 miss it by 4.7e-9.  On flat balls
-    and round spheres it is a sphere profile name ("default", "minimal",
-    "axial", "radial") or a list of polar orders; None means "default".
-    An unknown name raises GeometryError.  "axial" puts 20 Gauss nodes on
-    the polar angle from the rule's axis and one on every other angle, so
-    it resolves only integrands invariant under rotations about that axis.
+    ``angular`` declares the angular resolution; it has no default.  On
+    flat balls and round spheres it is "minimal", "axial", "radial" or
+    n - 1 polar orders for the directions S^(n-1); on S^p x S^q "radial",
+    "biradial" or a dict of the factor spheres' orders ``orders_a`` (p - 1
+    of them) and ``orders_b`` (q - 1) and optionally ``n_psi``.  Anything
+    else raises GeometryError.  "biradial" gives each factor sphere the
+    orders of "minimal", [2, ..., 2, 4], and the split angle between the
+    factors takes 12 Gauss nodes on each of its two panels, unless a dict
+    gives ``n_psi``: measured on the scheduled bubbles of the reduced
+    limit, the ratio and the residual norm stay within 1e-14 relative of
+    24 split angles and the weights sum to the volume within 5e-14, while
+    8 miss it by 4.7e-9.  "axial" puts 20 Gauss nodes on the polar angle
+    from the rule's axis and one on every other angle, so it resolves
+    only integrands invariant under rotations about that axis.
 
-    "radial" keeps one angular node per sphere of directions (per factor
-    sphere on products), so it is exact only for an integrand that depends
-    on the distance to ``center`` alone, or on products on the two factor
-    distances alone: one bubble at ``center`` under a constant potential or
-    a one-bump potential peaked there.  The caller declares that symmetry;
-    nothing checks the integrand.
+    "radial", orders all 1, keeps one angular node per sphere of directions
+    (per factor sphere on products), so it is exact only for an integrand
+    that depends on the distance to ``center`` alone, or on products on the
+    two factor distances alone: one bubble at ``center`` under a constant
+    potential or a one-bump potential peaked there.  The caller declares
+    that symmetry; nothing checks the integrand.
 
     On a flat ball ``center`` must be the origin, or GeometryError is
     raised: about another centre each ray leaves the ball at its own
@@ -861,13 +861,14 @@ def build_quadrature(model, center, finest_scale, budget=2_000_000, *,
     if not model.is_compact and np.any(center):
         raise GeometryError("a rule on a flat ball must be centred at the "
                             "origin, the ball's only centre of symmetry")
-    nodes, weights = _polar_rule(model, center, finest_scale, budget, angular,
-                                 _N_PSI_ONE_CENTRE)
+    nodes, weights = _polar_rule(model, center, finest_scale, budget,
+                                 *_angular_orders(model, angular,
+                                                  _N_PSI_ONE_CENTRE))
     return QuadratureRule(nodes=nodes, weights=weights,
                           finest_scale=finest_scale)
 
 
-def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
+def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
                 axis=None, extent=math.inf):
     """Nodes and weights of a geodesic-polar rule about ``center``.
 
@@ -877,13 +878,14 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
     For each join angle and each distinct outer radius one radial grid is
     mapped factor by factor, c + t a on the ball and cos(t) c + sin(t) a on
     a sphere factor, and broadcast over the factors' directions with weight
-    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs.  The split angles are
-    ``n_psi`` Gauss nodes on each of two panels, unless a dict ``angular``
-    gives its own ``n_psi``; the other models have none.  The outer radius
-    is pi / max(cos psi, sin psi) on sphere factors and each ray's exit
-    radius on the ball, cut at ``extent``.  ``axis``, a tangent vector at
-    ``center``, turns each factor's polar axis toward its projection on
-    that factor; with None it is the first vector of the factor's frame.
+    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs, from ``orders`` and
+    ``n_psi`` as :func:`_angular_orders` resolves them: the split angles
+    are ``n_psi`` Gauss nodes on each of two panels, and the other models
+    have none.  The outer radius is pi / max(cos psi, sin psi) on sphere
+    factors and each ray's exit radius on the ball, cut at ``extent``.
+    ``axis``, a tangent vector at ``center``, turns each factor's polar
+    axis toward its projection on that factor; with None it is the first
+    vector of the factor's frame.
     A rule of more than one integration block is filled on the block
     workers, one (join angle, outer radius) entry at a time; a smaller
     rule, or one built on a block worker, is filled inline.
@@ -892,22 +894,16 @@ def _polar_rule(model, center, finest_scale, budget, angular, n_psi,
         raise GeometryError("finest_scale must lie in (0, 1]")
     factors = model._factors
     if len(factors) == 2:
-        prof = angular or "biradial"
-        if isinstance(prof, str):
-            prof = _lookup_profile(_PRODUCT_PROFILES, prof, "a product")
-        orders = [_resolve_orders(k - 1, prof.get(key) or "minimal")
-                  for (_, k, _), key in zip(factors, ("orders_a", "orders_b"))]
         # two panels of split angles, meeting at the kink of the outer
         # radius at pi/4
         psi, wpsi = np.concatenate(
-            [gauss_segment(lo, hi, int(prof.get("n_psi", n_psi))) for lo, hi
+            [gauss_segment(lo, hi, n_psi) for lo, hi
              in ((0.0, math.pi / 4.0), (math.pi / 4.0, math.pi / 2.0))],
             axis=1)
         joins = [((c, s), wp * c ** (model.p - 1) * s ** (model.q - 1))
                  for ps, wp in zip(psi, wpsi)
                  for c, s in [(math.cos(ps), math.sin(ps))]]
     else:
-        orders = [_resolve_orders(model.n - 1, angular or "default")]
         joins = [((1.0,), 1.0)]
     bases = model.split(center)
 
@@ -996,39 +992,41 @@ def build_multicenter_quadrature(model, centers, finest_scale,
     and a rule for that ball.  The first centre's piece is a rule for the
     whole model, weighted by 1 minus the other localizers, whose supports are
     disjoint: no weight is negative, and only its nodes where another
-    localizer is 1 (weight 0) are dropped.  ``angular`` is the first centre's
-    profile and ``patch_angular`` the other pieces', as in
-    :func:`build_quadrature`, with None meaning "axial" on flat balls and
-    round spheres and "biradial" on products.  On products each piece takes 24
-    split angles per panel unless a dict gives ``n_psi``: the first piece
-    holds the other centres' bubbles and localizers off its own centre, and on
-    the scheduled k = 2 layout 16 split angles move the reduced-limit ratio by
-    2.4e-8 relative and 12 by 4.6e-7, where 48 moves it by 6.1e-10.  The
-    budget is split evenly over the pieces.
+    localizer is 1 (weight 0) are dropped.  ``angular`` declares the first
+    centre's piece and ``patch_angular`` the others, as in
+    :func:`build_quadrature`; None declares "axial", which products lack.
+    On products each piece takes 24 split angles per panel unless a dict
+    gives ``n_psi``: the first piece holds the other centres' bubbles and
+    localizers off its own centre, and on the scheduled k = 2 layout 16
+    split angles move the reduced-limit ratio by 2.4e-8 relative and 12 by
+    4.6e-7, where 48 moves it by 6.1e-10.  The budget is split evenly over
+    the pieces.
 
     It needs at least two distinct centres; one centre is the job of
-    :func:`build_quadrature`.  No piece is radial about its centre, so the
-    "radial" profile raises GeometryError.  On a flat ball the centres must
-    lie on one line through the origin, the polar axis about which every
-    piece's exit radii are symmetric, or GeometryError is raised.  So the
-    partition of unity is axisymmetric there, as it is for two centres on
-    a sphere; with other than two centres on a sphere "axial" raises
-    GeometryError.  The caller declares the integrand's symmetry.
+    :func:`build_quadrature`.  No piece is radial about its centre, so
+    orders all 1 raise GeometryError, by name or not.  On a flat ball the
+    centres must lie on one line through the origin, the polar axis about
+    which every piece's exit radii are symmetric, or GeometryError is
+    raised.  So the partition of unity is axisymmetric there, as it is for
+    two centres on a sphere; with other than two centres on a sphere,
+    axial orders (the first above 1, every other 1) raise GeometryError.
+    The caller declares the integrand's symmetry.
     """
-    if "radial" in (angular, patch_angular):
-        raise GeometryError(
-            "the radial profile does not apply to multicentre rules")
     centers = [model.validate_point(np.asarray(c, dtype=float)) for c in centers]
     if len(centers) < 2:
         raise GeometryError(
             "a multicentre rule needs at least two centres; use "
             "build_quadrature for one")
-    if model.kind != "product_spheres":
-        angular, patch_angular = angular or "axial", patch_angular or "axial"
-    if model.kind == "round_sphere" and len(centers) != 2 \
-            and "axial" in (angular, patch_angular):
-        raise GeometryError("the axial profile needs an axisymmetric layout; "
-                            "on a sphere that is two centres")
+    first, patch = [_angular_orders(model, "axial" if a is None else a,
+                                    _N_PSI_MULTICENTRE)
+                    for a in (angular, patch_angular)]
+    for orders, _ in (first, patch):
+        if max(map(max, orders)) == 1:
+            raise GeometryError("multicentre rules take no radial orders")
+        if model.kind == "round_sphere" and len(centers) != 2 \
+                and orders[0][0] > 1 and max(orders[0][1:]) == 1:
+            raise GeometryError("axial orders need an axisymmetric layout; "
+                                "on a sphere that is two centres")
     dmin = min(model.distance(a, b)
                for i, a in enumerate(centers) for b in centers[i + 1:])
     if dmin <= 0:
@@ -1047,15 +1045,14 @@ def build_multicenter_quadrature(model, centers, finest_scale,
             for i, c in enumerate(centers)]
     # the first piece: 1 - rho >= 0, as the localizers' supports are disjoint
     nodes, weights = _polar_rule(model, centers[0], finest_scale, sub_budget,
-                                 angular, _N_PSI_MULTICENTRE, axis=axes[0])
+                                 *first, axis=axes[0])
     rho = sum(plateau_jet(model.distance(nodes, c), r_i)[0]
               for c in centers[1:])
     pieces = [(nodes, weights * (1.0 - rho))]
     for c, axis in zip(centers[1:], axes[1:]):
         # a rule for the ball of radius r_i about c, weighted by the localizer
         nodes, weights = _polar_rule(model, c, finest_scale, sub_budget,
-                                     patch_angular, _N_PSI_MULTICENTRE,
-                                     axis=axis, extent=r_i)
+                                     *patch, axis=axis, extent=r_i)
         pieces.append((nodes, weights
                        * plateau_jet(model.distance(nodes, c), r_i)[0]))
 

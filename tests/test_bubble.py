@@ -170,6 +170,16 @@ class TestProfile:
         with pytest.raises(ValueError, match="positive and finite"):
             BubbleParams(delta, np.zeros(8))
 
+    @pytest.mark.parametrize("center", [
+        np.full(8, math.nan), np.r_[1.0, np.zeros(6), math.inf],
+        np.zeros((2, 8)), np.float64(0.0)],
+        ids=["nan", "inf", "2-D", "0-D"])
+    def test_rejects_a_centre_that_is_no_finite_point(self, center):
+        # a NaN centre used to be accepted, and a BubbleField built from
+        # it returned NaN at every point
+        with pytest.raises(ValueError, match="finite 1-D point"):
+            BubbleParams(0.1, center)
+
 
 class TestGradient:
     def test_matches_finite_differences(self):

@@ -85,7 +85,7 @@ class TestEnergy:
     def test_rule_must_resolve_scale(self):
         m = pp()
         xi = base_point(m)
-        rule = build_quadrature(m, xi, finest_scale=0.1)
+        rule = build_quadrature(m, xi, finest_scale=0.1, angular="biradial")
         cfg = Configuration(bubbles=(BubbleParams(1e-3, xi),))
         from blowup_lab.geometry import CapacityError
         with pytest.raises(CapacityError):
@@ -162,7 +162,7 @@ class TestResidual:
     def test_curved_residual_is_small_but_nonzero(self):
         m = pp()
         xi = base_point(m)
-        rule = build_quadrature(m, xi, finest_scale=0.01)
+        rule = build_quadrature(m, xi, finest_scale=0.01, angular="biradial")
         cfg = Configuration(bubbles=(BubbleParams(0.01, xi),))
         h = PotentialField.conformal_scalar(m)
         res = residual_norm(m, h, cfg, CutoffSpec.for_model(m), rule)
@@ -170,10 +170,11 @@ class TestResidual:
 
 
 # each model with a profile that keeps a full angular grid; on S^3 x S^3
-# with 24 split angles per panel, twice the single-centre default
+# the orders of "biradial" with 24 split angles per panel, twice the 12 of
+# a one-centre rule
 _FULL = {
     "S3xS3": (ManifoldModel.product_spheres(3, 3),
-              dict(n_psi=24, orders_a="minimal", orders_b="minimal")),
+              dict(n_psi=24, orders_a=[2, 4], orders_b=[2, 4])),
     "S6": (ManifoldModel.round_sphere(6), "minimal"),
     "B7": (ManifoldModel.flat_ball(7, 100.0), "minimal"),
 }
@@ -214,8 +215,8 @@ class TestRadialProfile:
         (want, res_want), (got, res_got) = integrals(full), integrals("radial")
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         # on the flat ball the residual is a near-cancellation inside the
-        # plateau: at delta = 1e-3 two full profiles ("minimal", "default")
-        # already differ there by up to 8e-10
+        # plateau: at delta = 1e-3 two full grids ("minimal" and the orders
+        # [8, 4, 4, 4, 4, 8]) already differ there by up to 8e-10
         rtol = 1e-8 if m.kind == "flat_ball" else 1e-12
         assert res_got == pytest.approx(res_want, rel=rtol)
 
@@ -246,8 +247,8 @@ class TestRadialProfile:
 class TestSplitAngles:
     @pytest.mark.parametrize("eps", [1e-2, 1e-4])
     def test_one_centre_default_matches_24_split_angles(self, eps):
-        # reduced_limit_k2's rule, one centre at the first bubble: the
-        # default's 12 split angles per panel against 24 (BENCH_23.json
+        # reduced_limit_k2's rule, one centre at the first bubble:
+        # "biradial"'s 12 split angles per panel against 24 (BENCH_23.json
         # measures the ratios within 1.7e-15 and the residual norms within
         # 7.8e-15 of each other on this layout)
         m = ManifoldModel.product_spheres(3, 3)
@@ -256,7 +257,7 @@ class TestSplitAngles:
         p = Hb.maxima[0]
         h0 = PotentialField.conformal_scalar(m)
         vals = []
-        for angular in (None, _FULL["S3xS3"][1]):
+        for angular in ("biradial", _FULL["S3xS3"][1]):
             cfg, sch = schedule_configuration(m, xi0, [1.0], [p], eps)
             rule = build_quadrature(m, cfg.bubbles[0].center,
                                     finest_scale=sch.delta_eps,
@@ -270,7 +271,8 @@ class TestSplitAngles:
 class TestLebesgueNorm:
     def test_constant_function(self):
         m = pp()
-        rule = build_quadrature(m, base_point(m), finest_scale=0.1)
+        rule = build_quadrature(m, base_point(m), finest_scale=0.1,
+                                angular="biradial")
         # default exponent 2n/(n+2) = 3/2 at n = 6
         want = m.volume ** (2.0 / 3.0)
         assert lebesgue_norm(m, rule, lambda pts: np.ones(len(pts))) \
@@ -409,7 +411,7 @@ class TestSplit:
                                      BubbleParams(1e-2, c2)), K=10.0)
         cutoff = CutoffSpec.for_model(m)
         # a coarse split angle keeps the rule small; accuracy is not tested
-        coarse = {"n_psi": 4, "orders_a": "minimal", "orders_b": "minimal"}
+        coarse = {"n_psi": 4, "orders_a": [2, 4], "orders_b": [2, 4]}
         rule = build_multicenter_quadrature(m, [c1, c2], finest_scale=1e-2,
                                             angular=coarse,
                                             patch_angular=coarse)
@@ -457,7 +459,7 @@ class TestBlockSampling:
         m = pp()
         xi0 = base_point(m)
         delta = ScheduleParams(n=m.n, eps=self.EPS).delta_eps
-        coarse = {"n_psi": 4, "orders_a": "minimal", "orders_b": "minimal"}
+        coarse = {"n_psi": 4, "orders_a": [2, 4], "orders_b": [2, 4]}
         rule = build_quadrature(m, xi0, finest_scale=delta, angular=coarse)
         v = (np.random.default_rng(5).standard_normal(m.n)
              @ m.tangent_frame(xi0))

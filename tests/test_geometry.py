@@ -25,8 +25,8 @@ from blowup_lab.geometry import (
     QuadratureRule,
     _along,
     _BLOCK,
+    _angular_orders,
     _polar_rule,
-    _panel,
     _radial_grid,
     _rowsum,
     _split_band,
@@ -81,7 +81,7 @@ class TestModels:
         with pytest.raises(GeometryError):
             model.validate_point(x)
         with pytest.raises(GeometryError):
-            build_quadrature(model, x, finest_scale=0.1)
+            build_quadrature(model, x, finest_scale=0.1, angular="radial")
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_flat_ball_rejects_radius(self, radius):
@@ -499,15 +499,52 @@ _CONSTANT_CASES = [
     (ManifoldModel.product_spheres(3, 3), "biradial", False),
     (ManifoldModel.product_spheres(3, 3),
      dict(n_psi=24, orders_a=[4, 2], orders_b=[1, 1]), True),
-    (ManifoldModel.round_sphere(6), "default", False),
+    (ManifoldModel.round_sphere(6), [8, 4, 4, 4, 8], False),
     (ManifoldModel.round_sphere(6), "minimal", False),
     (ManifoldModel.round_sphere(6), "radial", False),
     (ManifoldModel.round_sphere(6), "axial", True),
     (ManifoldModel.flat_ball(6, 2.0), "minimal", False),
 ]
 _CONSTANT_IDS = ["S3xS3-radial", "S3xS3-biradial", "S3xS3-axial-axis",
-                 "S6-default", "S6-minimal", "S6-radial", "S6-axial-axis",
+                 "S6-orders", "S6-minimal", "S6-radial", "S6-axial-axis",
                  "B6-minimal"]
+
+
+def _ball_pair():
+    m = ManifoldModel.flat_ball(6, 1.0)
+    return m, [0.3 * np.eye(6)[0], -0.3 * np.eye(6)[0]]
+
+
+def _sphere_centres(count):
+    return ManifoldModel.round_sphere(6), list(np.eye(7)[:count])
+
+
+# every spelling of a multicentre declaration that must be refused, as
+# (model, centres, declaration, message), built when the test runs
+_REFUSED_SPELLINGS = {
+    "B6-radial": lambda: (*_ball_pair(), "radial", "radial orders"),
+    "B6-ones-list": lambda: (*_ball_pair(), [1] * 5, "radial orders"),
+    "B6-ones-array": lambda: (*_ball_pair(), np.ones(5, dtype=int),
+                              "radial orders"),
+    "S6-ones-tuple": lambda: (*_sphere_centres(2), (1,) * 5,
+                              "radial orders"),
+    "S3xS3-radial": lambda: (pp(), _product_centres(), "radial",
+                             "radial orders"),
+    "S3xS3-ones-dict": lambda: (pp(), _product_centres(),
+                                dict(orders_a=[1, 1], orders_b=[1, 1]),
+                                "radial orders"),
+    "S3xS3-ones-dict-n_psi": lambda: (
+        pp(), _product_centres(),
+        dict(n_psi=8, orders_a=(1, 1), orders_b=np.ones(2, dtype=int)),
+        "radial orders"),
+    "S6-3-axial": lambda: (*_sphere_centres(3), "axial", "axisymmetric"),
+    "S6-3-none": lambda: (*_sphere_centres(3), None, "axisymmetric"),
+    "S6-3-axial-list": lambda: (*_sphere_centres(3), [20, 1, 1, 1, 1],
+                                "axisymmetric"),
+    "S6-3-axial-array": lambda: (*_sphere_centres(3),
+                                 np.array([5, 1, 1, 1, 1]), "axisymmetric"),
+    "S6-4-axial": lambda: (*_sphere_centres(4), "axial", "axisymmetric"),
+}
 
 
 class TestQuadrature:
@@ -516,14 +553,14 @@ class TestQuadrature:
         assert float(w @ x**7) == pytest.approx(2.0**8 / 8.0, rel=1e-14)
 
     def test_unit_sphere_rule_surface_area(self):
-        for m, orders in ((2, [8, 8]), (5, [4, 4, 4, 4, 8])):
+        for m, orders in ((2, (8, 8)), (5, (4, 4, 4, 4, 8))):
             _, w = unit_sphere_rule(m, orders)
             assert float(np.sum(w)) == pytest.approx(
                 sphere_volume(m), rel=1e-13)
 
     def test_unit_sphere_rule_moment(self):
         # int x_0^2 over S^m = vol(S^m)/(m+1)
-        dirs, w = unit_sphere_rule(3, [16, 16, 16])
+        dirs, w = unit_sphere_rule(3, (16, 16, 16))
         assert float(w @ dirs[:, 0] ** 2) == pytest.approx(
             sphere_volume(3) / 4.0, rel=1e-12)
 
@@ -536,8 +573,10 @@ class TestQuadrature:
         if with_axis:
             axis = (np.random.default_rng(0).standard_normal(model.n)
                     @ model.tangent_frame(base))
-            _, w = _polar_rule(model, base, 0.1, 2_000_000, angular,
-                               geometry._N_PSI_ONE_CENTRE, axis=axis)
+            _, w = _polar_rule(model, base, 0.1, 2_000_000,
+                               *_angular_orders(model, angular,
+                                                geometry._N_PSI_ONE_CENTRE),
+                               axis=axis)
         else:
             w = build_quadrature(model, base, finest_scale=0.1,
                                  angular=angular).weights
@@ -545,7 +584,8 @@ class TestQuadrature:
 
     def test_rule_nodes_on_manifold(self):
         m = pp()
-        rule = build_quadrature(m, base_point(m), finest_scale=0.05)
+        rule = build_quadrature(m, base_point(m), finest_scale=0.05,
+                                angular="biradial")
         x1, x2 = m.split(rule.nodes)
         np.testing.assert_allclose(np.linalg.norm(x1, axis=-1), 1.0,
                                    atol=1e-12)
@@ -555,7 +595,8 @@ class TestQuadrature:
     def test_budget_enforced(self):
         m = pp()
         with pytest.raises(CapacityError):
-            build_quadrature(m, base_point(m), finest_scale=1e-4, budget=1000)
+            build_quadrature(m, base_point(m), finest_scale=1e-4, budget=1000,
+                             angular="biradial")
 
     def test_capacity_message_names_the_planned_rule(self):
         # the message reports the node count of the rule that was asked for:
@@ -571,22 +612,68 @@ class TestQuadrature:
 
     def test_unknown_product_profile_names_valid_ones(self):
         m = pp()
-        for name in ("fine", "default"):
+        for name in ("fine", "default", "minimal", "axial"):
             with pytest.raises(GeometryError,
                                match="choose from radial, biradial$"):
                 build_quadrature(m, base_point(m), finest_scale=0.1, angular=name)
-        # polar models and the factor orders of a product dict resolve
-        # names through the sphere profiles
-        sphere_names = "choose from default, minimal, axial, radial"
+        sphere_names = "choose from minimal, axial, radial$"
         for polar in (ManifoldModel.flat_ball(6, 2.0),
                       ManifoldModel.round_sphere(6)):
-            for name in ("biradial", "no-such-profile"):
+            for name in ("biradial", "default", "no-such-profile"):
                 with pytest.raises(GeometryError, match=sphere_names):
                     build_quadrature(polar, base_point(polar), finest_scale=0.1,
                                      angular=name)
-        with pytest.raises(GeometryError, match=sphere_names):
-            build_quadrature(m, base_point(m), finest_scale=0.1,
-                             angular=dict(n_psi=8, orders_a="minmal"))
+
+    @pytest.mark.parametrize("model, angular", [
+        (pp(), None),
+        (pp(), [2, 4]),
+        (pp(), dict(orders_a=[2, 4])),
+        (pp(), dict(orders_a=[2, 4], orders_b=[2, 4], n_psy=8)),
+        (pp(), dict(orders_a="minimal", orders_b="minimal")),
+        (pp(), dict(orders_a=[2, 4, 4], orders_b=[2, 4])),
+        (pp(), dict(orders_a=[0, 4], orders_b=[2, 4])),
+        (pp(), dict(orders_a=[2, 4], orders_b=[2, 4], n_psi=0)),
+        (ManifoldModel.flat_ball(6, 2.0), None),
+        (ManifoldModel.flat_ball(6, 2.0), [2, 2, 2, 4]),
+        (ManifoldModel.flat_ball(6, 2.0), [2, 2, 2, 2, 0]),
+        (ManifoldModel.flat_ball(6, 2.0), [2, 2, 2, 2, 4.5j]),
+        (ManifoldModel.round_sphere(6), dict(orders_a=[2, 2, 2, 2, 4])),
+    ], ids=["product-none", "product-list", "missing-key", "unknown-key",
+            "names-in-a-dict", "wrong-length", "order-0", "n_psi-0",
+            "ball-none", "ball-short", "ball-order-0", "ball-complex",
+            "sphere-dict"])
+    def test_malformed_declaration_rejected(self, model, angular):
+        # a declaration is a profile name or the orders themselves, and
+        # nothing stands in for a missing one; to the multicentre builder
+        # None declares "axial"
+        with pytest.raises(GeometryError, match="neither a profile"):
+            build_quadrature(model, base_point(model), finest_scale=0.1,
+                             angular=angular)
+        if angular is not None:
+            with pytest.raises(GeometryError, match="neither a profile"):
+                build_multicenter_quadrature(
+                    model, [base_point(model), base_point(model)],
+                    finest_scale=0.1, angular=angular, patch_angular=angular)
+
+    @pytest.mark.parametrize("kw", ["angular", "patch_angular"])
+    @pytest.mark.parametrize("case", list(_REFUSED_SPELLINGS),
+                             ids=list(_REFUSED_SPELLINGS))
+    def test_multicentre_refusals_read_the_resolved_orders(self, case, kw):
+        # every spelling that resolves to radial orders is refused, and on
+        # a sphere every spelling of axial orders unless there are two
+        # centres: the refusal reads the orders, not the name
+        model, centres, spelling, match = _REFUSED_SPELLINGS[case]()
+        other = "biradial" if model.kind == "product_spheres" else "minimal"
+        declared = {"angular": other, "patch_angular": other, kw: spelling}
+        with pytest.raises(GeometryError, match=match):
+            build_multicenter_quadrature(model, centres, finest_scale=0.1,
+                                         **declared)
+
+    def test_product_multicentre_rule_declares_its_profile(self):
+        # None declares "axial", which a product lacks
+        with pytest.raises(GeometryError, match="'axial' for product"):
+            build_multicenter_quadrature(pp(), _product_centres(),
+                                         finest_scale=0.1)
 
     def test_radial_profile_needs_a_symmetric_domain(self):
         # a flat ball is symmetric only about its origin; about any other
@@ -595,15 +682,9 @@ class TestQuadrature:
         build_quadrature(m, np.zeros(6), finest_scale=0.1, angular="radial")
         off = np.zeros(6)
         off[0] = 0.5
-        for angular in ("radial", "default", "minimal", "axial"):
+        for angular in ("radial", [8, 4, 4, 4, 8], "minimal", "axial"):
             with pytest.raises(GeometryError, match="origin"):
                 build_quadrature(m, off, finest_scale=0.1, angular=angular)
-        # no piece of a multicentre rule is radial about its centre
-        for kw in ("angular", "patch_angular"):
-            with pytest.raises(GeometryError, match="multicentre"):
-                build_multicenter_quadrature(m, [np.zeros(6), off],
-                                             finest_scale=0.1,
-                                             **{kw: "radial"})
 
     @pytest.mark.parametrize("nodes, weights", [
         (np.zeros((3, 6)), [1.0, np.nan, 1.0]),
@@ -623,7 +704,8 @@ class TestQuadrature:
     def test_finest_scale_domain(self):
         m = pp()
         with pytest.raises(GeometryError):
-            build_quadrature(m, base_point(m), finest_scale=0.0)
+            build_quadrature(m, base_point(m), finest_scale=0.0,
+                             angular="biradial")
 
     def test_multicenter_integrates_constants(self):
         m = ManifoldModel.flat_ball(6, 10.0)
@@ -649,8 +731,10 @@ class TestQuadrature:
         if model.kind == "flat_ball":
             c[0] = 0.9
         angular = "biradial" if model.kind == "product_spheres" else "minimal"
-        nodes, weights = _polar_rule(model, c, 1e-2, 2_000_000, angular,
-                                     geometry._N_PSI_MULTICENTRE, extent=0.05)
+        nodes, weights = _polar_rule(
+            model, c, 1e-2, 2_000_000,
+            *_angular_orders(model, angular, geometry._N_PSI_MULTICENTRE),
+            extent=0.05)
         d = model.distance(nodes, c)
         assert np.all(d < 0.05)
         assert np.max(d) > 0.049
@@ -735,7 +819,7 @@ class TestQuadrature:
         Hb = build_H(3, 6, seed=3)
         ts, eps = [1.0] * 3, 1e-3
         cfg, sch = schedule_configuration(m, xi0, ts, Hb.maxima, eps)
-        coarse = dict(n_psi=4, orders_a="minimal", orders_b="minimal")
+        coarse = dict(n_psi=4, orders_a=[2, 4], orders_b=[2, 4])
         rule = build_multicenter_quadrature(
             m, [b.center for b in cfg.bubbles], finest_scale=sch.delta_eps,
             angular=coarse, patch_angular=coarse)
@@ -786,7 +870,7 @@ def _product_centres():
     return [base, pp().exp(base, 0.3 * frame[0] + 0.2 * frame[3])]
 
 
-_BIRADIAL_24 = dict(n_psi=24, orders_a="minimal", orders_b="minimal")
+_BIRADIAL_24 = dict(n_psi=24, orders_a=[2, 4], orders_b=[2, 4])
 
 
 def _psi_radii():
@@ -834,9 +918,9 @@ class TestSharedBuildWork:
     def test_direction_rules_are_cached_and_read_only(self):
         # the directions and the radial Gauss panels alike
         for rule, args, again_args in (
-                (unit_sphere_rule, (5, [20, 1, 1, 1, 1]),
-                 (5, (20, 1, 1, 1, 1))),
-                (_panel, (1e-4, 2e-4, 16), (1e-4, 2e-4, 16))):
+                (unit_sphere_rule, (5, (20, 1, 1, 1, 1)),
+                 (5, tuple([20, 1, 1, 1, 1]))),
+                (gauss_segment, (1e-4, 2e-4, 16), (1e-4, 2e-4, 16))):
             nodes, weights = rule(*args)
             again = rule(*again_args)
             assert again[0] is nodes and again[1] is weights
@@ -853,7 +937,8 @@ class TestSharedBuildWork:
         # a multicentre product rule takes 24 split angles per panel, so
         # "biradial" by name is the dict that gives 24
         (lambda: build_multicenter_quadrature(
-            pp(), _product_centres(), finest_scale=0.1),
+            pp(), _product_centres(), finest_scale=0.1, angular="biradial",
+            patch_angular="biradial"),
          lambda: build_multicenter_quadrature(
             pp(), _product_centres(), finest_scale=0.1,
             angular=_BIRADIAL_24, patch_angular=_BIRADIAL_24)),
@@ -869,15 +954,12 @@ class TestSharedBuildWork:
         m = ManifoldModel.flat_ball(6, 100.0)
         centres = _two_bubble_centres(6, 0.02)
         rule = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
-        calls = []
-
-        def counted(a, b, k):
-            calls.append((a, b, k))
-            return gauss_segment(a, b, k)
-        monkeypatch.setattr(geometry, "gauss_segment", counted)
-        geometry._panel.cache_clear()
+        gauss_segment.cache_clear()
         again = build_multicenter_quadrature(m, centres, finest_scale=1e-3)
-        assert calls and len(calls) == len(set(calls))
+        # a panel evaluated twice in one build would be a miss that found
+        # its entry evicted, and count more misses than entries
+        info = gauss_segment.cache_info()
+        assert info.hits and info.misses == info.currsize == 42
         assert np.array_equal(again.nodes, rule.nodes)
 
     @pytest.mark.parametrize("separation, dropped", [(0.02, 30), (0.2, 44)])
@@ -903,8 +985,9 @@ class TestSharedBuildWork:
         assert sum(n for _, _, n in built) - rule.node_count == dropped
 
         nodes, weights = _polar_rule(
-            m, centres[0], 1e-3, 2_000_000, "axial",
-            geometry._N_PSI_MULTICENTRE, axis=centres[1] - centres[0])
+            m, centres[0], 1e-3, 2_000_000,
+            *_angular_orders(m, "axial", geometry._N_PSI_MULTICENTRE),
+            axis=centres[1] - centres[0])
         d = m.distance(nodes, centres[1])
         # the localizer 1 within r_i/2, and rounded to 1 a little beyond
         one = step_jet(2.0 * (r_i - d) / r_i)[0] == 1.0
@@ -1170,10 +1253,11 @@ class TestKernelsKeepTheirBits:
 
 # a small rule per model: minimal direction rules, two split angles per
 # panel on products
-_SMALL_PRODUCT = dict(n_psi=2, orders_a="minimal", orders_b="minimal")
+_SMALL_PRODUCT = dict(n_psi=2, orders_a=[2, 4], orders_b=[2, 4])
 _LAYOUT_MODELS = {
     "S3xS3": (pp(), _SMALL_PRODUCT),
-    "S3xS4": (ManifoldModel.product_spheres(3, 4), _SMALL_PRODUCT),
+    "S3xS4": (ManifoldModel.product_spheres(3, 4),
+              dict(_SMALL_PRODUCT, orders_b=[2, 2, 4])),
     "S6": (ManifoldModel.round_sphere(6), "minimal"),
     "B7": (ManifoldModel.flat_ball(7, 2.0), "minimal"),
 }
@@ -1201,16 +1285,19 @@ class TestCoordinateMajorRules:
 
     @pytest.mark.parametrize("build", [
         lambda: build_quadrature(ManifoldModel.flat_ball(6, 1.0),
-                                 np.zeros(6), finest_scale=0.1),
+                                 np.zeros(6), finest_scale=0.1,
+                                 angular=[8, 4, 4, 4, 8]),
         lambda: build_quadrature(ManifoldModel.round_sphere(6),
                                  base_point(ManifoldModel.round_sphere(6)),
                                  finest_scale=0.1, angular="minimal"),
-        lambda: build_quadrature(pp(), base_point(pp()), finest_scale=0.1),
+        lambda: build_quadrature(pp(), base_point(pp()), finest_scale=0.1,
+                                 angular="biradial"),
         lambda: build_multicenter_quadrature(
             ManifoldModel.flat_ball(6, 100.0), _two_bubble_centres(6, 0.02),
             finest_scale=1e-2),
-        lambda: build_multicenter_quadrature(pp(), _product_centres(),
-                                             finest_scale=0.1),
+        lambda: build_multicenter_quadrature(
+            pp(), _product_centres(), finest_scale=0.1, angular="biradial",
+            patch_angular="biradial"),
     ], ids=["B6", "S6", "S3xS3", "multicentre-flat", "multicentre-S3xS3"])
     def test_builders_return_coordinate_major_nodes(self, build):
         rule = build()
@@ -1313,8 +1400,11 @@ class TestPooledFill:
                             + 0.03 * m.tangent_frame(c)[4])]
 
     @pytest.mark.parametrize("build", [
-        lambda m, cs: build_quadrature(m, cs[0], finest_scale=1e-2),
-        lambda m, cs: build_multicenter_quadrature(m, cs, finest_scale=1e-2),
+        lambda m, cs: build_quadrature(m, cs[0], finest_scale=1e-2,
+                                       angular="biradial"),
+        lambda m, cs: build_multicenter_quadrature(
+            m, cs, finest_scale=1e-2, angular="biradial",
+            patch_angular="biradial"),
     ], ids=["S3xS3", "S3xS3-two-centres"])
     def test_pooled_fill_matches_inline(self, monkeypatch, build):
         monkeypatch.setattr(geometry, "_worker_count", lambda: self.WORKERS)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import blowup_lab
+from blowup_lab import geometry
 
 SRC = Path(blowup_lab.__file__).resolve().parent
 
@@ -183,6 +184,32 @@ def test_every_public_name_has_a_caller():
                 for module, qualified, name in _public_names()
                 if name not in used and qualified not in _CALLED_ELSEWHERE]
     assert not uncalled, f"public names with no caller: {uncalled}"
+
+
+_PROFILE_TABLES = ("_SPHERE_PROFILES", "_PRODUCT_PROFILES")
+
+
+def test_every_angular_profile_name_has_a_caller():
+    # a profile is declared by its name, a string, which the check above
+    # does not read.  Each name must appear as a string constant somewhere
+    # in src/ or perfbench/ outside the two tables that define the names
+    paths = sorted(SRC.rglob("*.py")) + sorted(
+        (SRC.parents[1] / "perfbench").glob("*.py"))
+    strings = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        tables = {id(node) for stmt in ast.walk(tree)
+                  if isinstance(stmt, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id in _PROFILE_TABLES
+                          for t in stmt.targets)
+                  for node in ast.walk(stmt)}
+        strings |= {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) and id(node) not in tables}
+    names = [name for table in _PROFILE_TABLES
+             for name in getattr(geometry, table)]
+    uncalled = [name for name in names if name not in strings]
+    assert names and not uncalled, f"profiles no caller names: {uncalled}"
 
 
 def test_imports_only_stdlib_and_numpy():

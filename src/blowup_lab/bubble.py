@@ -77,25 +77,20 @@ class BubbleParams:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A collection of bubbles together with its admissibility cone.
+    """A collection of bubbles and the separation bound of its admissibility
+    cone, d(xi_i, xi_j)^2 / (delta_i delta_j) > K.
 
-    alpha bounds scale ratios (1/alpha < delta_i/delta_j < alpha), K bounds
-    separations from below (d(xi_i, xi_j)^2 / (delta_i delta_j) > K), and
-    delta_bar is the ceiling on individual scales.
+    :func:`is_admissible` also bounds scale ratios by 2 and scales by 1.
     """
 
     bubbles: tuple
-    alpha: float = 2.0
-    K: float = 100.0
-    delta_bar: float = 1.0
+    K: float = 10.0
 
     def __post_init__(self):
         if len(self.bubbles) < 1:
             raise ValueError("need at least one bubble")
-        if not self.alpha > 1:  # so that a NaN fails too
-            raise ValueError("alpha must exceed 1")
-        if not (self.K > 0 and self.delta_bar > 0):
-            raise ValueError("K and delta_bar must be positive")
+        if not self.K > 0:  # so that a NaN fails too
+            raise ValueError("K must be positive")
         object.__setattr__(self, "bubbles", tuple(self.bubbles))
 
     @property
@@ -170,9 +165,7 @@ class SumField:
     """Pointwise sum of fields sharing a model."""
 
     def __init__(self, fields):
-        fields = list(fields)
-        self.model = fields[0].model
-        self.fields = fields
+        self.fields = list(fields)
 
     def jet(self, pts, order=0):
         """Sum of the fields' jets, added in field order."""
@@ -205,22 +198,23 @@ def multi_bubble_field(model, cfg, cutoff):
 def is_admissible(cfg, model):
     """Check the admissibility cone; returns (ok, list of violations).
 
-    Pair separations are geodesic distances on ``model``.
+    Scales lie in (0, 1), scale ratios in (1/2, 2), and separations
+    d(xi_i, xi_j)^2 / (delta_i delta_j), with d the geodesic distance on
+    ``model``, exceed ``cfg.K``.
     """
     violations = []
     deltas = [b.delta for b in cfg.bubbles]
     for i, d in enumerate(deltas):
-        if not (0.0 < d < cfg.delta_bar):
+        if not (0.0 < d < 1.0):
             violations.append({
-                "constraint": "scale_ceiling", "index": i,
-                "margin": cfg.delta_bar - d})
+                "constraint": "scale_ceiling", "index": i, "margin": 1.0 - d})
     for i in range(len(deltas)):
         for j in range(i + 1, len(deltas)):
             ratio = deltas[i] / deltas[j]
-            if not (1.0 / cfg.alpha < ratio < cfg.alpha):
+            if not (0.5 < ratio < 2.0):
                 violations.append({
                     "constraint": "scale_ratio", "pair": (i, j),
-                    "margin": min(ratio - 1.0 / cfg.alpha, cfg.alpha - ratio)})
+                    "margin": min(ratio - 0.5, 2.0 - ratio)})
             dij = float(model.distance(cfg.bubbles[i].center,
                                        cfg.bubbles[j].center))
             sep = dij**2 / (deltas[i] * deltas[j])

@@ -34,7 +34,7 @@ from .functional import (PotentialField, energy, energy_split, residual_norm,
 from .geometry import (CapacityError, ManifoldModel,
                        build_multicenter_quadrature, build_quadrature)
 from .reduced import (ScheduleParams, _back_substitution_residual,
-                      audit_bumps, build_H, mu_eps, reduced_constants,
+                      audit_bumps, build_H, reduced_constants,
                       reduced_limit_ratio, schedule_configuration)
 
 
@@ -223,7 +223,7 @@ def _exp_flat_energy(cfg):
 
 
 def _exp_expansion_sweep(cfg):
-    model, sigma, tol = cfg["model"], cfg["sigma"], 0.05  # criterion 3
+    model, tol = cfg["model"], 0.05  # criterion 3
     c1 = reduced_constants(model.n)[0]
     e1 = single_bubble_energy_constant(model.n)
     center = _rule_center(model)
@@ -236,16 +236,16 @@ def _exp_expansion_sweep(cfg):
         u = multi_bubble_field(
             model, Configuration(bubbles=(BubbleParams(d, center),)), cutoff)
         j0 = energy(model, h0, u, rule)
-        # J is affine in h: the constant shift adds sigma/2 int u^2 exactly
+        # J is affine in h: a constant shift s adds s/2 int u^2 exactly
         half_l2 = 0.5 * float(rule.integrate(lambda pts: u(pts) ** 2))
-        rows.append((d, j0, j0 + sigma * half_l2, half_l2 / (e1 * d * d)))
-    coefs = np.array([r[3] for r in rows])
+        rows.append((d, j0, half_l2 / (e1 * d * d)))
+    coefs = np.array([r[2] for r in rows])
     fitted = float(np.median(coefs))
     dev = abs(fitted - c1) / c1
     ok = dev < tol
     lines = [f"[{'PASS' if ok else 'FAIL'}] expansion-sweep: fitted "
              f"c1={fitted:.6g} target={c1:.6g} rel_dev={dev:.3e} (< {tol:g})"]
-    return rows, ("delta", "J_base", "J_shifted", "c1_estimate"), lines, ok
+    return rows, ("delta", "J_base", "c1_estimate"), lines, ok
 
 
 def _exp_interaction_sweep(cfg):
@@ -331,11 +331,11 @@ def _exp_schedule_table(cfg):
     rows, ok = [], True
     for eps in sorted(cfg["eps_range"], reverse=True):
         sch = ScheduleParams(n=n, eps=eps, r=r)
-        mu, margins = mu_eps(sch)
-        d = sch.delta_eps
-        resid = _back_substitution_residual(n, eps, d)
+        margins = sch.margins
+        resid = _back_substitution_residual(n, eps, sch.delta_eps)
         ok = ok and resid <= 1e-14 and all(v < 1.0 for v in margins.values())
-        rows.append((eps, d, mu, margins["lower_bound_over_mu"],
+        rows.append((eps, sch.delta_eps, sch.mu_eps,
+                     margins["lower_bound_over_mu"],
                      margins["eps_over_mu_r"], margins["mu"], resid))
     # criterion 8: each margin decreases strictly as eps falls
     ok = ok and all(b < a for prev, row in zip(rows, rows[1:])
@@ -400,7 +400,6 @@ _RUNNERS = {
         "budget": (2_000_000, _number(integer=True, ge=1))}),
     "expansion-sweep": (_exp_expansion_sweep, {
         "model": ({}, _model(6)),
-        "sigma": (1e-3, _number()),
         "delta_range": ({}, _range(1e-3, 1e-2, 7, le=1)),
         "budget": (2_000_000, _number(integer=True, ge=1))}),
     "interaction-sweep": (_exp_interaction_sweep, {

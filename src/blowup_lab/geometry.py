@@ -21,6 +21,7 @@ import ctypes
 import functools
 import itertools
 import math
+import operator
 import os
 import platform
 import threading
@@ -750,9 +751,10 @@ def _angular_orders(model, angular, n_psi):
         specs = [angular]
     try:
         # from a list: tuple(generator) allocates 10 slots and shrinks them,
-        # which parks a tuple on CPython's free list on every call
-        orders = [tuple([int(o) for o in spec]) for spec in specs]
-        n_psi = int(n_psi)
+        # which parks a tuple on CPython's free list on every call.
+        # operator.index refuses a float, which int() would truncate
+        orders = [tuple([operator.index(o) for o in spec]) for spec in specs]
+        n_psi = operator.index(n_psi)
     except (TypeError, ValueError):
         orders = []
     if [len(o) for o in orders] != dims or min(n_psi, *map(min, orders)) < 1:

@@ -14,7 +14,7 @@ ratio whose limit the sweep experiments verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .functional import (_check_resolution, energy,
 from .geometry import CapacityError, _dot
 
 __all__ = [
+    "DegenerateError",
     "ReducedEnergyParams",
     "BumpFunction",
     "ScheduleParams",
@@ -33,7 +34,6 @@ __all__ = [
     "F_n_eval",
     "F_n_critical",
     "delta_eps",
-    "mu_eps",
     "build_H",
     "audit_bumps",
     "h_eps_perturbation",
@@ -196,59 +196,42 @@ def _back_substitution_residual(n, eps, d):
 
 @dataclass(frozen=True)
 class ScheduleParams:
-    """Pinned parameter schedule at a given eps.
+    """Pinned parameter schedule at a given eps, computed once.
 
-    theta is the exponent of the bump-width schedule mu = eps^theta used for
-    n >= 7 (half the largest admissible exponent, for uniform margin);
-    dimension 6 uses mu = |ln eps|^(-1/8).
+    ``delta_eps`` is :func:`delta_eps`.  The bump width ``mu_eps`` is
+    |ln eps|^(-1/8) in dimension 6 and eps^theta for n >= 7, with theta
+    half the largest admissible exponent, for uniform margin.  ``margins``
+    maps each smallness constraint to the ratio that must tend to zero:
+    the lower-bound constraint over mu, eps over mu^r, and mu itself.
     """
 
     n: int
     eps: float
     r: int = 0
+    delta_eps: float = field(init=False)
+    mu_eps: float = field(init=False)
+    margins: dict = field(init=False, hash=False)  # a dict has no hash
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
+        n, eps, r = self.n, self.eps, self.r
+        if not (0.0 < eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("r must be a nonnegative integer")
-
-    @property
-    def theta(self):
-        if self.n == 6:
-            return None
-        return 0.5 * min((self.n - 6.0) / (2.0 * (self.n - 2.0)),
-                         1.0 / max(self.r, 1))
-
-    @property
-    def delta_eps(self):
-        return delta_eps(self.n, self.eps)
-
-    @property
-    def mu_eps(self):
-        return mu_eps(self)[0]
-
-
-def mu_eps(sch):
-    """Bump-width schedule with measured smallness margins.
-
-    Returns (mu, margins) where margins maps each smallness constraint to
-    the ratio that must tend to zero: the lower-bound constraint over mu,
-    eps over mu^r, and mu itself.
-    """
-    n, eps = sch.n, sch.eps
-    if n == 6:
-        mu = abs(math.log(eps)) ** (-1.0 / 8.0)
-        lower = abs(math.log(eps)) ** (-1.0 / 4.0)
-    else:
-        mu = eps ** sch.theta
-        lower = eps ** ((n - 6.0) / (2.0 * (n - 2.0)))
-    margins = {
-        "lower_bound_over_mu": lower / mu,
-        "eps_over_mu_r": eps / mu ** sch.r if sch.r > 0 else eps,
-        "mu": mu,
-    }
-    return mu, margins
+        if n == 6:
+            mu = abs(math.log(eps)) ** (-1.0 / 8.0)
+            lower = abs(math.log(eps)) ** (-1.0 / 4.0)
+        else:
+            top = (n - 6.0) / (2.0 * (n - 2.0))  # the lower bound's exponent
+            mu = eps ** (0.5 * min(top, 1.0 / max(r, 1)))
+            lower = eps ** top
+        object.__setattr__(self, "delta_eps", delta_eps(n, eps))
+        object.__setattr__(self, "mu_eps", mu)
+        object.__setattr__(self, "margins", {
+            "lower_bound_over_mu": lower / mu,
+            "eps_over_mu_r": eps / mu ** r if r > 0 else eps,
+            "mu": mu,
+        })
 
 
 def build_H(k, dim, seed=None):
@@ -389,20 +372,17 @@ def schedule_configuration(model, xi0, ts, ps, eps, r=0):
     """Bubble configuration (delta_i, xi_i) built from the schedules.
 
     delta_i = t_i * delta(eps) and xi_i = exp_xi0(mu(eps) * p_i) with p_i in
-    tangent-frame coordinates.  The admissibility cone is the default one
-    with separation bound K = 10.  A centre off the model (outside a flat
-    ball) raises GeometryError.
+    tangent-frame coordinates, under the default separation bound K = 10.
+    A centre off the model (outside a flat ball) raises GeometryError.
     """
     sch = ScheduleParams(n=model.n, eps=eps, r=r)
-    d_eps = sch.delta_eps
-    mu = sch.mu_eps
     frame = model.tangent_frame(xi0)
     bubbles = []
     for t, p in zip(ts, ps):
-        v = mu * np.asarray(p, dtype=float) @ frame
+        v = sch.mu_eps * np.asarray(p, dtype=float) @ frame
         center = model.validate_point(model.exp(xi0, v))
-        bubbles.append(BubbleParams(delta=t * d_eps, center=center))
-    return Configuration(bubbles=tuple(bubbles), K=10.0), sch
+        bubbles.append(BubbleParams(delta=t * sch.delta_eps, center=center))
+    return Configuration(bubbles=tuple(bubbles)), sch
 
 
 def reduced_limit_ratio(model, xi0, ts, ps, eps, Hb, rule, r=0):

@@ -16,6 +16,13 @@ from blowup_lab.cli import (_RUNNERS, EXPERIMENTS, _read_config, emit_csv,
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def _reference_section(experiment):
+    """The section of docs/config.md that documents ``experiment``."""
+    text = (Path(__file__).resolve().parents[1] / "docs"
+            / "config.md").read_text()
+    return text.split(f"\n## {experiment}\n")[1].split("\n## ")[0]
+
+
 def _write(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -97,17 +104,27 @@ class TestConfigErrors:
         # the keys a runner accepts are the rows of its table in
         # docs/config.md, so neither can drift from the other; a default
         # documented as one JSON literal is the table's default
-        text = (Path(__file__).resolve().parents[1] / "docs"
-                / "config.md").read_text()
-        section = text.split(f"\n## {experiment}\n")[1].split("\n## ")[0]
-        documented = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section,
-                                     re.M))
+        documented = dict(re.findall(r"^\| `(\w+)` \| ([^|]*) \|",
+                                     _reference_section(experiment), re.M))
         table = _RUNNERS[experiment][1]
         assert set(documented) == set(table)
         for key, cell in documented.items():
             literal = re.fullmatch(r"`([^`]*)`", cell.strip())
             if literal:
                 assert json.loads(literal[1]) == table[key][0], key
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_columns_match_the_reference(self, path):
+        # each section of docs/config.md lists its CSV's columns after
+        # "Columns:"; the shipped config's run writes exactly those
+        cfg = json.loads(path.read_text())
+        runner, table = _RUNNERS[cfg["experiment"]]
+        columns = runner(_read_config(cfg, table))[1]
+        listed = re.search(r"^Columns: ((?:`\w+`,\s)*`\w+`)",
+                           _reference_section(cfg["experiment"]), re.M)
+        assert listed, f"no Columns: line for {cfg['experiment']}"
+        assert list(columns) == re.findall(r"`(\w+)`", listed[1])
 
     def test_capacity_error_exit_code(self, tmp_path):
         cfg = _write(tmp_path, {
@@ -140,8 +157,8 @@ class TestConfigErrors:
         # on the message names the key
         ({"experiment": "flat-energy", "radius": float("nan")}, 2,
          "malformed config: 'radius'"),
-        ({"experiment": "expansion-sweep", "sigma": float("nan")}, 2,
-         "malformed config: 'sigma'"),
+        ({"experiment": "residual-sweep", "shift": float("nan")}, 2,
+         "malformed config: 'shift'"),
         ({"experiment": "flat-energy", "budget": True}, 2,
          "malformed config: 'budget'"),
         ({"experiment": "isolation-sweep", "k": 2.9}, 2,

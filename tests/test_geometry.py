@@ -638,14 +638,17 @@ class TestQuadrature:
         (ManifoldModel.flat_ball(6, 2.0), [2, 2, 2, 2, 0]),
         (ManifoldModel.flat_ball(6, 2.0), [2, 2, 2, 2, 4.5j]),
         (ManifoldModel.round_sphere(6), dict(orders_a=[2, 2, 2, 2, 4])),
+        (ManifoldModel.flat_ball(6, 2.0), [2.9, 2, 2, 2, 4]),
+        (pp(), dict(orders_a=[2, 4], orders_b=[2, 4], n_psi=2.5)),
     ], ids=["product-none", "product-list", "missing-key", "unknown-key",
             "names-in-a-dict", "wrong-length", "order-0", "n_psi-0",
             "ball-none", "ball-short", "ball-order-0", "ball-complex",
-            "sphere-dict"])
+            "sphere-dict", "ball-fractional", "n_psi-fractional"])
     def test_malformed_declaration_rejected(self, model, angular):
         # a declaration is a profile name or the orders themselves, and
         # nothing stands in for a missing one; to the multicentre builder
-        # None declares "axial"
+        # None declares "axial".  An order or n_psi is an integer: a
+        # fractional one is refused, not truncated
         with pytest.raises(GeometryError, match="neither a profile"):
             build_quadrature(model, base_point(model), finest_scale=0.1,
                              angular=angular)
@@ -654,6 +657,17 @@ class TestQuadrature:
                 build_multicenter_quadrature(
                     model, [base_point(model), base_point(model)],
                     finest_scale=0.1, angular=angular, patch_angular=angular)
+
+    def test_numpy_integer_orders_accepted(self):
+        # numpy integers are integers: they declare the same rule as the
+        # Python ints of the profile they spell
+        m = ManifoldModel.flat_ball(6, 2.0)
+        named = build_quadrature(m, np.zeros(6), finest_scale=0.1,
+                                 angular="minimal")
+        spelt = build_quadrature(m, np.zeros(6), finest_scale=0.1,
+                                 angular=np.array([2, 2, 2, 2, 4]))
+        np.testing.assert_array_equal(spelt.nodes, named.nodes)
+        np.testing.assert_array_equal(spelt.weights, named.weights)
 
     @pytest.mark.parametrize("kw", ["angular", "patch_angular"])
     @pytest.mark.parametrize("case", list(_REFUSED_SPELLINGS),

@@ -21,7 +21,6 @@ from blowup_lab.reduced import (
     F_n_critical,
     F_n_eval,
     h_eps_perturbation,
-    mu_eps,
     reduced_constants,
     reduced_limit_ratio,
     schedule_configuration,
@@ -197,21 +196,19 @@ class TestSchedules:
     def test_mu_n6_log_power(self):
         # mu = |ln eps|^(-1/8); eps = e^-16 gives 16^(-1/8) = 2^(-1/2)
         sch = ScheduleParams(n=6, eps=math.exp(-16.0), r=0)
-        mu, _ = mu_eps(sch)
-        assert mu == pytest.approx(2.0**-0.5, rel=1e-14)
+        assert sch.mu_eps == pytest.approx(2.0**-0.5, rel=1e-14)
 
     def test_mu_high_dim_power(self):
         # theta = min((n-6)/(2(n-2)), 1/max(r,1))/2; n=7, r=1: theta = 1/20
+        # at eps = 1e-10 that is mu = 10^(-1/2)
         sch = ScheduleParams(n=7, eps=1e-10, r=1)
-        assert sch.theta == pytest.approx(0.05)
-        mu, _ = mu_eps(sch)
-        assert mu == pytest.approx(10.0**-0.5, rel=1e-14)
+        assert sch.mu_eps == pytest.approx(10.0**-0.5, rel=1e-14)
 
     def test_margins_decrease_along_eps(self):
         prev = None
         for j in range(4, 13):
             sch = ScheduleParams(n=7, eps=10.0**-j, r=1)
-            mu, margins = mu_eps(sch)
+            margins = sch.margins
             assert all(v < 1.0 for v in margins.values())
             if prev is not None:
                 for key in margins:

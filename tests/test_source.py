@@ -36,6 +36,19 @@ def test_all_names_exist():
     assert not missing, f"names in __all__ that do not exist: {missing}"
 
 
+def test_package_root_imports_only_all_names():
+    # the root re-exports a module's public names, its __all__, which
+    # test_every_public_name_has_a_caller checks; a name outside it would
+    # be an export that nothing checks
+    tree = ast.parse((SRC / "__init__.py").read_text(), filename="__init__.py")
+    outside = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names
+               if alias.name not in importlib.import_module(
+                   f"blowup_lab.{node.module}").__all__]
+    assert not outside, f"root imports outside __all__: {outside}"
+
+
 def _reads_outside_geometry(attr):
     """Places in the package, outside geometry.py, that read ``.attr``."""
     found = []

@@ -16,6 +16,7 @@ All operations accept a single point ``(d,)`` or a batch ``(N, d)``.
 
 from __future__ import annotations
 
+import bisect
 import contextvars
 import ctypes
 import functools
@@ -670,12 +671,15 @@ def _leggauss(k):
     return np.polynomial.legendre.leggauss(k)
 
 
-# a rule takes at most about 50 distinct panels: this holds a few rules
+# one walk of the panel edges serves all of a rule's radial grids, so a
+# build looks each panel up about once, and a rule takes at most about 50
+# distinct panels (44 a two-bubble rule, 36-38 a scheduled-bubble one):
+# this holds a few rules
 @functools.lru_cache(maxsize=256)
 def gauss_segment(a, b, k):
-    """k-point Gauss-Legendre nodes/weights on [a, b], cached: the radial
-    grids of a rule share their inner panels.  The arrays returned are
-    shared and read-only."""
+    """k-point Gauss-Legendre nodes/weights on [a, b], cached: the rules
+    of a sweep share most of their panels.  The arrays returned are shared
+    and read-only."""
     x, w = _leggauss(k)
     x, w = 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
     x.flags.writeable = w.flags.writeable = False
@@ -790,28 +794,70 @@ def _split_band(panel, transition):
         + ([(hi_c, b, k)] if hi_c < b else [])
 
 
-def _radial_grid(finest_scale, r_patch, r, transition):
-    """Radial nodes and weights on [0, r], graded geometrically (ratio 2)
-    near the center.
+def _radial_panels(finest_scale, r_patch, radii, transition):
+    """The radial grid on [0, r] of each r of ``radii``, which ascend, as
+    a list of Gauss panels, (nodes, weights) pairs in order.
 
-    The panels are an innermost segment [0, finest/10], geometric annuli
-    out to ``r_patch``, then geometric panels outward, the last cut at r;
-    those inside ``transition`` are subdivided (:func:`_split_band`).  The
-    first panel that reaches r (1 - 1e-14) is the last, so no sliver panel
-    follows it.
+    Each grid is graded geometrically (ratio 2) near the center: an
+    innermost segment [0, finest/10], geometric annuli out to ``r_patch``,
+    then geometric panels outward; those inside ``transition`` are
+    subdivided (:func:`_split_band`).  The first panel that reaches r
+    (1 - 1e-14) is the last, cut at r, so it is as narrow as r lies past
+    the edge before it: on a ball of radius R the edges double from R/4 to
+    R exactly, so a ray that leaves the ball past R ends in a 24-node
+    panel no wider than its centre's distance from the origin.  The edges
+    do not depend on r, so one walk out to the largest radius serves
+    every grid, and the panels below the smallest, which every grid starts
+    with, are joined into one pair once.
     """
-    stop, patch = r * (1 - 1e-14), r_patch * (1 - 1e-14)
+    stops, patch = [r * (1 - 1e-14) for r in radii], r_patch * (1 - 1e-14)
     edges, orders = [0.0, finest_scale / 10.0], [_INNER_ORDER]
-    while edges[-1] < stop:
+    while edges[-1] < stops[-1]:
         inside = edges[-1] < patch
         edges.append(min(2.0 * edges[-1], r_patch) if inside
                      else 2.0 * edges[-1])
         orders.append(_ANNULUS_ORDER if inside else _OUTER_ORDER)
-    edges[-1] = min(edges[-1], r)
-    # from a list, not a generator, for the reason in _angular_orders
-    xs, ws = zip(*[gauss_segment(*p) for panel in zip(edges, edges[1:], orders)
-                   for p in _split_band(panel, transition)])
-    return np.concatenate(xs), np.concatenate(ws)
+    # each grid's last edge is the first at or past its stop
+    ends = [bisect.bisect_left(edges, stop, 1) for stop in stops]
+
+    def segments(panel):
+        # from a list, not a generator, for the reason in _angular_orders
+        return [gauss_segment(*p) for p in _split_band(panel, transition)]
+
+    # the panels that no grid cuts
+    whole = [segments(p) for p in zip(edges, edges[1:ends[-1]], orders)]
+    shared = list(itertools.chain(*whole[:ends[0] - 1]))
+    shared = [tuple(map(np.concatenate, zip(*shared)))] if shared else []
+    return [shared + list(itertools.chain(*whole[ends[0] - 1:end - 1]))
+            + segments((edges[end - 1], min(edges[end], r), orders[end - 1]))
+            for r, end in zip(radii, ends)]
+
+
+def _ray_pairs(group, lengths):
+    """The (radius, direction) pairs of one join angle, radius-major: the
+    number of pairs of each radius of its concatenated radial grids, and
+    each pair's direction.
+
+    Direction d leaves at outer radius ``group[d]``, whose grid holds
+    ``lengths[group[d]]`` radii; each radius takes the directions of its
+    grid's outer radius, in their order.
+    """
+    counts = np.bincount(group)
+    per_radius = np.repeat(counts, lengths)
+    # each pair's place among the directions sorted by outer radius: its
+    # group's first, plus its place in its radius's run of pairs
+    offset = np.repeat(np.cumsum(counts) - counts, lengths) \
+        - (np.cumsum(per_radius) - per_radius)
+    cols = np.argsort(group, kind="stable")[
+        np.repeat(offset, per_radius) + np.arange(per_radius.sum())]
+    return per_radius, cols
+
+
+def _ray_points(base, a, coef, sphere):
+    """The points at distance t from ``base`` along the unit tangents
+    ``a``: cos(t) base + sin(t) a on a sphere factor, from ``coef`` =
+    (cos t, sin t), and base + t a on the ball, from (t,)."""
+    return coef[0] * base + coef[1] * a if sphere else base + coef[0] * a
 
 
 # Gauss split angles per panel of a product rule, per builder: the smallest
@@ -877,20 +923,26 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
     Every model is a join of spheres of directions: one on a ball or a
     round sphere, two on S^p x S^q, where the point at distance r and split
     angle psi lies r cos(psi) and r sin(psi) out along the two factors.
-    For each join angle and each distinct outer radius one radial grid is
-    mapped factor by factor, c + t a on the ball and cos(t) c + sin(t) a on
-    a sphere factor, and broadcast over the factors' directions with weight
-    wr r^(n-1) prod sinc(t)^(k-1) w_psi w_dirs, from ``orders`` and
-    ``n_psi`` as :func:`_angular_orders` resolves them: the split angles
-    are ``n_psi`` Gauss nodes on each of two panels, and the other models
-    have none.  The outer radius is pi / max(cos psi, sin psi) on sphere
-    factors and each ray's exit radius on the ball, cut at ``extent``.
-    ``axis``, a tangent vector at ``center``, turns each factor's polar
-    axis toward its projection on that factor; with None it is the first
-    vector of the factor's frame.
+    The join angles come from ``orders`` and ``n_psi`` as
+    :func:`_angular_orders` resolves them: the split angles are ``n_psi``
+    Gauss nodes on each of two panels, and the other models have none.
+    The outer radius is pi / max(cos psi, sin psi) on sphere factors and
+    each ray's exit radius on the ball, cut at ``extent``; one walk of the
+    panel edges gives the radial grid of every outer radius of every join
+    angle (:func:`_radial_panels`).  ``axis``, a tangent vector at
+    ``center``, turns each factor's polar axis toward its projection on
+    that factor; with None it is the first vector of the factor's frame.
+
+    Each join angle is one entry, filled in one pass.  Its rows are the
+    pairs of a radius and a direction of the first factor that leaves at
+    that radius's outer radius (:func:`_ray_pairs`), radius-major: the
+    first factor's points are gathered, one per pair, and the other
+    factors' are broadcast over them.  A point is c + t a on the ball and
+    cos(t) c + sin(t) a on a sphere factor, and its weight
+    (wr r^(n-1) prod sinc(t)^(k-1) w_psi) w_dirs.
     A rule of more than one integration block is filled on the block
-    workers, one (join angle, outer radius) entry at a time; a smaller
-    rule, or one built on a block worker, is filled inline.
+    workers, one join angle at a time; a smaller rule, or one built on a
+    block worker, is filled inline.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -928,21 +980,28 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
         cdotw = dirs[0] @ center
         exit_radius = -cdotw + np.sqrt(cdotw**2 + model.radius**2
                                        - center @ center)
-    # one radial grid per join angle and distinct outer radius: the
-    # directions of a sphere factor share it, those of the ball are grouped
-    # by exit radius
+    # one entry per join angle.  The directions of a sphere factor share
+    # one outer radius, those of the ball are grouped by exit radius, and
+    # one walk of the panel edges gives the radial grids of every join
+    r_outs = [np.minimum(np.full(len(dirs[0]), math.pi / max(scales))
+                         if model.is_compact else exit_radius, extent)
+              for scales, _ in joins]
+    radii = sorted(set(itertools.chain(*[r.tolist() for r in r_outs])))
+    grids = dict(zip(radii, _radial_panels(finest_scale, min(r0, extent),
+                                           radii, transition)))
     plan = []
-    for scales, wj in joins:
-        r_out = np.full(len(dirs[0]), math.pi / max(scales)) \
-            if model.is_compact else exit_radius
-        radii, group = np.unique(np.minimum(r_out, extent),
-                                 return_inverse=True)
-        plan += [(scales, wj, group == g,
-                  *_radial_grid(finest_scale, min(r0, extent), float(r),
-                                transition))
-                 for g, r in enumerate(radii)]
-    sizes = [len(r) * np.count_nonzero(sel) for _, _, sel, r, _ in plan]
-    per_dir = math.prod(len(d) for d in dirs[1:])
+    for (scales, wj), r_out in zip(joins, r_outs):
+        # the join's outer radii, ascending, and each direction's
+        own = sorted(set(r_out.tolist()))
+        group = np.searchsorted(own, r_out)
+        panels = [grids[v] for v in own]
+        plan.append((scales, wj, group,
+                     *map(np.concatenate, zip(*itertools.chain(*panels))),
+                     [sum(len(x) for x, _ in p) for p in panels]))
+    sizes = [int(np.bincount(group) @ lengths)
+             for _, _, group, _, _, lengths in plan]
+    shape = tuple(len(d) for d in dirs[1:])
+    per_dir = math.prod(shape)
     count = sum(sizes) * per_dir
     if count > budget:
         raise CapacityError(
@@ -950,31 +1009,47 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
             f"the requested rule needs {count} nodes")
 
     # coordinate-major, as QuadratureRule stores it: each entry's slice of
-    # rows reshapes to its (radius, directions...) grid as a view
+    # rows reshapes to its (pair, other factors' directions...) grid as a
+    # view
     nodes = np.empty((count, model.ambient_dim), order="F")
     weights = np.empty(count)
+    wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0])
+    wd = wd.reshape(len(wd), per_dir)
 
     def fill(entry):
         # the entries write disjoint slices, so they may run in any order
-        at, (scales, wj, sel, r, wr) = entry
-        facs = [dirs[0][sel], *dirs[1:]]
-        shape = (len(r), *(len(a) for a in facs))
-        size = math.prod(shape)
-        block = nodes[at:at + size].reshape(*shape, model.ambient_dim)
+        at, (scales, wj, group, r, wr, lengths) = entry
+        per_radius, cols = _ray_pairs(group, lengths)
+        size = len(cols) * per_dir
+        block = nodes[at:at + size].reshape(len(cols), *shape,
+                                            model.ambient_dim)
         dens = wr * r ** (model.n - 1)
         for i, (s, base, a, (sl, k, sphere)) in enumerate(
-                zip(scales, bases, facs, factors)):
+                zip(scales, bases, dirs, factors)):
             t = r * s
+            coef = (np.cos(t), np.sin(t)) if sphere else (t,)
             if sphere:
-                x = np.cos(t)[:, None, None] * base \
-                    + np.sin(t)[:, None, None] * a
                 dens = dens * np.sinc(t / np.pi) ** (k - 1)
-            else:
-                x = base + t[:, None, None] * a
-            others = [j + 1 for j in range(len(facs)) if j != i]
-            block[..., sl] = np.expand_dims(x, others)
-        wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0][sel])
-        weights[at:at + size] = np.outer(dens * wj, wd).reshape(-1)
+            if i == 0:
+                # the first factor's points, one per pair, coordinate-major:
+                # each radius's coefficients spread over its pairs
+                x = _ray_points(base[:, None], a.T.take(cols, axis=1),
+                                [np.repeat(c, per_radius) for c in coef],
+                                sphere)
+                block[..., sl] = np.expand_dims(x.T,
+                                                tuple(range(1, len(dirs))))
+                continue
+            # the other factors' points are broadcast over each radius's
+            # pairs: only the ball's directions leave at different radii,
+            # and the ball is its model's only factor, so each radius of a
+            # product takes every direction of the first factor
+            x = _ray_points(base, a, [c[:, None, None] for c in coef], sphere)
+            others = [j + 1 for j in range(len(dirs)) if j != i]
+            block.reshape(len(r), len(dirs[0]), *shape, model.ambient_dim)[
+                ..., sl] = np.expand_dims(x, others)
+        np.multiply(np.repeat(dens * wj, per_radius * per_dir),
+                    wd.take(cols, axis=0).reshape(-1),
+                    out=weights[at:at + size])
 
     starts = itertools.accumulate([0] + sizes[:-1])
     _map_blocks(fill, [(at * per_dir, p) for at, p in zip(starts, plan)],
@@ -1059,12 +1134,16 @@ def build_multicenter_quadrature(model, centers, finest_scale,
                        * plateau_jet(model.distance(nodes, c), r_i)[0]))
 
     # each piece's nodes of positive weight, gathered straight into one
-    # coordinate-major array
+    # coordinate-major array; a piece that keeps them all, as every patch
+    # of a two-bubble rule does, is copied whole
     keep = [np.flatnonzero(w > 0.0) for _, w in pieces]
     nodes = np.empty((sum(map(len, keep)), model.ambient_dim), order="F")
     at = 0
     for (x, _), k in zip(pieces, keep):
-        _take_rows(x, k, out=nodes[at:at + len(k)])
+        if len(k) == len(x):
+            nodes[at:at + len(k)] = x
+        else:
+            _take_rows(x, k, out=nodes[at:at + len(k)])
         at += len(k)
     return QuadratureRule(
         nodes=nodes,

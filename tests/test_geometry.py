@@ -1,5 +1,6 @@
 """Geometry layer: distances, exponential maps, curvature, quadrature."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -27,7 +28,8 @@ from blowup_lab.geometry import (
     _BLOCK,
     _angular_orders,
     _polar_rule,
-    _radial_grid,
+    _radial_panels,
+    _rotation_with_first_axis,
     _rowsum,
     _split_band,
     build_quadrature,
@@ -924,10 +926,16 @@ class TestSharedBuildWork:
     ], ids=["compact-band", "flat-ball", "edges-and-patch", "patch-edge"])
     def test_shared_panels_match_a_grid_built_alone(
             self, finest, r_patch, radii, transition):
-        for r in radii:
-            x, w = _radial_grid(finest, r_patch, r, transition)
+        # one walk for all the radii, and one for each radius on its own
+        radii = sorted(radii)
+        walked = _radial_panels(finest, r_patch, radii, transition)
+        for r, grid in zip(radii, walked):
             x_alone, w_alone = _grid_alone(finest, r_patch, r, transition)
-            assert np.array_equal(x, x_alone) and np.array_equal(w, w_alone)
+            for panels in (grid,
+                           _radial_panels(finest, r_patch, [r], transition)[0]):
+                x, w = map(np.concatenate, zip(*panels))
+                assert np.array_equal(x, x_alone) \
+                    and np.array_equal(w, w_alone)
 
     def test_direction_rules_are_cached_and_read_only(self):
         # the directions and the radial Gauss panels alike
@@ -1014,6 +1022,159 @@ class TestSharedBuildWork:
         far = d[kept] >= r_i
         assert np.count_nonzero(far) > 0.9 * first
         assert np.array_equal(rule.weights[:first][far], weights[kept][far])
+
+
+def _polar_rule_per_radius(model, center, finest_scale, orders, n_psi,
+                           axis=None, extent=math.inf):
+    """The polar rule filled one (join angle, outer radius) entry at a
+    time, each from a radial grid walked on its own: the reference whose
+    node order and bits the one-pass fill keeps."""
+    factors = model._factors
+    if len(factors) == 2:
+        psi, wpsi = np.concatenate(
+            [gauss_segment(lo, hi, n_psi) for lo, hi
+             in ((0.0, math.pi / 4.0), (math.pi / 4.0, math.pi / 2.0))],
+            axis=1)
+        joins = [((c, s), wp * c ** (model.p - 1) * s ** (model.q - 1))
+                 for ps, wp in zip(psi, wpsi)
+                 for c, s in [(math.cos(ps), math.sin(ps))]]
+    else:
+        joins = [((1.0,), 1.0)]
+    bases = model.split(center)
+    dirs, wdirs = [], []
+    for i, (frame, (_, k, _), o) in enumerate(
+            zip(model._frames(center), factors, orders)):
+        loc, w = unit_sphere_rule(k - 1, o)
+        if axis is not None:
+            u = frame @ model.split(np.asarray(axis, dtype=float))[i]
+            if np.linalg.norm(u) > 1e-12:
+                loc = loc @ _rotation_with_first_axis(
+                    u / np.linalg.norm(u)).T
+        dirs.append(loc @ frame)
+        wdirs.append(w)
+    r0 = model.cutoff_radius
+    transition = (r0 / 2.0, r0) if model.is_compact else None
+    if not model.is_compact:
+        cdotw = dirs[0] @ center
+        exit_radius = -cdotw + np.sqrt(cdotw**2 + model.radius**2
+                                       - center @ center)
+    nodes, weights = [], []
+    for scales, wj in joins:
+        r_out = np.full(len(dirs[0]), math.pi / max(scales)) \
+            if model.is_compact else exit_radius
+        radii, group = np.unique(np.minimum(r_out, extent),
+                                 return_inverse=True)
+        for g, r_outer in enumerate(radii):
+            sel = group == g
+            r, wr = _grid_alone(finest_scale, min(r0, extent),
+                                float(r_outer), transition)
+            facs = [dirs[0][sel], *dirs[1:]]
+            block = np.empty((len(r), *(len(a) for a in facs),
+                              model.ambient_dim))
+            dens = wr * r ** (model.n - 1)
+            for i, (s, base, a, (sl, k, sphere)) in enumerate(
+                    zip(scales, bases, facs, factors)):
+                t = r * s
+                if sphere:
+                    x = np.cos(t)[:, None, None] * base \
+                        + np.sin(t)[:, None, None] * a
+                    dens = dens * np.sinc(t / np.pi) ** (k - 1)
+                else:
+                    x = base + t[:, None, None] * a
+                others = [j + 1 for j in range(len(facs)) if j != i]
+                block[..., sl] = np.expand_dims(x, others)
+            wd = functools.reduce(np.multiply.outer, wdirs[1:], wdirs[0][sel])
+            nodes.append(block.reshape(-1, model.ambient_dim))
+            weights.append(np.outer(dens * wj, wd).reshape(-1))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _two_bubble_pieces(centres):
+    # the two polar rules of criterion 5's multicentre rule, as
+    # build_multicenter_quadrature asks for them
+    m = ManifoldModel.flat_ball(len(centres[0]), 100.0)
+    orders = _angular_orders(m, "axial", geometry._N_PSI_MULTICENTRE)
+    r_i = min(float(m.distance(*centres)) / 2.0, m.cutoff_radius)
+    return [(m, c, 1e-3, orders,
+             dict(axis=m._log_and_distance(c, other)[0], extent=extent))
+            for c, other, extent in ((*centres, math.inf),
+                                     (*centres[::-1], r_i))]
+
+
+def _b7_first_piece():
+    # 128 directions leave B^7 from 0.05 e1 at two exit radii, 64 each, so
+    # the one join's rows are ragged and tied, and span more than a block
+    m = ManifoldModel.flat_ball(7, 100.0)
+    e1 = np.eye(7)[0]
+    orders = _angular_orders(m, "minimal", geometry._N_PSI_MULTICENTRE)
+    return (m, 0.05 * e1, 1e-3, orders, dict(axis=-0.1 * e1))
+
+
+def _one_pass_cases():
+    cases = {}
+    for n, sep, axis_id in itertools.product((6, 7), (0.02, 0.2),
+                                             ("seeded", "e1")):
+        centres = _two_bubble_centres(n, sep) if axis_id == "seeded" \
+            else [-0.5 * sep * np.eye(n)[0], 0.5 * sep * np.eye(n)[0]]
+        for piece, case in zip(("first", "patch"),
+                               _two_bubble_pieces(centres)):
+            cases[f"B{n}-{sep}-{axis_id}-{piece}"] = case
+    ball = ManifoldModel.flat_ball(6, 100.0)
+    for angular in ("minimal", "axial", "radial"):
+        cases[f"B6-origin-{angular}"] = (
+            ball, np.zeros(6), 1e-3,
+            _angular_orders(ball, angular, geometry._N_PSI_ONE_CENTRE), {})
+    cases["B7-two-centres-first"] = _b7_first_piece()
+    s6 = ManifoldModel.round_sphere(6)
+    turned = 0.3 * s6.tangent_frame(base_point(s6))[2]
+    for extent in (math.inf, 0.3):
+        cases[f"S6-axial-extent-{extent}"] = (
+            s6, base_point(s6), 1e-2,
+            _angular_orders(s6, "axial", geometry._N_PSI_ONE_CENTRE),
+            dict(axis=turned, extent=extent))
+    frame = pp().tangent_frame(base_point(pp()))
+    for name, angular, kw in (
+            ("biradial", "biradial", {}), ("radial", "radial", {}),
+            ("orders-axis", dict(n_psi=5, orders_a=[3, 2], orders_b=[2, 3]),
+             dict(axis=0.2 * frame[1] + 0.3 * frame[4]))):
+        cases[f"S3xS3-{name}"] = (
+            pp(), base_point(pp()), 1e-2,
+            _angular_orders(pp(), angular, geometry._N_PSI_ONE_CENTRE), kw)
+    return cases
+
+
+_ONE_PASS_CASES = _one_pass_cases()
+
+
+class TestOnePassFill:
+    """Each join angle's rows are filled in one pass, from one walk of the
+    panel edges, with the node order and bits of one fill per (join angle,
+    outer radius) entry."""
+
+    @pytest.mark.parametrize("case", list(_ONE_PASS_CASES))
+    def test_rule_keeps_its_bits(self, case):
+        model, center, finest, orders, kw = _ONE_PASS_CASES[case]
+        nodes, weights = _polar_rule(model, center, finest, 2_000_000,
+                                     *orders, **kw)
+        assert nodes.flags.f_contiguous
+        assert _digest(nodes, weights) \
+            == _digest(*_polar_rule_per_radius(model, center, finest,
+                                               *orders, **kw))
+
+    def test_b7_rows_are_ragged_tied_and_span_blocks(self):
+        model, center, finest, orders, kw = _b7_first_piece()
+        dirs = unit_sphere_rule(6, orders[0][0])[0] \
+            @ _rotation_with_first_axis(-np.eye(7)[0]).T
+        cdotw = dirs @ center
+        exits = -cdotw + np.sqrt(cdotw**2 + 100.0**2 - center @ center)
+        radii, counts = np.unique(exits, return_counts=True)
+        assert counts.tolist() == [64, 64]
+        lengths = [len(np.concatenate(next(zip(*p)))) for p in
+                   _radial_panels(finest, 25.0, radii.tolist(), None)]
+        assert lengths[0] != lengths[1]
+        nodes, _ = _polar_rule(model, center, finest, 2_000_000, *orders,
+                               **kw)
+        assert len(nodes) == 45_568 > _BLOCK // 2
 
 
 def _same_bits(a, b):
@@ -1413,32 +1574,45 @@ class TestPooledFill:
         return m, [c, m.exp(c, 0.05 * m.tangent_frame(c)[0]
                             + 0.03 * m.tangent_frame(c)[4])]
 
-    @pytest.mark.parametrize("build", [
-        lambda m, cs: build_quadrature(m, cs[0], finest_scale=1e-2,
-                                       angular="biradial"),
-        lambda m, cs: build_multicenter_quadrature(
+    @staticmethod
+    def _b7_two_centres():
+        # the first piece's one join holds 45,568 ragged rows, more than a
+        # block on two workers; the patch's 19,456 are filled inline
+        e1 = np.eye(7)[0]
+        return ManifoldModel.flat_ball(7, 100.0), [0.05 * e1, -0.05 * e1]
+
+    @pytest.mark.parametrize("layout, build", [
+        (_two_centres, lambda m, cs: build_quadrature(
+            m, cs[0], finest_scale=1e-2, angular="biradial")),
+        (_two_centres, lambda m, cs: build_multicenter_quadrature(
             m, cs, finest_scale=1e-2, angular="biradial",
-            patch_angular="biradial"),
-    ], ids=["S3xS3", "S3xS3-two-centres"])
-    def test_pooled_fill_matches_inline(self, monkeypatch, build):
+            patch_angular="biradial")),
+        (_b7_two_centres, lambda m, cs: build_multicenter_quadrature(
+            m, cs, finest_scale=1e-3, angular="minimal",
+            patch_angular="minimal")),
+    ], ids=["S3xS3", "S3xS3-two-centres", "B7-two-centres"])
+    def test_pooled_fill_matches_inline(self, monkeypatch, layout, build):
         monkeypatch.setattr(geometry, "_worker_count", lambda: self.WORKERS)
         fills = []
         real = geometry._map_blocks
 
         def spied(fn, items, pooled):
             def run(item):
-                fills.append(threading.current_thread())
+                fills.append((pooled, threading.current_thread()))
                 return fn(item)
             return real(run, items, pooled)
         monkeypatch.setattr(geometry, "_map_blocks", spied)
-        m, centres = self._two_centres()
+        m, centres = layout()
         rule = build(m, centres)
-        assert rule.node_count > geometry._BLOCK
-        assert fills and threading.main_thread() not in fills
+        # every fill asked to pool ran on a block worker
+        assert any(pooled for pooled, _ in fills)
+        assert all(thread is not threading.main_thread()
+                   for pooled, thread in fills if pooled)
         pool = geometry._block_pool(self.WORKERS)
         fills.clear()
         inline = pool.submit(build, m, centres).result()
-        assert len(set(fills)) == 1 and threading.main_thread() not in fills
+        threads = {thread for _, thread in fills}
+        assert len(threads) == 1 and threading.main_thread() not in threads
         assert _digest(rule.nodes, rule.weights) \
             == _digest(inline.nodes, inline.weights)
 

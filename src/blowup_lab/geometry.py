@@ -826,6 +826,8 @@ def _radial_panels(finest_scale, r_patch, radii, transition):
 
     # the panels that no grid cuts
     whole = [segments(p) for p in zip(edges, edges[1:ends[-1]], orders)]
+    # joined once, rather than repeated in every grid: a first piece's 20
+    # grids build about a sixth faster so
     shared = list(itertools.chain(*whole[:ends[0] - 1]))
     shared = [tuple(map(np.concatenate, zip(*shared)))] if shared else []
     return [shared + list(itertools.chain(*whole[ends[0] - 1:end - 1]))
@@ -853,11 +855,13 @@ def _ray_pairs(group, lengths):
     return per_radius, cols
 
 
-def _ray_points(base, a, coef, sphere):
+def _ray_points(base, a, t, sphere, spread):
     """The points at distance t from ``base`` along the unit tangents
-    ``a``: cos(t) base + sin(t) a on a sphere factor, from ``coef`` =
-    (cos t, sin t), and base + t a on the ball, from (t,)."""
-    return coef[0] * base + coef[1] * a if sphere else base + coef[0] * a
+    ``a``: cos(t) base + sin(t) a on a sphere factor and base + t a on the
+    ball, each coefficient laid out by ``spread`` to meet ``a``."""
+    if sphere:
+        return spread(np.cos(t)) * base + spread(np.sin(t)) * a
+    return base + spread(t) * a
 
 
 # Gauss split angles per panel of a product rule, per builder: the smallest
@@ -941,8 +945,9 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
     cos(t) c + sin(t) a on a sphere factor, and its weight
     (wr r^(n-1) prod sinc(t)^(k-1) w_psi) w_dirs.
     A rule of more than one integration block is filled on the block
-    workers, one join angle at a time; a smaller rule, or one built on a
-    block worker, is filled inline.
+    workers, one join angle at a time, so a ball or sphere rule takes one
+    worker; a smaller rule, or one built on a block worker, is filled
+    inline.
     """
     if not (0.0 < finest_scale <= 1.0):
         raise GeometryError("finest_scale must lie in (0, 1]")
@@ -986,14 +991,13 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
     r_outs = [np.minimum(np.full(len(dirs[0]), math.pi / max(scales))
                          if model.is_compact else exit_radius, extent)
               for scales, _ in joins]
-    radii = sorted(set(itertools.chain(*[r.tolist() for r in r_outs])))
+    radii = np.unique(np.concatenate(r_outs)).tolist()
     grids = dict(zip(radii, _radial_panels(finest_scale, min(r0, extent),
                                            radii, transition)))
     plan = []
     for (scales, wj), r_out in zip(joins, r_outs):
         # the join's outer radii, ascending, and each direction's
-        own = sorted(set(r_out.tolist()))
-        group = np.searchsorted(own, r_out)
+        own, group = np.unique(r_out, return_inverse=True)
         panels = [grids[v] for v in own]
         plan.append((scales, wj, group,
                      *map(np.concatenate, zip(*itertools.chain(*panels))),
@@ -1027,15 +1031,13 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
         for i, (s, base, a, (sl, k, sphere)) in enumerate(
                 zip(scales, bases, dirs, factors)):
             t = r * s
-            coef = (np.cos(t), np.sin(t)) if sphere else (t,)
             if sphere:
                 dens = dens * np.sinc(t / np.pi) ** (k - 1)
             if i == 0:
                 # the first factor's points, one per pair, coordinate-major:
                 # each radius's coefficients spread over its pairs
-                x = _ray_points(base[:, None], a.T.take(cols, axis=1),
-                                [np.repeat(c, per_radius) for c in coef],
-                                sphere)
+                x = _ray_points(base[:, None], a.T.take(cols, axis=1), t,
+                                sphere, lambda c: np.repeat(c, per_radius))
                 block[..., sl] = np.expand_dims(x.T,
                                                 tuple(range(1, len(dirs))))
                 continue
@@ -1043,7 +1045,7 @@ def _polar_rule(model, center, finest_scale, budget, orders, n_psi,
             # pairs: only the ball's directions leave at different radii,
             # and the ball is its model's only factor, so each radius of a
             # product takes every direction of the first factor
-            x = _ray_points(base, a, [c[:, None, None] for c in coef], sphere)
+            x = _ray_points(base, a, t, sphere, lambda c: c[:, None, None])
             others = [j + 1 for j in range(len(dirs)) if j != i]
             block.reshape(len(r), len(dirs[0]), *shape, model.ambient_dim)[
                 ..., sl] = np.expand_dims(x, others)

@@ -1576,22 +1576,24 @@ class TestPooledFill:
 
     @staticmethod
     def _b7_two_centres():
-        # the first piece's one join holds 45,568 ragged rows, more than a
-        # block on two workers; the patch's 19,456 are filled inline
+        # the first piece, 45,568 ragged rows, is more than a block on two
+        # workers, and a ball rule is one entry, so it is one pooled fill;
+        # the patch's 19,456 rows are filled inline
         e1 = np.eye(7)[0]
         return ManifoldModel.flat_ball(7, 100.0), [0.05 * e1, -0.05 * e1]
 
-    @pytest.mark.parametrize("layout, build", [
+    @pytest.mark.parametrize("layout, build, all_pooled", [
         (_two_centres, lambda m, cs: build_quadrature(
-            m, cs[0], finest_scale=1e-2, angular="biradial")),
+            m, cs[0], finest_scale=1e-2, angular="biradial"), True),
         (_two_centres, lambda m, cs: build_multicenter_quadrature(
             m, cs, finest_scale=1e-2, angular="biradial",
-            patch_angular="biradial")),
+            patch_angular="biradial"), True),
         (_b7_two_centres, lambda m, cs: build_multicenter_quadrature(
             m, cs, finest_scale=1e-3, angular="minimal",
-            patch_angular="minimal")),
+            patch_angular="minimal"), False),
     ], ids=["S3xS3", "S3xS3-two-centres", "B7-two-centres"])
-    def test_pooled_fill_matches_inline(self, monkeypatch, layout, build):
+    def test_pooled_fill_matches_inline(self, monkeypatch, layout, build,
+                                        all_pooled):
         monkeypatch.setattr(geometry, "_worker_count", lambda: self.WORKERS)
         fills = []
         real = geometry._map_blocks
@@ -1604,10 +1606,17 @@ class TestPooledFill:
         monkeypatch.setattr(geometry, "_map_blocks", spied)
         m, centres = layout()
         rule = build(m, centres)
-        # every fill asked to pool ran on a block worker
-        assert any(pooled for pooled, _ in fills)
-        assert all(thread is not threading.main_thread()
-                   for pooled, thread in fills if pooled)
+        threads = {thread for _, thread in fills}
+        if all_pooled:
+            # every piece is over a block: every fill ran on a block worker
+            assert rule.node_count > geometry._BLOCK
+            assert fills and threading.main_thread() not in threads
+        else:
+            # the first piece's one fill on a block worker, then the patch's
+            # on the main thread
+            assert [(pooled, thread is threading.main_thread())
+                    for pooled, thread in fills] \
+                == [(True, False), (False, True)]
         pool = geometry._block_pool(self.WORKERS)
         fills.clear()
         inline = pool.submit(build, m, centres).result()
